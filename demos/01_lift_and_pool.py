@@ -1,7 +1,8 @@
 """Lift camera features into a voxel grid with a precomputed pooling index.
 
 The index is built once per rig/frustum/grid combination; lifting is then a
-gather plus a segmented sum, never materialising the dense frustum tensor.
+gather plus a per-channel scatter-add into the voxels, never materialising
+the dense frustum tensor.
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ grid = geo.VoxelGridSpec(40, 40, 8, origin=np.array([-8.0, -8.0, -1.0]),
 
 index = build_pooling_index(rig, frustum, grid)
 print(f"pooling index: {index.num_entries} in-grid contributions, "
-      f"{len(index.interval_starts)} occupied voxels")
+      f"{len(np.unique(index.target_vox))} occupied voxels")
 
 features = rng.standard_normal((2, 16, 48, 64))
 depths = np.stack([normalize_depth_logits(

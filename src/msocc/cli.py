@@ -1,7 +1,7 @@
 """Command-line driver. One subcommand per operation group; long-form flags
-only. Exit codes: 0 success, 2 input validation, 3 numerical failure (NaN),
-4 IO failure. Every subcommand is a pure function of its file inputs and
-flags, and numeric flags are echoed into the output metadata."""
+only. Exit codes: 0 success, 2 input validation, 3 numerical failure (NaN or
+inf), 4 IO failure. Every subcommand is a pure function of its file inputs
+and flags, and numeric flags are echoed into the output metadata."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from . import fixtures, losses, metrics, pipeline, postprocess, temporal
-from .geometry import (CameraRig, FrustumSpec, RigidTransform, VoxelGridSpec,
-                       relative_ego_motion)
+from . import fixtures, losses, pipeline, postprocess, temporal
+from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import build_pyramid
-from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
-from .pipeline import NumericalError, PipelineConfig, PipelineStageError
+from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_text
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -32,17 +31,18 @@ def _add_depth_flags(p):
     p.add_argument("--depth-step", type=float, default=1.0)
 
 
-def _frustum(args, h, w, stride):
-    return FrustumSpec(feat_width=w, feat_height=h, stride=stride,
-                       depth_min=args.depth_min, depth_max=args.depth_max,
-                       depth_step=args.depth_step)
+def _depth_config(args) -> PipelineConfig:
+    return PipelineConfig(depth_min=args.depth_min, depth_max=args.depth_max,
+                          depth_step=args.depth_step)
 
 
-def _write_meta(path, args, skip=("func",)):
-    meta = {k: v for k, v in vars(args).items()
-            if k not in skip and not callable(v)}
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+def _read_transform(path) -> RigidTransform:
+    return RigidTransform.from_dict(json.loads(read_text(path)))
+
+
+def _write_meta(path, args):
+    pipeline.write_json(path, {k: v for k, v in vars(args).items()
+                               if k != "func"})
 
 
 def cmd_synth(args):
@@ -50,30 +50,20 @@ def cmd_synth(args):
         num_cameras=args.cameras, num_frames=args.frames,
         num_boxes=args.boxes, seed=args.seed,
         image_width=args.image_width, image_height=args.image_height)
-    cfg = PipelineConfig(depth_min=args.depth_min, depth_max=args.depth_max,
-                         depth_step=args.depth_step)
-    pipeline.emit_inputs(args.out, scene, cfg, channels=args.channels,
-                         seed=args.seed)
+    pipeline.emit_inputs(args.out, scene, _depth_config(args),
+                         channels=args.channels, seed=args.seed)
     _write_meta(os.path.join(args.out, "synth_metadata.json"), args)
     return EXIT_OK
 
 
 def cmd_cost_volume(args):
-    cur = read_tensor(args.current).astype(np.float64)
-    prev = read_tensor(args.previous).astype(np.float64)
-    with open(args.rig) as fh:
-        rig = CameraRig.from_json(fh.read())
-    with open(args.pose_current) as fh:
-        pose_cur = RigidTransform.from_dict(json.load(fh))
-    with open(args.pose_previous) as fh:
-        pose_prev = RigidTransform.from_dict(json.load(fh))
-    k, cam_to_ego = rig.cameras[args.camera]
-    rel = relative_ego_motion(pose_prev, pose_cur)
-    f = _frustum(args, cur.shape[1], cur.shape[2], args.stride)
-    cv = temporal.build_cost_volume(cur, prev, rel, k.scaled(args.stride), f,
-                                    cam_to_ego=cam_to_ego)
-    if np.isnan(cv).any():
-        raise NumericalError("NaN in cost volume")
+    cur = read_tensor(args.current)
+    prev = read_tensor(args.previous)
+    rig = CameraRig.from_json(read_text(args.rig))
+    pose_cur = _read_transform(args.pose_current)
+    rel = relative_ego_motion(_read_transform(args.pose_previous), pose_cur)
+    cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
+                              args.camera, cur, prev, rel)
     write_tensor(args.out, cv.astype(np.float32))
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -82,18 +72,11 @@ def cmd_cost_volume(args):
 def cmd_lift(args):
     feats = read_tensor(args.features)
     logits = read_tensor(args.depth_logits)
-    with open(args.rig) as fh:
-        rig = CameraRig.from_json(fh.read())
-    with open(args.grid) as fh:
-        grid = VoxelGridSpec.from_json(fh.read())
-    f = _frustum(args, feats.shape[2], feats.shape[3], args.stride)
-    scaled = CameraRig(tuple((k.scaled(args.stride), t) for k, t in rig.cameras))
-    idx = build_pooling_index(scaled, f, grid)
-    depths = np.stack([normalize_depth_logits(logits[c])
-                       for c in range(logits.shape[0])])
-    out = lift_and_pool(feats.astype(np.float64), depths, idx)
-    if np.isnan(out).any():
-        raise NumericalError("NaN in lifted grid")
+    idx = pipeline.pooling_index(_depth_config(args), args.stride,
+                                 CameraRig.from_json(read_text(args.rig)),
+                                 VoxelGridSpec.from_json(read_text(args.grid)),
+                                 *feats.shape[2:])
+    out = pipeline.lift_frame(feats, logits, idx)
     write_tensor(args.out, out.astype(np.float32))
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -101,30 +84,19 @@ def cmd_lift(args):
 
 def cmd_warp(args):
     grid_arr = read_tensor(args.input)
-    with open(args.grid) as fh:
-        grid = VoxelGridSpec.from_json(fh.read())
-    with open(args.transform) as fh:
-        rel = RigidTransform.from_dict(json.load(fh))
-    out = temporal.warp_voxel_grid(grid_arr, rel, grid, mode=args.mode)
+    grid = VoxelGridSpec.from_json(read_text(args.grid))
+    out = temporal.warp_voxel_grid(grid_arr, _read_transform(args.transform),
+                                   grid, mode=args.mode)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
 def cmd_gt_downsample(args):
-    occ = read_tensor(args.occ)
-    sem = read_tensor(args.sem)
-    mask = read_tensor(args.mask).astype(bool)
-    pyr = build_pyramid(occ, sem, mask, levels=args.levels,
-                        num_classes=args.num_classes)
-    os.makedirs(args.out, exist_ok=True)
-    for i in range(args.levels):
-        write_tensor(os.path.join(args.out, f"occ_scale{i}.msoc"),
-                     pyr.occ[i].astype(np.uint8))
-        write_tensor(os.path.join(args.out, f"sem_scale{i}.msoc"),
-                     pyr.sem[i].astype(np.uint8))
-        write_tensor(os.path.join(args.out, f"mask_scale{i}.msoc"),
-                     pyr.mask[i].astype(np.uint8))
+    pyr = build_pyramid(read_tensor(args.occ), read_tensor(args.sem),
+                        read_tensor(args.mask).astype(bool),
+                        levels=args.levels, num_classes=args.num_classes)
+    pipeline.write_pyramid(args.out, pyr)
     _write_meta(os.path.join(args.out, "metadata.json"), args)
     return EXIT_OK
 
@@ -132,22 +104,15 @@ def cmd_gt_downsample(args):
 def cmd_loss(args):
     occ_logits = read_tensor(args.occ_logits).astype(np.float64)
     sem_logits = read_tensor(args.sem_logits).astype(np.float64)
-    gt_occ = read_tensor(args.gt_occ)
-    gt_sem = read_tensor(args.gt_sem)
-    mask = read_tensor(args.mask).astype(bool)
-    k = sem_logits.shape[0]
-    if args.weight_mode == "inverse_frequency":
-        w = losses.class_frequency_weights(gt_sem, gt_occ, mask, k)
-    else:
-        w = losses.ClassWeights.uniform(k)
-    lo, _ = losses.bce_occ_loss(occ_logits, gt_occ, mask, w)
-    ls, _ = losses.focal_sem_loss(sem_logits, gt_sem, gt_occ, mask, w,
-                                  args.gamma)
+    lo, ls = pipeline.scale_losses(
+        occ_logits, sem_logits, read_tensor(args.gt_occ),
+        read_tensor(args.gt_sem), read_tensor(args.mask).astype(bool),
+        sem_logits.shape[0], args.weight_mode, args.gamma)
     ld = 0.0
     if args.depth_logits and args.gt_depth:
         dlogits = read_tensor(args.depth_logits).astype(np.float64)
         gt_depth = read_tensor(args.gt_depth)
-        f = _frustum(args, dlogits.shape[1], dlogits.shape[2], 1)
+        f = pipeline.frustum(_depth_config(args), 1, *dlogits.shape[1:])
         valid = (np.isfinite(gt_depth) & (gt_depth >= args.depth_min)
                  & (gt_depth < args.depth_max))
         ld, _ = losses.depth_loss(dlogits,
@@ -155,17 +120,14 @@ def cmd_loss(args):
                                   valid, f)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld,
               "gamma": args.gamma, "weight_mode": args.weight_mode}
-    if np.isnan(list(report.values())[:4]).any():
-        raise NumericalError("NaN in loss report")
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    pipeline.check_finite("loss report", list(report.values())[:4])
+    pipeline.write_json(args.out, report)
     return EXIT_OK
 
 
 def cmd_tta_enumerate(args):
-    tags = [{"img_hflip": t.img_hflip, "vox_flip_x": t.vox_flip_x,
-             "vox_flip_y": t.vox_flip_y} for t in postprocess.enumerate_tta()]
-    text = json.dumps(tags, indent=2)
+    text = json.dumps([asdict(t) for t in postprocess.enumerate_tta()],
+                      indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -186,23 +148,9 @@ def cmd_deaug(args):
 
 
 def cmd_ensemble(args):
-    with open(os.path.join(args.preds, "tags.json")) as fh:
-        tags = json.load(fh)
-    sets = {}
-    for model in ("a", "b"):
-        entries = []
-        for j, td in enumerate(tags[f"model_{model}"]):
-            tag = postprocess.AugmentationTag(**td)
-            occ = read_tensor(os.path.join(
-                args.preds, f"model_{model}_entry{j}_occ.msoc"))
-            sem = read_tensor(os.path.join(
-                args.preds, f"model_{model}_entry{j}_sem.msoc"))
-            entries.append(postprocess.deaugment(tag, occ, sem))
-        sets[model] = entries
-    cfg = postprocess.EnsembleConfig(args.weight_a, args.weight_b)
-    occ_prob, sem_label = postprocess.ensemble(sets["a"], sets["b"], cfg)
-    if np.isnan(occ_prob).any():
-        raise NumericalError("NaN in ensembled occupancy")
+    occ_prob, sem_label = pipeline.fuse(
+        *pipeline.load_prediction_sets(args.preds),
+        (args.weight_a, args.weight_b))
     write_tensor(args.out_occ, occ_prob.astype(np.float32))
     write_tensor(args.out_sem, sem_label)
     _write_meta(args.out_occ + ".meta.json", args)
@@ -210,28 +158,17 @@ def cmd_ensemble(args):
 
 
 def cmd_threshold(args):
-    occ_prob = read_tensor(args.occ_prob)
-    sem_label = read_tensor(args.sem_labels)
-    if args.table:
-        table = postprocess.load_threshold_table(args.table)
-    else:
-        table = postprocess.DEFAULT_THRESHOLDS
-    out = postprocess.apply_thresholds(occ_prob, sem_label, table)
+    out = pipeline.threshold(read_tensor(args.occ_prob),
+                             read_tensor(args.sem_labels), args.table)
     write_tensor(args.out, out)
     return EXIT_OK
 
 
 def cmd_eval(args):
-    pred = read_tensor(args.pred)
-    gt = read_tensor(args.gt)
-    mask = read_tensor(args.mask).astype(bool)
-    tally = metrics.ConfusionTally(args.num_classes)
-    metrics.accumulate(pred, gt, mask, tally)
-    per_class, mean = metrics.miou(tally, include_free=args.include_free)
-    report = {"per_class_iou": {str(k): v for k, v in per_class.items()},
-              "miou": mean, "voxels_evaluated": tally.voxels_evaluated}
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    report = pipeline.evaluate(read_tensor(args.pred), read_tensor(args.gt),
+                               read_tensor(args.mask).astype(bool),
+                               args.num_classes, args.include_free)
+    pipeline.write_json(args.out, report)
     return EXIT_OK
 
 
@@ -368,16 +305,13 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except PipelineStageError as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e.cause, TensorIOError) or isinstance(e.cause, OSError):
+        if isinstance(e.cause, (TensorIOError, OSError)):
             return EXIT_IO
         return EXIT_VALIDATION
-    except TensorIOError as e:
+    except (TensorIOError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError, json.JSONDecodeError, AssertionError) as e:
+    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

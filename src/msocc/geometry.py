@@ -36,8 +36,6 @@ __all__ = [
     "voxel_indices",
 ]
 
-_ORTHO_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Intrinsics:

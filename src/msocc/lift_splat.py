@@ -2,8 +2,9 @@
 
 The pooling index is precomputed once per (rig, frustum, grid) triple: every
 in-bounds frustum point is stored as (camera id, point offset, target voxel),
-sorted by target voxel with interval offsets, so lifting is a pure gather +
-segmented sum. The full C x (H*W*D) lifted tensor is never materialized.
+so lifting is a gather of depth-weighted features followed by a per-channel
+scatter-add (`np.bincount`) into the voxels. The full C x (H*W*D) lifted
+tensor is never materialized.
 """
 
 from __future__ import annotations
@@ -34,17 +35,18 @@ def normalize_depth_logits(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoolingIndex:
-    """Scatter plan from frustum points to voxels.
+    """Scatter plan from frustum points to voxels: entry i adds the point
+    `point_offsets[i]` of camera `cam_ids[i]` to voxel `target_vox[i]`.
 
     Entries are sorted by target voxel id, ties broken by (camera id, point
-    offset). Point offsets index the (d, v, u) row-major frustum lattice:
+    offset), so the scatter-add sums each voxel in a fixed order. Point
+    offsets index the (d, v, u) row-major frustum lattice:
     offset = (d * H + v) * W + u.
     """
 
     cam_ids: np.ndarray      # (n_entries,) int32
     point_offsets: np.ndarray  # (n_entries,) int64
-    voxel_ids: np.ndarray    # (n_occupied,) int64, strictly increasing
-    interval_starts: np.ndarray  # (n_occupied + 1,) int64
+    target_vox: np.ndarray   # (n_entries,) int64 flat voxel ids, ascending
     frustum: FrustumSpec
     grid: VoxelGridSpec
     num_cameras: int
@@ -61,7 +63,6 @@ def build_pooling_index(rig: CameraRig, f: FrustumSpec,
     Intrinsics in the rig must already be scaled to f.stride.
     """
     cams, offs, targets = [], [], []
-    n_points = f.num_bins * f.feat_height * f.feat_width
     for cam_id, (k, cam_to_ego) in enumerate(rig.cameras):
         pts = frustum_points(k, f, cam_to_ego)
         vox = voxel_indices(pts, g)
@@ -69,20 +70,14 @@ def build_pooling_index(rig: CameraRig, f: FrustumSpec,
         cams.append(np.full(int(keep.sum()), cam_id, dtype=np.int32))
         offs.append(np.nonzero(keep)[0].astype(np.int64))
         targets.append(vox[keep])
-    cam_ids = np.concatenate(cams) if cams else np.empty(0, np.int32)
-    point_offsets = np.concatenate(offs) if offs else np.empty(0, np.int64)
-    target_vox = np.concatenate(targets) if targets else np.empty(0, np.int64)
+    cam_ids = np.concatenate(cams)
+    point_offsets = np.concatenate(offs)
+    target_vox = np.concatenate(targets)
 
-    # lexsort: last key is primary
-    order = np.lexsort((point_offsets, cam_ids, target_vox))
-    cam_ids = cam_ids[order]
-    point_offsets = point_offsets[order]
-    target_vox = target_vox[order]
-
-    voxel_ids, starts = np.unique(target_vox, return_index=True)
-    interval_starts = np.concatenate([starts, [len(target_vox)]]).astype(np.int64)
-    assert n_points * len(rig) >= len(cam_ids)
-    return PoolingIndex(cam_ids, point_offsets, voxel_ids, interval_starts,
+    # entries are generated in (camera, offset) order, so a stable sort on
+    # the voxel id alone breaks ties by (camera, offset)
+    order = np.argsort(target_vox, kind="stable")
+    return PoolingIndex(cam_ids[order], point_offsets[order], target_vox[order],
                         f, g, len(rig))
 
 
@@ -115,8 +110,7 @@ def lift_and_pool(features: np.ndarray, depths: np.ndarray,
 
     feat_flat = features.reshape(idx.num_cameras, c_chan, h * w).astype(np.float64)
     out = np.zeros((c_chan, n_vox), dtype=np.float64)
-    entry_vox = np.repeat(idx.voxel_ids, np.diff(idx.interval_starts))
     for c in range(c_chan):
         contrib = weights * feat_flat[idx.cam_ids, c, pixel_offsets]
-        out[c] = np.bincount(entry_vox, weights=contrib, minlength=n_vox)
+        out[c] = np.bincount(idx.target_vox, weights=contrib, minlength=n_vox)
     return out.reshape(c_chan, *idx.grid.shape).astype(features.dtype)

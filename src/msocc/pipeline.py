@@ -1,6 +1,10 @@
 """Pipeline driver: wires cost volumes, lifting, temporal stacking, the loss
 stack, and the post-process / evaluation route over a directory of tensors.
 
+Each stage is a function from arrays to arrays; `run_pipeline` and the CLI
+subcommands call the same functions and keep file reads and writes around
+them.
+
 Input directory layout (as emitted by `msocc synth`):
 
     rig.json, grid.json, poses.json, config.json
@@ -22,15 +26,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import losses, metrics, postprocess, temporal
 from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion, RigidTransform
-from .gt_multiscale import build_pyramid
+from .gt_multiscale import FREE, build_pyramid
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
-from .tensorio import read_tensor, write_tensor
+from .tensorio import TensorIOError, read_tensor, write_tensor
 
 
 class PipelineStageError(Exception):
@@ -42,7 +47,7 @@ class PipelineStageError(Exception):
 
 
 class NumericalError(Exception):
-    """NaN detected in a pipeline tensor (exit code 3 at the CLI)."""
+    """NaN or inf detected in a pipeline tensor (exit code 3 at the CLI)."""
 
 
 @dataclass
@@ -59,21 +64,6 @@ class PipelineConfig:
     threshold_table: str | None = None  # path; None = built-in defaults
     num_classes: int = 17
 
-    def to_dict(self) -> dict:
-        return {
-            "strides": list(self.strides),
-            "cost_stride": self.cost_stride,
-            "depth_min": self.depth_min,
-            "depth_max": self.depth_max,
-            "depth_step": self.depth_step,
-            "gamma": self.gamma,
-            "alphas": list(self.alphas),
-            "weight_mode": self.weight_mode,
-            "ensemble_weights": list(self.ensemble_weights),
-            "threshold_table": self.threshold_table,
-            "num_classes": self.num_classes,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         cfg = cls()
@@ -88,9 +78,32 @@ class PipelineConfig:
         return cfg
 
 
-def _check_finite(name: str, arr: np.ndarray):
-    if np.isnan(arr).any():
-        raise NumericalError(f"NaN in {name}")
+def check_finite(name: str, arr) -> None:
+    arr = np.asarray(arr)
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"{name}: {int(np.isnan(arr).sum())} NaN, "
+                             f"{int(np.isinf(arr).sum())} inf")
+
+
+@contextmanager
+def _stage(name: str, path: str):
+    """Report a failure inside the block as one of stage `name` on `path`."""
+    try:
+        yield
+    except NumericalError as e:
+        raise NumericalError(f"stage {name!r} on {path}: {e}")
+    except (OSError, ValueError, TensorIOError) as e:
+        raise PipelineStageError(name, path, e)
+
+
+def read_text(path) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def _grid_level(grid: VoxelGridSpec, level: int) -> VoxelGridSpec:
@@ -99,15 +112,101 @@ def _grid_level(grid: VoxelGridSpec, level: int) -> VoxelGridSpec:
                          origin=grid.origin, voxel_size=grid.voxel_size * f)
 
 
-def _frustum_for(cfg: PipelineConfig, stride: int, h: int, w: int) -> FrustumSpec:
+def frustum(cfg: PipelineConfig, stride: int, h: int, w: int) -> FrustumSpec:
     return FrustumSpec(feat_width=w, feat_height=h, stride=stride,
                        depth_min=cfg.depth_min, depth_max=cfg.depth_max,
                        depth_step=cfg.depth_step)
 
 
-def _load_json(path, parser):
-    with open(path) as fh:
-        return parser(fh.read())
+def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
+                cur: np.ndarray, prev: np.ndarray,
+                rel: RigidTransform) -> np.ndarray:
+    """Plane-sweep cost volume of camera `cam` from its (C, H, W) features
+    at `stride` in the current and previous frame."""
+    k, cam_to_ego = rig.cameras[cam]
+    f = frustum(cfg, stride, cur.shape[1], cur.shape[2])
+    cv = temporal.build_cost_volume(cur.astype(np.float64),
+                                    prev.astype(np.float64), rel,
+                                    k.scaled(stride), f, cam_to_ego=cam_to_ego)
+    check_finite(f"cost volume camera {cam}", cv)
+    return cv
+
+
+def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
+                  grid: VoxelGridSpec, h: int, w: int):
+    scaled = CameraRig(tuple((k.scaled(stride), t) for k, t in rig.cameras))
+    return build_pooling_index(scaled, frustum(cfg, stride, h, w), grid)
+
+
+def lift_frame(feats: np.ndarray, logits: np.ndarray, idx) -> np.ndarray:
+    """Lift one frame's (N, C, H, W) features through the softmax of its
+    (N, D, H, W) depth logits; returns the f64 (C, nx, ny, nz) grid."""
+    depths = np.stack([normalize_depth_logits(logits[c])
+                       for c in range(logits.shape[0])])
+    lifted = lift_and_pool(feats.astype(np.float64), depths, idx)
+    check_finite("lifted grid", lifted)
+    return lifted
+
+
+def write_pyramid(out_dir: str, pyramid) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for i in range(len(pyramid)):
+        for name in ("occ", "sem", "mask"):
+            write_tensor(os.path.join(out_dir, f"{name}_scale{i}.msoc"),
+                         getattr(pyramid, name)[i].astype(np.uint8))
+
+
+def scale_losses(occ_logits, sem_logits, occ, sem, mask, num_classes: int,
+                 weight_mode: str, gamma: float):
+    """Occupancy BCE and semantic focal loss of one scale."""
+    if weight_mode == "inverse_frequency":
+        w = losses.class_frequency_weights(sem, occ, mask, num_classes)
+    else:
+        w = losses.ClassWeights.uniform(num_classes)
+    lo, _ = losses.bce_occ_loss(occ_logits, occ, mask, w)
+    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, gamma)
+    return lo, ls
+
+
+def load_prediction_sets(preds_dir: str):
+    """Read tags.json and both models' entries, de-augmented."""
+    tags = json.loads(read_text(os.path.join(preds_dir, "tags.json")))
+    sets = []
+    for model in ("a", "b"):
+        entries = []
+        for j, td in enumerate(tags[f"model_{model}"]):
+            tag = postprocess.AugmentationTag(**td)
+            occ = read_tensor(os.path.join(
+                preds_dir, f"model_{model}_entry{j}_occ.msoc"))
+            sem = read_tensor(os.path.join(
+                preds_dir, f"model_{model}_entry{j}_sem.msoc"))
+            entries.append(postprocess.deaugment(tag, occ, sem))
+        sets.append(entries)
+    return sets
+
+
+def fuse(entries_a, entries_b, weights):
+    occ_prob, sem_label = postprocess.ensemble(
+        entries_a, entries_b, postprocess.EnsembleConfig(*weights))
+    check_finite("ensembled occupancy", occ_prob)
+    return occ_prob, sem_label
+
+
+def threshold(occ_prob, sem_label, table_path: str | None):
+    """Class-wise thresholds from the table at `table_path`, or the
+    built-in defaults when it is None."""
+    table = (postprocess.load_threshold_table(table_path) if table_path
+             else postprocess.DEFAULT_THRESHOLDS)
+    return postprocess.apply_thresholds(occ_prob, sem_label, table)
+
+
+def evaluate(pred, gt, mask, num_classes: int,
+             include_free: bool = False) -> dict:
+    tally = metrics.ConfusionTally(num_classes)
+    metrics.accumulate(pred, gt, mask, tally)
+    per_class, mean = metrics.miou(tally, include_free=include_free)
+    return {"per_class_iou": {str(k): v for k, v in per_class.items()},
+            "miou": mean, "voxels_evaluated": tally.voxels_evaluated}
 
 
 def run_pipeline(input_dir: str, output_dir: str,
@@ -121,16 +220,19 @@ def run_pipeline(input_dir: str, output_dir: str,
     if config is None:
         cfg_path = os.path.join(inp, "config.json")
         if os.path.exists(cfg_path):
-            with open(cfg_path) as fh:
-                config = PipelineConfig.from_dict(json.load(fh))
+            config = PipelineConfig.from_dict(json.loads(read_text(cfg_path)))
         else:
             config = PipelineConfig()
     cfg = config
 
-    rig = _load_json(os.path.join(inp, "rig.json"), CameraRig.from_json)
-    grid = _load_json(os.path.join(inp, "grid.json"), VoxelGridSpec.from_json)
-    with open(os.path.join(inp, "poses.json")) as fh:
-        poses = [RigidTransform.from_dict(d) for d in json.load(fh)]
+    rig = CameraRig.from_json(read_text(os.path.join(inp, "rig.json")))
+    grid = VoxelGridSpec.from_json(read_text(os.path.join(inp, "grid.json")))
+    poses_path = os.path.join(inp, "poses.json")
+    with _stage("inputs", poses_path):
+        poses = [RigidTransform.from_dict(d)
+                 for d in json.loads(read_text(poses_path))]
+        if len(poses) < 2:
+            raise ValueError(f"need at least 2 frames, found {len(poses)}")
     num_frames = len(poses)
 
     def frame_path(kind, t, stride):
@@ -141,19 +243,13 @@ def run_pipeline(input_dir: str, output_dir: str,
     os.makedirs(cv_dir, exist_ok=True)
     for t in range(1, num_frames):
         path = frame_path("features", t, cfg.cost_stride)
-        try:
+        with _stage("cost_volume", path):
             feats_cur = read_tensor(path)
             feats_prev = read_tensor(frame_path("features", t - 1, cfg.cost_stride))
             rel = relative_ego_motion(poses[t - 1], poses[t])
-            n, _, h, w = feats_cur.shape
-            f4 = _frustum_for(cfg, cfg.cost_stride, h, w)
-            for cam in range(n):
-                k4 = rig.cameras[cam][0].scaled(cfg.cost_stride)
-                cv = temporal.build_cost_volume(
-                    feats_cur[cam].astype(np.float64),
-                    feats_prev[cam].astype(np.float64),
-                    rel, k4, f4, cam_to_ego=rig.cameras[cam][1])
-                _check_finite(f"cost volume frame {t} cam {cam}", cv)
+            for cam in range(feats_cur.shape[0]):
+                cv = cost_volume(cfg, cfg.cost_stride, rig, cam,
+                                 feats_cur[cam], feats_prev[cam], rel)
                 write_tensor(os.path.join(
                     cv_dir, f"frame{t:02d}_cam{cam}_stride{cfg.cost_stride}.msoc"),
                     cv.astype(np.float32))
@@ -162,89 +258,56 @@ def run_pipeline(input_dir: str, output_dir: str,
                     write_tensor(os.path.join(
                         cv_dir, f"frame{t:02d}_cam{cam}_stride{s}.msoc"),
                         cv_s.astype(np.float32))
-        except (OSError, ValueError) as e:
-            raise PipelineStageError("cost_volume", path, e)
 
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
     vox_dir = os.path.join(out, "voxel")
     os.makedirs(vox_dir, exist_ok=True)
-    pose_cur = poses[-1]
     for level, stride in enumerate(cfg.strides):
         g = _grid_level(grid, level)
-        path = frame_path("features", 1, stride)
-        try:
-            sample = read_tensor(path)
-            _, _, h, w = sample.shape
-            f = _frustum_for(cfg, stride, h, w)
-            scaled_rig = CameraRig(tuple(
-                (k.scaled(stride), t) for k, t in rig.cameras))
-            idx = build_pooling_index(scaled_rig, f, g)
-            aligned = []
-            for t in range(1, num_frames):
-                feats = read_tensor(frame_path("features", t, stride))
-                logits = read_tensor(frame_path("depth_logits", t, stride))
-                depths = np.stack([normalize_depth_logits(logits[c])
-                                   for c in range(logits.shape[0])])
-                lifted = lift_and_pool(feats.astype(np.float64), depths, idx)
-                _check_finite(f"lifted frame {t} stride {stride}", lifted)
+        aligned = []
+        for t in range(1, num_frames):
+            path = frame_path("features", t, stride)
+            with _stage("lift_stack", path):
+                feats = read_tensor(path)
+                if t == 1:
+                    idx = pooling_index(cfg, stride, rig, g, *feats.shape[2:])
+                lifted = lift_frame(
+                    feats, read_tensor(frame_path("depth_logits", t, stride)), idx)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"),
                     lifted.astype(np.float32))
-                rel = relative_ego_motion(poses[t], pose_cur)
+                rel = relative_ego_motion(poses[t], poses[-1])
                 aligned.append(temporal.warp_voxel_grid(lifted, rel, g,
                                                         mode="trilinear"))
-            stack = temporal.stack_temporal(aligned)
-            # identity stands in for the out-of-scope 3D fusion network
-            write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"),
-                         stack.astype(np.float32))
-        except (OSError, ValueError) as e:
-            raise PipelineStageError("lift_stack", path, e)
+        stack = temporal.stack_temporal(aligned)
+        # identity stands in for the out-of-scope 3D fusion network
+        write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"),
+                     stack.astype(np.float32))
 
     # ---- stage: multi-scale ground truth ----
-    gt_dir = os.path.join(out, "gt_pyramid")
-    os.makedirs(gt_dir, exist_ok=True)
-    try:
+    with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
         gt_occ = read_tensor(os.path.join(inp, "gt_occ.msoc"))
         gt_sem = read_tensor(os.path.join(inp, "gt_sem.msoc"))
         mask = read_tensor(os.path.join(inp, "mask.msoc")).astype(bool)
         pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides),
                                 num_classes=cfg.num_classes)
-        for i in range(len(cfg.strides)):
-            write_tensor(os.path.join(gt_dir, f"occ_scale{i}.msoc"),
-                         pyramid.occ[i].astype(np.uint8))
-            write_tensor(os.path.join(gt_dir, f"sem_scale{i}.msoc"),
-                         pyramid.sem[i].astype(np.uint8))
-            write_tensor(os.path.join(gt_dir, f"mask_scale{i}.msoc"),
-                         pyramid.mask[i].astype(np.uint8))
-    except (OSError, ValueError) as e:
-        raise PipelineStageError("gt_pyramid", os.path.join(inp, "gt_occ.msoc"), e)
+        write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
 
     # ---- stage: loss report against the pyramid ----
-    try:
+    with _stage("loss", os.path.join(inp, "heads")):
         gt_depth = read_tensor(os.path.join(inp, "gt_depth.msoc"))
         occ_l, sem_l, dep_l = [], [], []
-        for i in range(len(cfg.strides)):
-            occ_logits = read_tensor(os.path.join(inp, "heads",
-                                                  f"occ_logits_scale{i}.msoc"))
-            sem_logits = read_tensor(os.path.join(inp, "heads",
-                                                  f"sem_logits_scale{i}.msoc"))
-            if cfg.weight_mode == "inverse_frequency":
-                w = losses.class_frequency_weights(
-                    pyramid.sem[i], pyramid.occ[i], pyramid.mask[i],
-                    cfg.num_classes)
-            else:
-                w = losses.ClassWeights.uniform(cfg.num_classes)
-            lo, _ = losses.bce_occ_loss(occ_logits, pyramid.occ[i],
-                                        pyramid.mask[i], w)
-            ls, _ = losses.focal_sem_loss(sem_logits, pyramid.sem[i],
-                                          pyramid.occ[i], pyramid.mask[i], w,
-                                          cfg.gamma)
+        for i, stride in enumerate(cfg.strides):
+            lo, ls = scale_losses(
+                read_tensor(os.path.join(inp, "heads", f"occ_logits_scale{i}.msoc")),
+                read_tensor(os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc")),
+                pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
+                cfg.num_classes, cfg.weight_mode, cfg.gamma)
             # depth supervision at this scale's stride, pixel-center subsampled
-            stride = cfg.strides[i]
             logits = read_tensor(frame_path("depth_logits", num_frames - 1,
                                             stride))
             sub = gt_depth[:, stride // 2::stride, stride // 2::stride]
-            f = _frustum_for(cfg, stride, logits.shape[2], logits.shape[3])
+            f = frustum(cfg, stride, logits.shape[2], logits.shape[3])
             valid = np.isfinite(sub) & (sub >= f.depth_min) & (sub < f.depth_max)
             dl = 0.0
             for cam in range(logits.shape[0]):
@@ -259,58 +322,26 @@ def run_pipeline(input_dir: str, output_dir: str,
             sem_l.append(ls)
             dep_l.append(dl)
         report = losses.total_loss(occ_l, sem_l, dep_l, cfg.alphas)
-        with open(os.path.join(out, "loss_report.json"), "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    except (OSError, ValueError) as e:
-        raise PipelineStageError("loss", os.path.join(inp, "heads"), e)
+        write_json(os.path.join(out, "loss_report.json"), report.to_dict())
 
     # ---- stage: de-augment, ensemble, threshold, evaluate ----
-    try:
-        with open(os.path.join(inp, "preds", "tags.json")) as fh:
-            tags = json.load(fh)
-        sets = {}
-        for model in ("a", "b"):
-            entries = []
-            for j, td in enumerate(tags[f"model_{model}"]):
-                tag = postprocess.AugmentationTag(**td)
-                occ_p = read_tensor(os.path.join(
-                    inp, "preds", f"model_{model}_entry{j}_occ.msoc"))
-                sem_p = read_tensor(os.path.join(
-                    inp, "preds", f"model_{model}_entry{j}_sem.msoc"))
-                entries.append(postprocess.deaugment(tag, occ_p, sem_p))
-            sets[model] = entries
-        ecfg = postprocess.EnsembleConfig(*cfg.ensemble_weights)
-        occ_prob, sem_label = postprocess.ensemble(sets["a"], sets["b"], ecfg)
-        _check_finite("ensembled occupancy", occ_prob)
-        if cfg.threshold_table:
-            table = postprocess.load_threshold_table(
-                os.path.join(inp, cfg.threshold_table))
-        else:
-            table = postprocess.DEFAULT_THRESHOLDS
-        final = postprocess.apply_thresholds(occ_prob, sem_label, table)
+    with _stage("postprocess", os.path.join(inp, "preds")):
+        occ_prob, sem_label = fuse(
+            *load_prediction_sets(os.path.join(inp, "preds")),
+            cfg.ensemble_weights)
+        table = cfg.threshold_table
+        final = threshold(occ_prob, sem_label,
+                          os.path.join(inp, table) if table else None)
         write_tensor(os.path.join(out, "occ_prob.msoc"),
                      occ_prob.astype(np.float32))
         write_tensor(os.path.join(out, "final_labels.msoc"), final)
+        gt_labels = np.where(gt_occ == 1, gt_sem, FREE).astype(np.uint8)
+        eval_report = evaluate(final, gt_labels, mask, cfg.num_classes)
+        write_json(os.path.join(out, "eval_report.json"), eval_report)
 
-        gt_labels = np.where(gt_occ == 1, gt_sem, 255).astype(np.uint8)
-        tally = metrics.ConfusionTally(cfg.num_classes)
-        metrics.accumulate(final, gt_labels, mask, tally)
-        per_class, mean = metrics.miou(tally)
-        eval_report = {
-            "per_class_iou": {str(k): v for k, v in per_class.items()},
-            "miou": mean,
-            "voxels_evaluated": tally.voxels_evaluated,
-        }
-        with open(os.path.join(out, "eval_report.json"), "w") as fh:
-            json.dump(eval_report, fh, indent=2, sort_keys=True)
-    except (OSError, ValueError) as e:
-        raise PipelineStageError("postprocess", os.path.join(inp, "preds"), e)
-
-    with open(os.path.join(out, "metadata.json"), "w") as fh:
-        json.dump({"config": cfg.to_dict(), "num_frames": num_frames},
-                  fh, indent=2, sort_keys=True)
-    combined = {"loss": report.to_dict(), "eval": eval_report}
-    return combined
+    write_json(os.path.join(out, "metadata.json"),
+               {"config": asdict(cfg), "num_frames": num_frames})
+    return {"loss": report.to_dict(), "eval": eval_report}
 
 
 def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
@@ -334,8 +365,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
         fh.write(scene.grid.to_json())
     with open(os.path.join(out_dir, "poses.json"), "w") as fh:
         json.dump([p.to_dict() for p in scene.poses], fh, indent=2)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+    write_json(os.path.join(out_dir, "config.json"), asdict(cfg))
 
     write_tensor(os.path.join(out_dir, "gt_occ.msoc"),
                  scene.gt_occ.astype(np.uint8))
@@ -379,7 +409,6 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     pyramid = build_pyramid(occ_pyr, sem_pyr, scene.mask,
                             levels=len(cfg.strides),
                             num_classes=cfg.num_classes)
-    from .gt_multiscale import FREE
     for i in range(len(cfg.strides)):
         occ_logits = np.where(pyramid.occ[i] == 1, 10.0, -10.0)
         labels = np.where(pyramid.sem[i] == FREE, 0,
@@ -396,8 +425,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     os.makedirs(os.path.join(out_dir, "preds"), exist_ok=True)
     occ_prob, sem_prob = fixtures.oracle_predictions(scene, cfg.num_classes)
     tags = enumerate_tta()
-    tag_dicts = [{"img_hflip": t.img_hflip, "vox_flip_x": t.vox_flip_x,
-                  "vox_flip_y": t.vox_flip_y} for t in tags]
+    tag_dicts = [asdict(t) for t in tags]
     with open(os.path.join(out_dir, "preds", "tags.json"), "w") as fh:
         json.dump({"model_a": tag_dicts, "model_b": tag_dicts}, fh, indent=2)
     for model in ("a", "b"):

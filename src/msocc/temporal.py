@@ -146,7 +146,6 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
             wgt = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=-1)
             cellc = np.clip(cell, 0, n - 1)
             out += flat_prev[:, cellc @ strides] * (wgt * inside)
-        out = out.astype(prev.dtype) if np.issubdtype(prev.dtype, np.floating) else out
     out = np.asarray(out).reshape(c, *grid.shape).astype(prev.dtype, copy=False)
     return out[0] if squeeze else out
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from msocc import fixtures, pipeline
 from msocc.cli import main
+from msocc.geometry import RigidTransform
 from msocc.gt_multiscale import FREE
 from msocc.tensorio import read_tensor, write_tensor
 
@@ -193,3 +195,123 @@ def test_exit_code_numerical(tmp_path, scene_dir):
                "--pose-previous", str(tmp_path / "p0.json"),
                "--out", str(tmp_path / "cv.msoc")])
     assert rc == 3
+
+
+@pytest.fixture(scope="module")
+def run_dir(scene_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "out"
+    assert main(["run", "--input", str(scene_dir), "--output", str(out)]) == 0
+    return out
+
+
+def test_lift_subcommand_matches_run(tmp_path, scene_dir, run_dir):
+    out = tmp_path / "lifted.msoc"
+    rc = main(["lift",
+               "--features", str(scene_dir / "features" / "frame01_stride8.msoc"),
+               "--depth-logits",
+               str(scene_dir / "depth_logits" / "frame01_stride8.msoc"),
+               "--rig", str(scene_dir / "rig.json"),
+               "--grid", str(scene_dir / "grid.json"),
+               "--stride", "8", "--out", str(out)])
+    assert rc == 0
+    want = (run_dir / "voxel" / "frame01_scale0.msoc").read_bytes()
+    assert out.read_bytes() == want
+    assert (tmp_path / "lifted.msoc.meta.json").exists()
+
+
+def test_ensemble_subcommand_matches_run(tmp_path, scene_dir, run_dir):
+    rc = main(["ensemble", "--preds", str(scene_dir / "preds"),
+               "--out-occ", str(tmp_path / "occ.msoc"),
+               "--out-sem", str(tmp_path / "sem.msoc")])
+    assert rc == 0
+    assert (tmp_path / "occ.msoc").read_bytes() == \
+        (run_dir / "occ_prob.msoc").read_bytes()
+    assert (tmp_path / "occ.msoc.meta.json").exists()
+
+
+def test_loss_subcommand_matches_run_scale0(tmp_path, scene_dir, run_dir):
+    pyr = run_dir / "gt_pyramid"
+    rc = main(["loss",
+               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+               "--gt-occ", str(pyr / "occ_scale0.msoc"),
+               "--gt-sem", str(pyr / "sem_scale0.msoc"),
+               "--mask", str(pyr / "mask_scale0.msoc"),
+               "--out", str(tmp_path / "loss.json")])
+    assert rc == 0
+    got = json.loads((tmp_path / "loss.json").read_text())
+    want = json.loads((run_dir / "loss_report.json").read_text())["scales"][0]
+    assert (got["occ"], got["sem"]) == (want["occ"], want["sem"])
+
+
+def test_loss_subcommand_no_valid_depth_is_validation_error(tmp_path, scene_dir):
+    write_tensor(tmp_path / "dlogits.msoc", np.zeros((12, 2, 3), np.float32))
+    write_tensor(tmp_path / "gt_depth.msoc", np.full((2, 3), np.inf))
+    rc = main(["loss",
+               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+               "--gt-occ", str(scene_dir / "gt_occ.msoc"),
+               "--gt-sem", str(scene_dir / "gt_sem.msoc"),
+               "--mask", str(scene_dir / "mask.msoc"),
+               "--depth-logits", str(tmp_path / "dlogits.msoc"),
+               "--gt-depth", str(tmp_path / "gt_depth.msoc"),
+               "--out", str(tmp_path / "loss.json")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("mode,atol", [("nearest", 0.0), ("trilinear", 1e-6)])
+def test_warp_subcommand_identity(tmp_path, scene_dir, run_dir, mode, atol):
+    src = run_dir / "voxel" / "frame01_scale0.msoc"
+    (tmp_path / "identity.json").write_text(
+        json.dumps(RigidTransform.identity().to_dict()))
+    out = tmp_path / "warped.msoc"
+    rc = main(["warp", "--input", str(src), "--grid", str(scene_dir / "grid.json"),
+               "--transform", str(tmp_path / "identity.json"),
+               "--mode", mode, "--out", str(out)])
+    assert rc == 0
+    warped, grid = read_tensor(out), read_tensor(src)
+    assert warped.shape == grid.shape
+    assert np.abs(warped.astype(np.float64) - grid).max() <= atol
+    assert (tmp_path / "warped.msoc.meta.json").exists()
+
+
+def test_corrupt_input_names_stage(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    bad = inp / "features" / "frame01_stride4.msoc"
+    bad.write_bytes(b"garbage" * 8)
+    with pytest.raises(pipeline.PipelineStageError) as err:
+        pipeline.run_pipeline(str(inp), str(tmp_path / "out"))
+    assert err.value.stage == "cost_volume"
+    assert err.value.path == str(bad)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output", str(tmp_path / "o2")]) == 4
+    assert "stage 'cost_volume'" in capsys.readouterr().err
+
+
+def test_inf_prediction_is_numerical_error(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    entry = inp / "preds" / "model_a_entry0_occ.msoc"
+    occ = read_tensor(entry)
+    occ[0, 0, 0] = np.inf
+    write_tensor(entry, occ)
+    rc = main(["ensemble", "--preds", str(inp / "preds"),
+               "--out-occ", str(tmp_path / "occ.msoc"),
+               "--out-sem", str(tmp_path / "sem.msoc")])
+    assert rc == 3
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output", str(tmp_path / "out")]) == 3
+    assert "stage 'postprocess'" in capsys.readouterr().err
+
+
+def test_single_frame_rejected_before_any_stage(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    poses = json.loads((inp / "poses.json").read_text())
+    (inp / "poses.json").write_text(json.dumps(poses[:1]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    assert "poses.json" in capsys.readouterr().err
+    assert not (out / "cost_volumes").exists()

@@ -92,24 +92,20 @@ class TestBuildPoolingIndex:
                               voxel_size=np.array([100.0, 100.0, 100.0]))
         idx = build_pooling_index(rig, f, g)
         assert idx.num_entries == f.num_bins * 16
-        assert len(idx.voxel_ids) == 1
-        assert idx.interval_starts.tolist() == [0, idx.num_entries]
+        assert idx.target_vox.tolist() == [0] * idx.num_entries
 
     def test_entry_multiset_matches_bruteforce(self):
         rig, f, g, features, depths = small_setup(11)
         idx = build_pooling_index(rig, f, g)
         _, entries = naive_scatter(rig, f, g, features, depths)
-        got = sorted(zip(
-            np.repeat(idx.voxel_ids, np.diff(idx.interval_starts)),
-            idx.cam_ids, idx.point_offsets))
+        got = sorted(zip(idx.target_vox, idx.cam_ids, idx.point_offsets))
         want = sorted((vox, cam, off) for cam, off, vox in entries)
         assert got == want
 
     def test_sorted_by_target_then_cam_then_offset(self):
         rig, f, g, *_ = small_setup(12)
         idx = build_pooling_index(rig, f, g)
-        vox = np.repeat(idx.voxel_ids, np.diff(idx.interval_starts))
-        keys = list(zip(vox, idx.cam_ids, idx.point_offsets))
+        keys = list(zip(idx.target_vox, idx.cam_ids, idx.point_offsets))
         assert keys == sorted(keys)
 
 

@@ -12,16 +12,17 @@ from pathlib import Path
 
 from msocc import fixtures, pipeline
 
-root = Path(tempfile.mkdtemp(prefix="msocc_demo_"))
 scene = fixtures.make_scene(seed=7, num_cameras=2, num_frames=4,
                             num_boxes=4, image_width=128, image_height=96)
-pipeline.emit_inputs(root / "inputs", scene, seed=7)
-print(f"inputs under {root / 'inputs'}")
+with tempfile.TemporaryDirectory(prefix="msocc_demo_") as tmp:
+    root = Path(tmp)
+    pipeline.emit_inputs(root / "inputs", scene, seed=7)
+    print(f"inputs under {root / 'inputs'}")
 
-pipeline.run_pipeline(root / "inputs", root / "outputs")
+    pipeline.run_pipeline(root / "inputs", root / "outputs")
 
-loss = json.loads((root / "outputs" / "loss_report.json").read_text())
-ev = json.loads((root / "outputs" / "eval_report.json").read_text())
-print(f"total loss: {loss['total']:.6f}")
-print(f"mIoU: {ev['miou']}")
-print(f"artifacts: {sorted(p.name for p in (root / 'outputs').iterdir())}")
+    loss = json.loads((root / "outputs" / "loss_report.json").read_text())
+    ev = json.loads((root / "outputs" / "eval_report.json").read_text())
+    print(f"total loss: {loss['total']:.6f}")
+    print(f"mIoU: {ev['miou']}")
+    print(f"artifacts: {sorted(p.name for p in (root / 'outputs').iterdir())}")

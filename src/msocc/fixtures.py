@@ -262,10 +262,11 @@ def oracle_predictions(scene: SyntheticScene, num_classes: int = 17):
     return occ_prob, sem_prob
 
 
-def oracle_logits(scene: SyntheticScene, num_classes: int = 17,
+def oracle_logits(occ: np.ndarray, sem: np.ndarray, num_classes: int = 17,
                   magnitude: float = 10.0):
-    """Saturated head logits matching the ground truth, for loss-stack runs."""
-    occ_logits = np.where(scene.gt_occ == 1, magnitude, -magnitude)
-    labels = np.where(scene.gt_sem == FREE, 0, scene.gt_sem).astype(np.int64)
+    """Saturated head logits matching an occupancy grid and its semantics
+    (FREE where unoccupied), for loss-stack runs."""
+    occ_logits = np.where(occ == 1, magnitude, -magnitude)
+    labels = np.where(sem == FREE, 0, sem).astype(np.int64)
     sem_logits = np.moveaxis(np.eye(num_classes)[labels], -1, 0) * 2 - 1
     return occ_logits.astype(np.float64), sem_logits * magnitude

@@ -169,20 +169,18 @@ def scale_losses(occ_logits, sem_logits, occ, sem, mask, num_classes: int,
 
 
 def load_prediction_sets(preds_dir: str):
-    """Read tags.json and both models' entries, de-augmented."""
+    """Read tags.json; return one iterator per model that reads and
+    de-augments that model's entries one at a time."""
     tags = json.loads(read_text(os.path.join(preds_dir, "tags.json")))
-    sets = []
-    for model in ("a", "b"):
-        entries = []
+
+    def entries(model):
         for j, td in enumerate(tags[f"model_{model}"]):
-            tag = postprocess.AugmentationTag(**td)
-            occ = read_tensor(os.path.join(
-                preds_dir, f"model_{model}_entry{j}_occ.msoc"))
-            sem = read_tensor(os.path.join(
-                preds_dir, f"model_{model}_entry{j}_sem.msoc"))
-            entries.append(postprocess.deaugment(tag, occ, sem))
-        sets.append(entries)
-    return sets
+            path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
+            yield postprocess.deaugment(postprocess.AugmentationTag(**td),
+                                        read_tensor(path.format("occ")),
+                                        read_tensor(path.format("sem")))
+
+    return entries("a"), entries("b")
 
 
 def fuse(entries_a, entries_b, weights):
@@ -217,23 +215,28 @@ def run_pipeline(input_dir: str, output_dir: str,
     out = output_dir
     os.makedirs(out, exist_ok=True)
 
+    def read_input(name, parse):
+        path = os.path.join(inp, name)
+        with _stage("inputs", path):
+            return parse(read_text(path))
+
     if config is None:
-        cfg_path = os.path.join(inp, "config.json")
-        if os.path.exists(cfg_path):
-            config = PipelineConfig.from_dict(json.loads(read_text(cfg_path)))
+        if os.path.exists(os.path.join(inp, "config.json")):
+            config = read_input("config.json", lambda text:
+                                PipelineConfig.from_dict(json.loads(text)))
         else:
             config = PipelineConfig()
     cfg = config
 
-    rig = CameraRig.from_json(read_text(os.path.join(inp, "rig.json")))
-    grid = VoxelGridSpec.from_json(read_text(os.path.join(inp, "grid.json")))
-    poses_path = os.path.join(inp, "poses.json")
-    with _stage("inputs", poses_path):
-        poses = [RigidTransform.from_dict(d)
-                 for d in json.loads(read_text(poses_path))]
-        if len(poses) < 2:
-            raise ValueError(f"need at least 2 frames, found {len(poses)}")
+    rig = read_input("rig.json", CameraRig.from_json)
+    grid = read_input("grid.json", VoxelGridSpec.from_json)
+    poses = read_input("poses.json", lambda text: [
+        RigidTransform.from_dict(d) for d in json.loads(text)])
     num_frames = len(poses)
+    if num_frames < 2:
+        raise PipelineStageError(
+            "inputs", os.path.join(inp, "poses.json"),
+            ValueError(f"need at least 2 frames, found {num_frames}"))
 
     def frame_path(kind, t, stride):
         return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
@@ -262,6 +265,7 @@ def run_pipeline(input_dir: str, output_dir: str,
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
     vox_dir = os.path.join(out, "voxel")
     os.makedirs(vox_dir, exist_ok=True)
+    current_logits = []  # per stride, reused by the loss stage
     for level, stride in enumerate(cfg.strides):
         g = _grid_level(grid, level)
         aligned = []
@@ -271,14 +275,15 @@ def run_pipeline(input_dir: str, output_dir: str,
                 feats = read_tensor(path)
                 if t == 1:
                     idx = pooling_index(cfg, stride, rig, g, *feats.shape[2:])
-                lifted = lift_frame(
-                    feats, read_tensor(frame_path("depth_logits", t, stride)), idx)
+                logits = read_tensor(frame_path("depth_logits", t, stride))
+                lifted = lift_frame(feats, logits, idx)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"),
                     lifted.astype(np.float32))
                 rel = relative_ego_motion(poses[t], poses[-1])
                 aligned.append(temporal.warp_voxel_grid(lifted, rel, g,
                                                         mode="trilinear"))
+        current_logits.append(logits)
         stack = temporal.stack_temporal(aligned)
         # identity stands in for the out-of-scope 3D fusion network
         write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"),
@@ -304,8 +309,7 @@ def run_pipeline(input_dir: str, output_dir: str,
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
                 cfg.num_classes, cfg.weight_mode, cfg.gamma)
             # depth supervision at this scale's stride, pixel-center subsampled
-            logits = read_tensor(frame_path("depth_logits", num_frames - 1,
-                                            stride))
+            logits = current_logits[i]
             sub = gt_depth[:, stride // 2::stride, stride // 2::stride]
             f = frustum(cfg, stride, logits.shape[2], logits.shape[3])
             valid = np.isfinite(sub) & (sub >= f.depth_min) & (sub < f.depth_max)
@@ -353,7 +357,6 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     from the ground truth, so a full `run` evaluates to mIoU 1.0.
     """
     from . import fixtures
-    from .postprocess import apply_flips, enumerate_tta
 
     cfg = config or PipelineConfig()
     os.makedirs(out_dir, exist_ok=True)
@@ -379,8 +382,6 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     n_cams = len(scene.rig)
     k0 = scene.rig.cameras[0][0]
     num_frames = len(scene.poses)
-    num_bins = FrustumSpec(1, 1, 1, cfg.depth_min, cfg.depth_max,
-                           cfg.depth_step).num_bins
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "depth_logits"), exist_ok=True)
     for t in range(num_frames):
@@ -392,12 +393,11 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
                          feats.astype(np.float32))
             if s == cfg.cost_stride:
                 continue
+            f = frustum(cfg, s, h, w)
             sub = scene.gt_depth[:, s // 2::s, s // 2::s]
-            logits = rng.standard_normal((n_cams, num_bins, h, w)) * 0.1
-            valid = np.isfinite(sub) & (sub >= cfg.depth_min) \
-                & (sub < cfg.depth_max)
-            bins = np.floor((np.where(valid, sub, cfg.depth_min)
-                             - cfg.depth_min) / cfg.depth_step).astype(np.int64)
+            logits = rng.standard_normal((n_cams, f.num_bins, h, w)) * 0.1
+            valid = np.isfinite(sub) & (sub >= f.depth_min) & (sub < f.depth_max)
+            bins = f.bin_of(np.where(valid, sub, f.depth_min))
             cam_i, v_i, u_i = np.nonzero(valid)
             logits[cam_i, bins[valid], v_i, u_i] += 5.0
             write_tensor(os.path.join(out_dir, "depth_logits",
@@ -405,26 +405,20 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
                          logits.astype(np.float32))
 
     os.makedirs(os.path.join(out_dir, "heads"), exist_ok=True)
-    occ_pyr, sem_pyr = scene.gt_occ, scene.gt_sem
-    pyramid = build_pyramid(occ_pyr, sem_pyr, scene.mask,
+    pyramid = build_pyramid(scene.gt_occ, scene.gt_sem, scene.mask,
                             levels=len(cfg.strides),
                             num_classes=cfg.num_classes)
     for i in range(len(cfg.strides)):
-        occ_logits = np.where(pyramid.occ[i] == 1, 10.0, -10.0)
-        labels = np.where(pyramid.sem[i] == FREE, 0,
-                          pyramid.sem[i]).astype(np.int64)
-        sem_logits = (np.moveaxis(np.eye(cfg.num_classes)[labels], -1, 0)
-                      * 2 - 1) * 10.0
+        occ_logits, sem_logits = fixtures.oracle_logits(
+            pyramid.occ[i], pyramid.sem[i], cfg.num_classes)
         write_tensor(os.path.join(out_dir, "heads",
-                                  f"occ_logits_scale{i}.msoc"),
-                     occ_logits.astype(np.float64))
+                                  f"occ_logits_scale{i}.msoc"), occ_logits)
         write_tensor(os.path.join(out_dir, "heads",
-                                  f"sem_logits_scale{i}.msoc"),
-                     sem_logits.astype(np.float64))
+                                  f"sem_logits_scale{i}.msoc"), sem_logits)
 
     os.makedirs(os.path.join(out_dir, "preds"), exist_ok=True)
     occ_prob, sem_prob = fixtures.oracle_predictions(scene, cfg.num_classes)
-    tags = enumerate_tta()
+    tags = postprocess.enumerate_tta()
     tag_dicts = [asdict(t) for t in tags]
     with open(os.path.join(out_dir, "preds", "tags.json"), "w") as fh:
         json.dump({"model_a": tag_dicts, "model_b": tag_dicts}, fh, indent=2)
@@ -432,7 +426,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
         for j, tag in enumerate(tags):
             write_tensor(os.path.join(out_dir, "preds",
                                       f"model_{model}_entry{j}_occ.msoc"),
-                         apply_flips(occ_prob, tag, 0, 1).astype(np.float32))
+                         postprocess.apply_flips(occ_prob, tag).astype(np.float32))
             write_tensor(os.path.join(out_dir, "preds",
                                       f"model_{model}_entry{j}_sem.msoc"),
-                         apply_flips(sem_prob, tag, 1, 2).astype(np.float32))
+                         postprocess.apply_flips(sem_prob, tag).astype(np.float32))

@@ -3,9 +3,7 @@ ensembling, and class-wise occupancy thresholding.
 
 The flip group has 8 members: image horizontal flip plus voxel-space flips
 along the two BEV axes. The image flip diversifies the network input but
-needs no volume-space inverse; only the voxel flips are undone here. The
-axis binding ("horizontal" = x, "vertical" = y) is configurable via the
-flip axes arguments.
+needs no volume-space inverse; only the voxel flips are undone here.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "ensemble",
     "apply_thresholds",
     "load_threshold_table",
-    "threshold_vector",
 ]
 
 CLASS_NAMES = (
@@ -82,13 +79,13 @@ def enumerate_tta():
             for i in range(8)]
 
 
-def apply_flips(volume: np.ndarray, tag: AugmentationTag,
-                x_axis: int, y_axis: int) -> np.ndarray:
+def apply_flips(volume: np.ndarray, tag: AugmentationTag) -> np.ndarray:
+    """The tag's voxel flips of a (..., nx, ny, nz) volume."""
     out = volume
     if tag.vox_flip_x:
-        out = np.flip(out, axis=x_axis)
+        out = np.flip(out, axis=-3)
     if tag.vox_flip_y:
-        out = np.flip(out, axis=y_axis)
+        out = np.flip(out, axis=-2)
     return np.ascontiguousarray(out)
 
 
@@ -100,66 +97,64 @@ def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
     involutions, so applying the tag's flips again restores the canonical
     frame; img_hflip needs no correction.
     """
-    return (apply_flips(occ_prob, tag, x_axis=0, y_axis=1),
-            apply_flips(sem_prob, tag, x_axis=1, y_axis=2))
+    return apply_flips(occ_prob, tag), apply_flips(sem_prob, tag)
 
 
 def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
     """Weighted fusion of two models' de-augmented prediction sets.
 
-    Each entry is (occ_prob, sem_prob). The weighted sums are normalized by
-    the weighted entry count so occ stays a probability (the paper-style raw
-    sums rescaled to [0, 1]); sem is the argmax of the identically
-    normalized semantic sum, ties to the smallest class id.
+    Each entry is (occ_prob, sem_prob). The sets may be any iterables; they
+    are consumed one entry at a time, so only that entry and the running
+    sums are held. The weighted sums are normalized by the weighted entry
+    count so occ stays a probability (the paper-style raw sums rescaled to
+    [0, 1]); sem is the argmax of the identically normalized semantic sum,
+    ties to the smallest class id.
     """
-    if not entries_a or not entries_b:
-        raise ValueError("both prediction sets must be non-empty")
-    occ_shape = entries_a[0][0].shape
-    sem_shape = entries_a[0][1].shape
-    for occ, sem in list(entries_a) + list(entries_b):
-        if occ.shape != occ_shape or sem.shape != sem_shape:
-            raise ValueError("mismatched prediction shapes")
-    norm = cfg.weight_a * len(entries_a) + cfg.weight_b * len(entries_b)
-    occ_sum = np.zeros(occ_shape, dtype=np.float64)
-    sem_sum = np.zeros(sem_shape, dtype=np.float64)
-    for occ, sem in entries_a:
-        occ_sum += cfg.weight_a * occ.astype(np.float64)
-        sem_sum += cfg.weight_a * sem.astype(np.float64)
-    for occ, sem in entries_b:
-        occ_sum += cfg.weight_b * occ.astype(np.float64)
-        sem_sum += cfg.weight_b * sem.astype(np.float64)
+    occ_sum = sem_sum = None
+    counts = []
+    for weight, entries in ((cfg.weight_a, entries_a),
+                            (cfg.weight_b, entries_b)):
+        n = 0
+        for n, (occ, sem) in enumerate(entries, 1):
+            if occ_sum is None:
+                occ_sum = np.zeros(occ.shape, dtype=np.float64)
+                sem_sum = np.zeros(sem.shape, dtype=np.float64)
+            elif occ.shape != occ_sum.shape or sem.shape != sem_sum.shape:
+                raise ValueError("mismatched prediction shapes")
+            occ_sum += weight * occ.astype(np.float64)
+            sem_sum += weight * sem.astype(np.float64)
+        if n == 0:
+            raise ValueError("both prediction sets must be non-empty")
+        counts.append(n)
+    norm = cfg.weight_a * counts[0] + cfg.weight_b * counts[1]
     occ_prob = occ_sum / norm
     sem_label = np.argmax(sem_sum / norm, axis=0).astype(np.uint8)
     return occ_prob, sem_label
 
 
-def threshold_vector(table: dict, class_names=CLASS_NAMES) -> np.ndarray:
-    return np.array([table[name] for name in class_names])
-
-
 def apply_thresholds(occ_prob: np.ndarray, sem_label: np.ndarray,
-                     table: dict, class_names=CLASS_NAMES) -> np.ndarray:
+                     table: dict) -> np.ndarray:
     """Voxels whose occupancy probability falls below their class threshold
     become FREE; the rest keep their semantic label."""
     if occ_prob.shape != sem_label.shape:
         raise ValueError("shape mismatch")
-    if sem_label.max(initial=0) >= len(class_names):
+    if sem_label.max(initial=0) >= len(CLASS_NAMES):
         raise ValueError("semantic label outside the class set")
-    thresh = threshold_vector(table, class_names)
+    thresh = np.array([table[name] for name in CLASS_NAMES])
     out = np.where(occ_prob < thresh[sem_label], FREE, sem_label)
     return out.astype(np.uint8)
 
 
-def load_threshold_table(path, class_names=CLASS_NAMES) -> dict:
+def load_threshold_table(path) -> dict:
     """Read a class-name -> threshold JSON table, validating completeness
     and the (0, 1) range."""
     with open(path) as fh:
         table = json.load(fh)
-    missing = [n for n in class_names if n not in table]
+    missing = [n for n in CLASS_NAMES if n not in table]
     if missing:
         raise ValueError(f"threshold table missing classes: {missing}")
-    for name in class_names:
+    for name in CLASS_NAMES:
         t = table[name]
         if not (0.0 < t < 1.0):
             raise ValueError(f"threshold for {name!r} must be in (0, 1), got {t}")
-    return {n: float(table[n]) for n in class_names}
+    return {n: float(table[n]) for n in CLASS_NAMES}

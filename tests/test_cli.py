@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,3 +316,30 @@ def test_single_frame_rejected_before_any_stage(tmp_path, scene_dir, capsys):
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     assert "poses.json" in capsys.readouterr().err
     assert not (out / "cost_volumes").exists()
+
+
+@pytest.mark.parametrize("name", ["rig.json", "config.json"])
+def test_truncated_input_names_stage_and_file(tmp_path, scene_dir, capsys,
+                                              name):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    text = (inp / name).read_text()
+    (inp / name).write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'inputs'" in err and name in err
+
+
+def test_fuse_holds_one_prediction_entry(scene_dir):
+    preds = str(scene_dir / "preds")
+    entry = sum(read_tensor(os.path.join(preds, f"model_a_entry0_{k}.msoc"))
+                .nbytes for k in ("occ", "sem"))
+    tracemalloc.start()
+    try:
+        pipeline.fuse(*pipeline.load_prediction_sets(preds), (0.45, 0.55))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * entry

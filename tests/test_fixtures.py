@@ -168,7 +168,7 @@ class TestOracles:
 
     def test_oracle_logits_saturate_to_gt(self):
         sc = fixtures.make_scene(seed=6)
-        occ_logits, sem_logits = fixtures.oracle_logits(sc)
+        occ_logits, sem_logits = fixtures.oracle_logits(sc.gt_occ, sc.gt_sem)
         assert np.array_equal(occ_logits > 0, sc.gt_occ == 1)
         occ = sc.gt_occ == 1
         assert np.array_equal(np.argmax(sem_logits, axis=0)[occ],

@@ -118,13 +118,26 @@ class TestEnsemble:
         _, l2 = pp.ensemble(a9, b9)
         assert np.array_equal(l1, l2)
 
+    def test_iterators_match_lists(self):
+        rng = np.random.default_rng(9)
+        a = [(rng.random((3, 3, 2)), rng.random((4, 3, 3, 2)))
+             for _ in range(8)]
+        b = [(rng.random((3, 3, 2)), rng.random((4, 3, 3, 2)))
+             for _ in range(8)]
+        o1, l1 = pp.ensemble(iter(a), iter(b))
+        o2, l2 = pp.ensemble(a, b)
+        assert o1.tobytes() == o2.tobytes() and l1.tobytes() == l2.tobytes()
+
     def test_empty_or_mismatched_rejected(self):
         e = (np.zeros((2, 2, 1)), np.zeros((2, 2, 2, 1)))
-        with pytest.raises(ValueError):
-            pp.ensemble([], [e])
         bad = (np.zeros((3, 2, 1)), np.zeros((2, 3, 2, 1)))
-        with pytest.raises(ValueError):
-            pp.ensemble([e], [bad])
+        for wrap in (list, iter):
+            with pytest.raises(ValueError):
+                pp.ensemble(wrap([]), wrap([e]))
+            with pytest.raises(ValueError):
+                pp.ensemble(wrap([e]), wrap([]))
+            with pytest.raises(ValueError):
+                pp.ensemble(wrap([e]), wrap([bad]))
 
 
 class TestThresholds:

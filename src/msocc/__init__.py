@@ -1,7 +1,7 @@
 """msocc: deterministic core of a multi-scale, temporally fused 3D
 occupancy prediction pipeline."""
 
-from . import (cli, fixtures, geometry, gt_multiscale, lift_splat, losses,
+from . import (fixtures, geometry, gt_multiscale, lift_splat, losses,
                metrics, pipeline, postprocess, temporal, tensorio)
 from .gt_multiscale import FREE
 

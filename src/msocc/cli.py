@@ -113,8 +113,7 @@ def cmd_loss(args):
         dlogits = read_tensor(args.depth_logits).astype(np.float64)
         gt_depth = read_tensor(args.gt_depth)
         f = pipeline.frustum(_depth_config(args), 1, *dlogits.shape[1:])
-        valid = (np.isfinite(gt_depth) & (gt_depth >= args.depth_min)
-                 & (gt_depth < args.depth_max))
+        valid = f.in_range(gt_depth)
         ld, _ = losses.depth_loss(dlogits,
                                   np.where(valid, gt_depth, args.depth_min),
                                   valid, f)

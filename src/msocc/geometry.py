@@ -206,6 +206,10 @@ class FrustumSpec:
         """Bin index containing each depth; caller checks range."""
         return np.floor((np.asarray(depth) - self.depth_min) / self.depth_step).astype(np.int64)
 
+    def in_range(self, depth: np.ndarray) -> np.ndarray:
+        """Mask of the finite depths in [depth_min, depth_max), the ones with a bin."""
+        return np.isfinite(depth) & (depth >= self.depth_min) & (depth < self.depth_max)
+
 
 @dataclass(frozen=True)
 class VoxelGridSpec:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -141,6 +141,7 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
 def lift_frame(feats: np.ndarray, logits: np.ndarray, idx) -> np.ndarray:
     """Lift one frame's (N, C, H, W) features through the softmax of its
     (N, D, H, W) depth logits; returns the f64 (C, nx, ny, nz) grid."""
+    check_finite("depth logits", logits)
     depths = np.stack([normalize_depth_logits(logits[c])
                        for c in range(logits.shape[0])])
     lifted = lift_and_pool(feats.astype(np.float64), depths, idx)
@@ -169,9 +170,17 @@ def scale_losses(occ_logits, sem_logits, occ, sem, mask, num_classes: int,
 
 
 def load_prediction_sets(preds_dir: str):
-    """Read tags.json; return one iterator per model that reads and
-    de-augments that model's entries one at a time."""
+    """Read and check tags.json; return one iterator per model that reads
+    and de-augments that model's entries one at a time."""
     tags = json.loads(read_text(os.path.join(preds_dir, "tags.json")))
+    names = {f.name for f in fields(postprocess.AugmentationTag)}
+    for key in ("model_a", "model_b"):
+        if not isinstance(tags, dict) or not isinstance(tags.get(key), list):
+            raise ValueError(f"tags.json has no {key!r} list")
+        for td in tags[key]:
+            if not isinstance(td, dict) or set(td) != names:
+                raise ValueError(f"{key} tag {td!r} does not have exactly "
+                                 f"the fields {sorted(names)}")
 
     def entries(model):
         for j, td in enumerate(tags[f"model_{model}"]):
@@ -270,12 +279,17 @@ def run_pipeline(input_dir: str, output_dir: str,
         g = _grid_level(grid, level)
         aligned = []
         for t in range(1, num_frames):
+            # each input is read and checked under its own path, so an error
+            # names the file at fault
             path = frame_path("features", t, stride)
             with _stage("lift_stack", path):
                 feats = read_tensor(path)
+                check_finite("features", feats)
                 if t == 1:
                     idx = pooling_index(cfg, stride, rig, g, *feats.shape[2:])
-                logits = read_tensor(frame_path("depth_logits", t, stride))
+            path = frame_path("depth_logits", t, stride)
+            with _stage("lift_stack", path):
+                logits = read_tensor(path)
                 lifted = lift_frame(feats, logits, idx)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"),
@@ -312,7 +326,7 @@ def run_pipeline(input_dir: str, output_dir: str,
             logits = current_logits[i]
             sub = gt_depth[:, stride // 2::stride, stride // 2::stride]
             f = frustum(cfg, stride, logits.shape[2], logits.shape[3])
-            valid = np.isfinite(sub) & (sub >= f.depth_min) & (sub < f.depth_max)
+            valid = f.in_range(sub)
             dl = 0.0
             for cam in range(logits.shape[0]):
                 if valid[cam].any():
@@ -329,10 +343,11 @@ def run_pipeline(input_dir: str, output_dir: str,
         write_json(os.path.join(out, "loss_report.json"), report.to_dict())
 
     # ---- stage: de-augment, ensemble, threshold, evaluate ----
-    with _stage("postprocess", os.path.join(inp, "preds")):
-        occ_prob, sem_label = fuse(
-            *load_prediction_sets(os.path.join(inp, "preds")),
-            cfg.ensemble_weights)
+    preds = os.path.join(inp, "preds")
+    with _stage("postprocess", os.path.join(preds, "tags.json")):
+        prediction_sets = load_prediction_sets(preds)
+    with _stage("postprocess", preds):
+        occ_prob, sem_label = fuse(*prediction_sets, cfg.ensemble_weights)
         table = cfg.threshold_table
         final = threshold(occ_prob, sem_label,
                           os.path.join(inp, table) if table else None)
@@ -396,7 +411,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
             f = frustum(cfg, s, h, w)
             sub = scene.gt_depth[:, s // 2::s, s // 2::s]
             logits = rng.standard_normal((n_cams, f.num_bins, h, w)) * 0.1
-            valid = np.isfinite(sub) & (sub >= f.depth_min) & (sub < f.depth_max)
+            valid = f.in_range(sub)
             bins = f.bin_of(np.where(valid, sub, f.depth_min))
             cam_i, v_i, u_i = np.nonzero(valid)
             logits[cam_i, bins[valid], v_i, u_i] += 5.0

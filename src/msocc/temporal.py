@@ -2,16 +2,19 @@
 
 The matching cost is the channel-mean dot product between the current
 feature and the previous feature bilinearly sampled at the reprojection of
-each depth hypothesis. Hypotheses reprojecting outside the previous image
-score zero.
+each depth hypothesis, one depth plane at a time. Hypotheses reprojecting
+outside the previous image score zero. The voxel warp gathers (source cell,
+weight) corners in one loop for both of its modes.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .geometry import (FrustumSpec, Intrinsics, RigidTransform, compose,
-                       invert, project, unproject)
+                       frustum_points, invert, project)
 
 __all__ = [
     "bilinear_sample",
@@ -61,6 +64,9 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     (default identity) is the camera extrinsic shared by both frames.
 
     cost[d, v, u] = <cur[:, v, u], bilinear_sample(prev, reproject(u, v, depth_d))> / C
+
+    `prev` is sampled one depth plane at a time, so memory grows with
+    C * H * W, not with the number of depth bins.
     """
     if cur.shape != prev.shape:
         raise ValueError(f"feature shapes differ: {cur.shape} vs {prev.shape}")
@@ -72,21 +78,14 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     # current camera -> previous camera
     cur_cam_to_prev_cam = compose(invert(cam_to_ego),
                                   compose(invert(rel), cam_to_ego))
-
-    us = np.arange(w) + 0.5
-    vs = np.arange(h) + 0.5
-    ds = f.bin_centers()
-    dd, vv, uu = np.meshgrid(ds, vs, us, indexing="ij")
-    cam_pts = unproject(uu, vv, dd, k)
-    prev_pts = cur_cam_to_prev_cam.apply(cam_pts)
-    pu, pv, pz = project(prev_pts, k)
-    behind = pz <= 0
-    pu = np.where(behind, -1.0, pu)  # forces out-of-bounds zeros
-
-    sampled = bilinear_sample(prev, pu, pv)          # (C, D, H, W)
-    cost = np.einsum("chw,cdhw->dhw", cur.astype(np.float64),
-                     sampled.astype(np.float64)) / c
-    return cost
+    prev_pts = frustum_points(k, f, cur_cam_to_prev_cam)
+    pu, pv, pz = project(prev_pts.reshape(f.num_bins, h, w, 3), k)
+    pu = np.where(pz <= 0, -1.0, pu)  # behind the camera: forced out of bounds
+    # einsum over mixed float32/float64 operands sums in another order
+    cur = cur.astype(np.float64, copy=False)
+    cost = np.stack([np.einsum("chw,chw->hw", cur, bilinear_sample(prev, u, v))
+                     for u, v in zip(pu, pv)])
+    return cost / c
 
 
 def rescale_cost_volume(cv: np.ndarray, target_stride: int,
@@ -103,13 +102,15 @@ def rescale_cost_volume(cv: np.ndarray, target_stride: int,
 
 def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
                     mode: str = "trilinear") -> np.ndarray:
-    """Resample a (C, nx, ny, nz) grid from the previous ego frame into the
-    current one.
+    """Resample a (C, nx, ny, nz) or (nx, ny, nz) grid from the previous ego
+    frame into the current one.
 
     For each current cell center x, the source location is invert(rel)(x) in
     continuous cell coordinates of `prev`; out-of-grid samples are zero.
     mode: "nearest" (exact copy under identity motion, suitable for labels)
-    or "trilinear" (feature grids).
+    or "trilinear" (feature grids). Both modes run one loop over (source
+    cell, weight) corners: nearest has one corner of weight 1, trilinear the
+    eight cells around the source location. Sums are taken in float64.
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -121,32 +122,24 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     if prev.shape[1:] != grid.shape:
         raise ValueError("grid spec does not match array shape")
 
-    centers = grid.cell_centers().reshape(-1, 3)
-    src = invert(rel).apply(centers)
+    src = invert(rel).apply(grid.cell_centers().reshape(-1, 3))
     # continuous cell coords: cell i's center sits at i + 0.5
     cc = (src - grid.origin) / grid.voxel_size - 0.5
-    n = np.array(grid.shape)
-
-    flat_prev = prev.reshape(c, -1)
-    strides = np.array([grid.ny * grid.nz, grid.nz, 1])
-
     if mode == "nearest":
-        cell = np.rint(cc).astype(np.int64)
-        inside = ((cell >= 0) & (cell < n)).all(axis=-1)
-        cellc = np.clip(cell, 0, n - 1)
-        out = flat_prev[:, cellc @ strides] * inside
+        corners = [(np.rint(cc).astype(np.int64), 1.0)]
     else:
         lo = np.floor(cc).astype(np.int64)
         frac = cc - lo
-        out = np.zeros((c, len(cc)), dtype=np.float64)
-        for corner in range(8):
-            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-            cell = lo + off
-            inside = ((cell >= 0) & (cell < n)).all(axis=-1)
-            wgt = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=-1)
-            cellc = np.clip(cell, 0, n - 1)
-            out += flat_prev[:, cellc @ strides] * (wgt * inside)
-    out = np.asarray(out).reshape(c, *grid.shape).astype(prev.dtype, copy=False)
+        corners = ((lo + off, np.prod(np.where(off, frac, 1.0 - frac), axis=-1))
+                   for off in itertools.product((0, 1), repeat=3))
+
+    flat_prev = prev.reshape(c, -1)
+    out = np.zeros((c, len(cc)))
+    for cell, wgt in corners:
+        inside = ((cell >= 0) & (cell < grid.shape)).all(axis=-1)
+        flat = np.ravel_multi_index(cell.T, grid.shape, mode="clip")
+        out += flat_prev[:, flat].astype(np.float64, copy=False) * (wgt * inside)
+    out = out.reshape(c, *grid.shape).astype(prev.dtype, copy=False)
     return out[0] if squeeze else out
 
 

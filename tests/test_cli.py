@@ -2,7 +2,10 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +346,72 @@ def test_fuse_holds_one_prediction_entry(scene_dir):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * entry
+
+
+def _drop_model_b(tags):
+    del tags["model_b"]
+
+
+def _add_tag_field(tags):
+    tags["model_a"][3]["vox_flip_z"] = True
+
+
+@pytest.mark.parametrize("edit", [_drop_model_b, _add_tag_field],
+                         ids=["no_model_b", "unknown_tag_field"])
+def test_bad_tags_json_names_stage_and_file(tmp_path, scene_dir, capsys, edit):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "preds" / "tags.json"
+    tags = json.loads(path.read_text())
+    edit(tags)
+    path.write_text(json.dumps(tags))
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    assert f"stage 'postprocess' failed on {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_depth_logits_is_numerical_error(tmp_path, scene_dir, capsys,
+                                                   value):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "depth_logits" / "frame02_stride8.msoc"
+    logits = read_tensor(path)
+    logits[0, 0, 0, 0] = value
+    write_tensor(path, logits)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"stage 'lift_stack' on {path}: depth logits" in err
+    assert str(inp / "features") not in err
+    assert main(["lift", "--features",
+                 str(inp / "features" / "frame02_stride8.msoc"),
+                 "--depth-logits", str(path), "--rig", str(inp / "rig.json"),
+                 "--grid", str(inp / "grid.json"), "--stride", "8",
+                 "--out", str(tmp_path / "lifted.msoc")]) == 3
+
+
+def test_nan_lift_features_names_features_file(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "features" / "frame02_stride8.msoc"
+    feats = read_tensor(path)
+    feats[1, 2, 3, 4] = np.nan
+    write_tensor(path, feats)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    assert f"stage 'lift_stack' on {path}: features" in capsys.readouterr().err
+
+
+def test_module_entry_point_warns_nothing():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for args in (["-m", "msocc.cli", "tta-enumerate"],
+                 ["-c", "from msocc import *; cli.main"]):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -115,6 +115,14 @@ class TestRelativeEgoMotion:
         assert np.allclose(rel.rotation, expected.rotation, atol=1e-9)
 
 
+def test_frustum_in_range_half_open():
+    f = geo.FrustumSpec(1, 1, 1, depth_min=1.0, depth_max=13.0)
+    d = np.array([np.nan, np.inf, -np.inf, 0.99, 1.0, 12.99, 13.0])
+    assert f.in_range(d).tolist() == [False, False, False, False, True,
+                                      True, False]
+    assert (f.bin_of(d[f.in_range(d)]) < f.num_bins).all()
+
+
 class TestFrustumPoints:
     def test_single_point(self):
         k = geo.Intrinsics(fx=10, fy=10, cx=0.5, cy=0.5, width=1, height=1)

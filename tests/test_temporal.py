@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,48 @@ class TestCostVolume:
         a = temporal.build_cost_volume(cur, 2.5 * prev, rel, k, frustum)
         b = 2.5 * temporal.build_cost_volume(cur, prev, rel, k, frustum)
         assert np.allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_all_planes_formula(self, k, frustum, dtype):
+        rng = np.random.default_rng(9)
+        cur = rng.standard_normal((5, 32, 48)).astype(dtype)
+        prev = rng.standard_normal((5, 32, 48)).astype(dtype)
+        rel = geo.RigidTransform.from_yaw(0.04, (0.8, 0.3, 0.0))
+        # camera looking along ego +y, mounted 1.5 m up and 0.5 m aside
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        cam_to_ego = geo.RigidTransform(
+            geo.RigidTransform.from_yaw(0.3).rotation @ axes, (0.5, 0.0, 1.5))
+        # the whole sweep at once: one (C, D, H, W) sample tensor
+        cur_to_prev = geo.compose(geo.invert(cam_to_ego),
+                                  geo.compose(geo.invert(rel), cam_to_ego))
+        dd, vv, uu = np.meshgrid(frustum.bin_centers(), np.arange(32) + 0.5,
+                                 np.arange(48) + 0.5, indexing="ij")
+        pu, pv, pz = geo.project(
+            cur_to_prev.apply(geo.unproject(uu, vv, dd, k)), k)
+        sampled = temporal.bilinear_sample(prev, np.where(pz <= 0, -1.0, pu), pv)
+        want = np.einsum("chw,cdhw->dhw", cur.astype(np.float64),
+                         sampled.astype(np.float64)) / 5
+        got = temporal.build_cost_volume(cur, prev, rel, k, frustum,
+                                         cam_to_ego=cam_to_ego)
+        assert (want != 0).mean() > 0.5
+        assert np.array_equal(got, want)
+
+    def test_memory_independent_of_depth_bins(self):
+        # stereo scale: 64 channels, 64x176 pixels, 59 depth bins
+        k = geo.Intrinsics(fx=88, fy=88, cx=88, cy=32, width=176, height=64)
+        f = geo.FrustumSpec(176, 64, 1, depth_min=1.0, depth_max=60.0)
+        rng = np.random.default_rng(10)
+        cur = rng.standard_normal((64, 64, 176))
+        prev = rng.standard_normal((64, 64, 176))
+        rel = geo.RigidTransform.from_yaw(0.02, (0.5, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            temporal.build_cost_volume(cur, prev, rel, k, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # peak in units of one (C, H, W) float64 map
+        assert peak <= 20 * cur.nbytes
 
     def test_shape_mismatch(self, k, frustum):
         with pytest.raises(ValueError):
@@ -170,6 +214,17 @@ class TestWarpVoxelGrid:
         out = temporal.warp_voxel_grid(a, rel, g)
         want = trilinear_oracle(a, g, rel)
         assert np.allclose(out, want, atol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["nearest", "trilinear"])
+    def test_single_channel_grid(self, mode):
+        g = small_grid()
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((2, *g.shape)).astype(np.float32)
+        rel = geo.RigidTransform.from_yaw(0.15, (0.2, -0.1, 0.1))
+        out = temporal.warp_voxel_grid(a[0], rel, g, mode=mode)
+        assert out.shape == g.shape and out.dtype == np.float32
+        assert np.array_equal(out,
+                              temporal.warp_voxel_grid(a, rel, g, mode=mode)[0])
 
     def test_bad_mode(self):
         g = small_grid()

@@ -227,7 +227,10 @@ def run_pipeline(input_dir: str, output_dir: str,
     def read_input(name, parse):
         path = os.path.join(inp, name)
         with _stage("inputs", path):
-            return parse(read_text(path))
+            try:
+                return parse(read_text(path))
+            except (KeyError, TypeError) as e:  # missing or mistyped field
+                raise ValueError(f"bad field: {e!r}") from e
 
     if config is None:
         if os.path.exists(os.path.join(inp, "config.json")):
@@ -291,17 +294,20 @@ def run_pipeline(input_dir: str, output_dir: str,
             with _stage("lift_stack", path):
                 logits = read_tensor(path)
                 lifted = lift_frame(feats, logits, idx)
+                # blocks are kept in float32, the dtype the stack is written in
+                block = lifted.astype(np.float32)
                 write_tensor(os.path.join(
-                    vox_dir, f"frame{t:02d}_scale{level}.msoc"),
-                    lifted.astype(np.float32))
-                rel = relative_ego_motion(poses[t], poses[-1])
-                aligned.append(temporal.warp_voxel_grid(lifted, rel, g,
-                                                        mode="trilinear"))
+                    vox_dir, f"frame{t:02d}_scale{level}.msoc"), block)
+                if t < num_frames - 1:
+                    # the current frame is already in the current ego frame
+                    rel = relative_ego_motion(poses[t], poses[-1])
+                    block = temporal.warp_voxel_grid(
+                        lifted, rel, g, mode="trilinear").astype(np.float32)
+                aligned.append(block)
         current_logits.append(logits)
         stack = temporal.stack_temporal(aligned)
         # identity stands in for the out-of-scope 3D fusion network
-        write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"),
-                     stack.astype(np.float32))
+        write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"), stack)
 
     # ---- stage: multi-scale ground truth ----
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):

@@ -3,8 +3,9 @@
 The matching cost is the channel-mean dot product between the current
 feature and the previous feature bilinearly sampled at the reprojection of
 each depth hypothesis, one depth plane at a time. Hypotheses reprojecting
-outside the previous image score zero. The voxel warp gathers (source cell,
-weight) corners in one loop for both of its modes.
+outside the previous image score zero. The voxel warp builds, per axis, the
+(clamped source index, weight) options of every cell once, then gathers each
+corner of their product into one reused float64 buffer.
 """
 
 from __future__ import annotations
@@ -108,9 +109,11 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     For each current cell center x, the source location is invert(rel)(x) in
     continuous cell coordinates of `prev`; out-of-grid samples are zero.
     mode: "nearest" (exact copy under identity motion, suitable for labels)
-    or "trilinear" (feature grids). Both modes run one loop over (source
-    cell, weight) corners: nearest has one corner of weight 1, trilinear the
-    eight cells around the source location. Sums are taken in float64.
+    or "trilinear" (feature grids). Each axis gets its options once:
+    (clamped source index, weight * in-range), one of weight 1 for nearest,
+    (lo, 1 - frac) and (lo + 1, frac) for trilinear. The corners are the
+    product of the three axes' options, z fastest; each is gathered into one
+    preallocated float64 buffer, weighted in place and added to the sum.
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -125,20 +128,33 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     src = invert(rel).apply(grid.cell_centers().reshape(-1, 3))
     # continuous cell coords: cell i's center sits at i + 0.5
     cc = (src - grid.origin) / grid.voxel_size - 0.5
-    if mode == "nearest":
-        corners = [(np.rint(cc).astype(np.int64), 1.0)]
-    else:
-        lo = np.floor(cc).astype(np.int64)
-        frac = cc - lo
-        corners = ((lo + off, np.prod(np.where(off, frac, 1.0 - frac), axis=-1))
-                   for off in itertools.product((0, 1), repeat=3))
+    del src
+    # per axis, the (clamped source index, weight * in-range) options
+    axes = []
+    for a, n in enumerate(grid.shape):
+        if mode == "nearest":
+            cells = [(np.rint(cc[:, a]).astype(np.int64), 1.0)]
+        else:
+            lo = np.floor(cc[:, a]).astype(np.int64)
+            frac = cc[:, a] - lo
+            cells = [(lo, 1.0 - frac), (lo + 1, frac)]
+        axes.append([(np.clip(i, 0, n - 1), w * ((i >= 0) & (i < n)))
+                     for i, w in cells])
+    del cc
 
-    flat_prev = prev.reshape(c, -1)
-    out = np.zeros((c, len(cc)))
-    for cell, wgt in corners:
-        inside = ((cell >= 0) & (cell < grid.shape)).all(axis=-1)
-        flat = np.ravel_multi_index(cell.T, grid.shape, mode="clip")
-        out += flat_prev[:, flat].astype(np.float64, copy=False) * (wgt * inside)
+    _, ny, nz = grid.shape
+    flat_prev = prev.reshape(c, -1).astype(np.float64, copy=False)
+    out = np.zeros(flat_prev.shape)
+    buf = np.empty_like(out)
+    # corners in x-major order, z fastest
+    for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
+        # indices are clamped already; "clip" also lets take write into buf
+        # without a temporary
+        np.take(flat_prev, (ix * ny + iy) * nz + iz, axis=1, out=buf,
+                mode="clip")
+        buf *= wx * wy * wz
+        out += buf
+    del buf  # before the cast to a narrower dtype allocates
     out = out.reshape(c, *grid.shape).astype(prev.dtype, copy=False)
     return out[0] if squeeze else out
 

@@ -14,6 +14,7 @@ A 2x3 u8 tensor file is therefore 4 + 2 + 1 + 1 + 16 + 6 = 30 bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -64,28 +65,35 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path, expect_dtype=None, expect_ndim=None) -> np.ndarray:
+    """Read a tensor file; the payload is read straight into the result."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise TruncatedPayloadError(f"{path}: file shorter than header")
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    version, code, ndim = struct.unpack("<HBB", raw[4:8])
-    if version > VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: file version {version} is newer than supported {VERSION}")
-    if code not in _CODE_DTYPES:
-        raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
-    if len(raw) < 8 + 8 * ndim:
-        raise TruncatedPayloadError(f"{path}: truncated dims")
-    dims = struct.unpack(f"<{ndim}Q", raw[8:8 + 8 * ndim])
-    dtype = _CODE_DTYPES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-    payload = raw[8 + 8 * ndim:]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise TruncatedPayloadError(f"{path}: file shorter than header")
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        version, code, ndim = struct.unpack("<HBB", head[4:8])
+        if version > VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: file version {version} is newer than supported {VERSION}")
+        if code not in _CODE_DTYPES:
+            raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
+        raw_dims = fh.read(8 * ndim)
+        if len(raw_dims) < 8 * ndim:
+            raise TruncatedPayloadError(f"{path}: truncated dims")
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        dtype = _CODE_DTYPES[code]
+        expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        payload = size - 8 - 8 * ndim
+        if payload != expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload {payload} bytes, expected {expected}")
+        arr = np.empty(dims, dtype=dtype)
+        got = fh.readinto(arr)
+        if got != expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload {got} bytes, expected {expected}")
     if expect_dtype is not None and arr.dtype != np.dtype(expect_dtype):
         raise DtypeMismatchError(
             f"{path}: dtype {arr.dtype}, expected {np.dtype(expect_dtype)}")

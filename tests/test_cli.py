@@ -208,6 +208,14 @@ def run_dir(scene_dir, tmp_path_factory):
     return out
 
 
+def test_current_frame_block_is_lifted_grid(scene_dir, run_dir):
+    last = len(json.loads((scene_dir / "poses.json").read_text())) - 1
+    for level in range(3):
+        lifted = read_tensor(run_dir / "voxel" / f"frame{last:02d}_scale{level}.msoc")
+        stack = read_tensor(run_dir / "voxel" / f"stack_scale{level}.msoc")
+        assert stack[-lifted.shape[0]:].tobytes() == lifted.tobytes()
+
+
 def test_lift_subcommand_matches_run(tmp_path, scene_dir, run_dir):
     out = tmp_path / "lifted.msoc"
     rc = main(["lift",
@@ -333,6 +341,38 @@ def test_truncated_input_names_stage_and_file(tmp_path, scene_dir, capsys,
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "stage 'inputs'" in err and name in err
+
+
+def _drop_rig_cameras(rig):
+    del rig["cameras"]
+
+
+def _drop_grid_nz(grid):
+    del grid["nz"]
+
+
+def _drop_pose_rotation(poses):
+    del poses[0]["rotation"]
+
+
+@pytest.mark.parametrize("name, edit, key", [
+    ("rig.json", _drop_rig_cameras, "cameras"),
+    ("grid.json", _drop_grid_nz, "nz"),
+    ("poses.json", _drop_pose_rotation, "rotation"),
+], ids=["rig_cameras", "grid_nz", "pose_rotation"])
+def test_missing_json_key_names_stage_and_file(tmp_path, scene_dir, capsys,
+                                               name, edit, key):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {path}" in err and repr(key) in err
 
 
 def test_fuse_holds_one_prediction_entry(scene_dir):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,42 @@ def trilinear_oracle(prev, grid, rel):
     return out
 
 
+def eight_corner_warp(prev, rel, grid, mode):
+    """Reference warp: one gather per (source cell, weight) corner over the
+    (N, 3) continuous cell coordinates, each block cast to float64."""
+    squeeze = prev.ndim == 3
+    if squeeze:
+        prev = prev[None]
+    c = prev.shape[0]
+    src = geo.invert(rel).apply(grid.cell_centers().reshape(-1, 3))
+    cc = (src - grid.origin) / grid.voxel_size - 0.5
+    if mode == "nearest":
+        corners = [(np.rint(cc).astype(np.int64), 1.0)]
+    else:
+        lo = np.floor(cc).astype(np.int64)
+        frac = cc - lo
+        corners = ((lo + off, np.prod(np.where(off, frac, 1.0 - frac), axis=-1))
+                   for off in itertools.product((0, 1), repeat=3))
+    flat_prev = prev.reshape(c, -1)
+    out = np.zeros((c, len(cc)))
+    for cell, wgt in corners:
+        inside = ((cell >= 0) & (cell < grid.shape)).all(axis=-1)
+        flat = np.ravel_multi_index(cell.T, grid.shape, mode="clip")
+        out += flat_prev[:, flat].astype(np.float64) * (wgt * inside)
+    out = out.reshape(c, *grid.shape).astype(prev.dtype, copy=False)
+    return out[0] if squeeze else out
+
+
+def random_motion(rng):
+    """Yaw, roll, pitch and a 3-D translation."""
+    yaw, roll, pitch = rng.uniform(-0.3, 0.3, 3)
+    cr, sr, cp, sp = np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    return geo.RigidTransform(geo.RigidTransform.from_yaw(yaw).rotation @ rx @ ry,
+                              rng.uniform(-1.0, 1.0, 3))
+
+
 class TestWarpVoxelGrid:
     def test_identity_nearest_exact(self):
         g = small_grid()
@@ -225,6 +262,37 @@ class TestWarpVoxelGrid:
         assert out.shape == g.shape and out.dtype == np.float32
         assert np.array_equal(out,
                               temporal.warp_voxel_grid(a, rel, g, mode=mode)[0])
+
+    @pytest.mark.parametrize("mode", ["nearest", "trilinear"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+    @pytest.mark.parametrize("channels", [None, 3], ids=["3d", "4d"])
+    def test_matches_eight_corner_loop(self, mode, dtype, channels):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            g = geo.VoxelGridSpec(*rng.integers(3, 10, 2), rng.integers(2, 6),
+                                  origin=rng.uniform(-3.0, 0.0, 3),
+                                  voxel_size=rng.uniform(0.2, 0.8, 3))
+            shape = g.shape if channels is None else (channels, *g.shape)
+            a = (rng.standard_normal(shape) * 50).astype(dtype)
+            rel = random_motion(rng)
+            got = temporal.warp_voxel_grid(a, rel, g, mode=mode)
+            want = eight_corner_warp(a, rel, g, mode)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_trilinear_memory(self):
+        g = geo.VoxelGridSpec(64, 64, 16, origin=np.array([-16.0, -16.0, -2.0]),
+                              voxel_size=np.array([0.5, 0.5, 0.4]))
+        a = np.random.default_rng(13).standard_normal((16, *g.shape))
+        rel = geo.RigidTransform.from_yaw(0.05, (0.7, -0.3, 0.0))
+        tracemalloc.start()
+        try:
+            temporal.warp_voxel_grid(a, rel, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # peak in units of one (C, N) float64 grid
+        assert peak <= 3.6 * a.nbytes
 
     def test_bad_mode(self):
         g = small_grid()

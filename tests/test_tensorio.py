@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,3 +75,40 @@ def test_little_endian_on_disk(tmp_path):
     p = tmp_path / "t.msoc"
     tensorio.write_tensor(p, a)
     assert p.read_bytes()[-4:] == b"\x01\x00\x00\x00"
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, np.zeros((4, 4), dtype=np.float32))
+    p.write_bytes(p.read_bytes() + b"\x00" * 4)
+    with pytest.raises(tensorio.TruncatedPayloadError, match="expected 64"):
+        tensorio.read_tensor(p)
+
+
+def test_truncated_dims(tmp_path):
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, np.zeros((2, 3, 4), dtype=np.uint8))
+    p.write_bytes(p.read_bytes()[:8 + 12])  # cut inside the second dim
+    with pytest.raises(tensorio.TruncatedPayloadError, match="dims"):
+        tensorio.read_tensor(p)
+
+
+def test_file_shorter_than_header(tmp_path):
+    p = tmp_path / "t.msoc"
+    p.write_bytes(b"MSOC\x01")
+    with pytest.raises(tensorio.TruncatedPayloadError, match="header"):
+        tensorio.read_tensor(p)
+
+
+def test_read_holds_one_payload(tmp_path):
+    a = np.random.default_rng(1).standard_normal(1 << 19)  # 4 MB
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, a)
+    tracemalloc.start()
+    try:
+        b = tensorio.read_tensor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a, b)
+    assert peak <= 1.2 * a.nbytes

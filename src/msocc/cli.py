@@ -16,7 +16,7 @@ import numpy as np
 from . import fixtures, losses, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import build_pyramid
-from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_text
+from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -36,8 +36,8 @@ def _depth_config(args) -> PipelineConfig:
                           depth_step=args.depth_step)
 
 
-def _read_transform(path) -> RigidTransform:
-    return RigidTransform.from_dict(json.loads(read_text(path)))
+def _parse_transform(text) -> RigidTransform:
+    return RigidTransform.from_dict(json.loads(text))
 
 
 def _write_meta(path, args):
@@ -59,9 +59,9 @@ def cmd_synth(args):
 def cmd_cost_volume(args):
     cur = read_tensor(args.current)
     prev = read_tensor(args.previous)
-    rig = CameraRig.from_json(read_text(args.rig))
-    pose_cur = _read_transform(args.pose_current)
-    rel = relative_ego_motion(_read_transform(args.pose_previous), pose_cur)
+    rig = read_input(args.rig, CameraRig.from_json)
+    rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
+                              read_input(args.pose_current, _parse_transform))
     cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
                               args.camera, cur, prev, rel)
     write_tensor(args.out, cv.astype(np.float32))
@@ -73,8 +73,8 @@ def cmd_lift(args):
     feats = read_tensor(args.features)
     logits = read_tensor(args.depth_logits)
     idx = pipeline.pooling_index(_depth_config(args), args.stride,
-                                 CameraRig.from_json(read_text(args.rig)),
-                                 VoxelGridSpec.from_json(read_text(args.grid)),
+                                 read_input(args.rig, CameraRig.from_json),
+                                 read_input(args.grid, VoxelGridSpec.from_json),
                                  *feats.shape[2:])
     out = pipeline.lift_frame(feats, logits, idx)
     write_tensor(args.out, out.astype(np.float32))
@@ -84,9 +84,9 @@ def cmd_lift(args):
 
 def cmd_warp(args):
     grid_arr = read_tensor(args.input)
-    grid = VoxelGridSpec.from_json(read_text(args.grid))
-    out = temporal.warp_voxel_grid(grid_arr, _read_transform(args.transform),
-                                   grid, mode=args.mode)
+    grid = read_input(args.grid, VoxelGridSpec.from_json)
+    motion = read_input(args.transform, _parse_transform)
+    out = temporal.warp_voxel_grid(grid_arr, motion, grid, mode=args.mode)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK

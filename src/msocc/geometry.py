@@ -32,7 +32,6 @@ __all__ = [
     "invert",
     "relative_ego_motion",
     "frustum_points",
-    "voxel_index",
     "voxel_indices",
 ]
 
@@ -306,8 +305,3 @@ def voxel_indices(points: np.ndarray, g: VoxelGridSpec) -> np.ndarray:
     flat = (cell[..., 0] * g.ny + cell[..., 1]) * g.nz + cell[..., 2]
     return np.where(inside, flat, -1)
 
-
-def voxel_index(p, g: VoxelGridSpec):
-    """Flat index of a single ego point, or None when outside the grid."""
-    idx = voxel_indices(np.asarray(p, dtype=np.float64).reshape(3), g)
-    return None if idx < 0 else int(idx)

@@ -1,13 +1,16 @@
-"""Confusion accumulation and masked per-class IoU / mIoU.
+"""One confusion matrix and masked per-class IoU / mIoU.
 
-FREE is not a scored class: a FREE prediction on an occupied ground-truth
-voxel counts as a false negative for the ground-truth class, and classes
-with a zero denominator are excluded from the mean rather than scored 0.
+`ConfusionTally.matrix` counts masked voxels with the ground-truth label on
+the rows and the predicted label on the columns. Class ids 0..K-1 keep their
+index and FREE maps to index K. FREE is not a scored class: a FREE
+prediction on an occupied ground-truth voxel counts as a false negative for
+the ground-truth class, and classes with a zero denominator are excluded
+from the mean rather than scored 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,68 +22,68 @@ __all__ = ["ConfusionTally", "accumulate", "miou"]
 @dataclass
 class ConfusionTally:
     num_classes: int = 17
-    tp: np.ndarray = None
-    fp: np.ndarray = None
-    fn: np.ndarray = None
-    free_tp: int = 0
-    free_fp: int = 0
-    free_fn: int = 0
-    voxels_evaluated: int = 0
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.tp is None:
-            self.tp = np.zeros(self.num_classes, dtype=np.int64)
-            self.fp = np.zeros(self.num_classes, dtype=np.int64)
-            self.fn = np.zeros(self.num_classes, dtype=np.int64)
+        n = self.num_classes + 1
+        self.matrix = np.zeros((n, n), dtype=np.int64)
 
-    def merge(self, other: "ConfusionTally") -> "ConfusionTally":
-        if other.num_classes != self.num_classes:
-            raise ValueError("class counts differ")
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-        self.free_tp += other.free_tp
-        self.free_fp += other.free_fp
-        self.free_fn += other.free_fn
-        self.voxels_evaluated += other.voxels_evaluated
-        return self
+    @property
+    def tp(self) -> np.ndarray:
+        return self.matrix.diagonal()[:self.num_classes]
+
+    @property
+    def fp(self) -> np.ndarray:
+        return self.matrix.sum(axis=0)[:self.num_classes] - self.tp
+
+    @property
+    def fn(self) -> np.ndarray:
+        return self.matrix.sum(axis=1)[:self.num_classes] - self.tp
+
+    @property
+    def voxels_evaluated(self) -> int:
+        return int(self.matrix.sum())
+
+
+def _matrix_index(labels: np.ndarray, k: int) -> np.ndarray:
+    """Labels as matrix indices; raises on a label that is neither a class
+    id below k nor FREE."""
+    idx = labels.astype(np.int64)
+    free = idx == FREE
+    bad = ~free & ((idx < 0) | (idx >= k))
+    if bad.any():
+        raise ValueError(f"label {idx[bad][0]} is neither a class id below "
+                         f"{k} nor FREE ({FREE})")
+    idx[free] = k
+    return idx
 
 
 def accumulate(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray,
                tally: ConfusionTally) -> ConfusionTally:
-    """Add one frame's masked confusion counts to the tally."""
+    """Add one frame's masked voxels to the tally's confusion matrix."""
     if pred.shape != gt.shape or pred.shape != mask.shape:
         raise ValueError("shape mismatch")
     m = np.asarray(mask, dtype=bool)
-    p = np.asarray(pred)[m].astype(np.int64)
-    g = np.asarray(gt)[m].astype(np.int64)
     k = tally.num_classes
-    hit = p == g
-    for c in range(k):
-        tally.tp[c] += int((hit & (g == c)).sum())
-        tally.fp[c] += int((~hit & (p == c)).sum())
-        tally.fn[c] += int((~hit & (g == c)).sum())
-    tally.free_tp += int((hit & (g == FREE)).sum())
-    tally.free_fp += int((~hit & (p == FREE)).sum())
-    tally.free_fn += int((~hit & (g == FREE)).sum())
-    tally.voxels_evaluated += int(m.sum())
+    p = _matrix_index(np.asarray(pred)[m], k)
+    g = _matrix_index(np.asarray(gt)[m], k)
+    tally.matrix += np.bincount(g * (k + 1) + p,
+                                minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
     return tally
 
 
 def miou(tally: ConfusionTally, include_free: bool = False):
     """Per-class IoU and the mean over classes with a non-zero denominator.
 
-    include_free adds a FREE-vs-rest IoU as an extra entry in the mean.
+    include_free adds a FREE-vs-rest IoU, read from row and column K, as an
+    extra entry in the mean.
     """
-    denom = tally.tp + tally.fp + tally.fn
-    if not (denom > 0).any():
+    k = tally.num_classes
+    tp = tally.matrix.diagonal()
+    denom = tally.matrix.sum(axis=0) + tally.matrix.sum(axis=1) - tp
+    if not (denom[:k] > 0).any():
         raise ValueError("no class has any support in the tally")
-    iou = np.where(denom > 0, tally.tp / np.maximum(denom, 1), np.nan)
-    scored = list(iou[denom > 0])
-    per_class = {c: float(iou[c]) for c in range(tally.num_classes) if denom[c] > 0}
-    if include_free:
-        free_denom = tally.free_tp + tally.free_fp + tally.free_fn
-        if free_denom > 0:
-            per_class[FREE] = tally.free_tp / free_denom
-            scored.append(per_class[FREE])
-    return per_class, float(np.mean(scored))
+    scored = [c for c in range(k + 1 if include_free else k) if denom[c] > 0]
+    iou = tp[scored] / denom[scored]
+    per_class = {FREE if c == k else c: float(v) for c, v in zip(scored, iou)}
+    return per_class, float(np.mean(iou))

@@ -101,6 +101,16 @@ def read_text(path) -> str:
         return fh.read()
 
 
+def read_input(path, parse):
+    """`parse` applied to the text of the JSON input file `path`; any
+    failure is reported as one of stage `inputs` on `path`."""
+    with _stage("inputs", path):
+        try:
+            return parse(read_text(path))
+        except (KeyError, TypeError) as e:  # missing or mistyped field
+            raise ValueError(f"bad field: {e!r}") from e
+
+
 def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -224,25 +234,17 @@ def run_pipeline(input_dir: str, output_dir: str,
     out = output_dir
     os.makedirs(out, exist_ok=True)
 
-    def read_input(name, parse):
-        path = os.path.join(inp, name)
-        with _stage("inputs", path):
-            try:
-                return parse(read_text(path))
-            except (KeyError, TypeError) as e:  # missing or mistyped field
-                raise ValueError(f"bad field: {e!r}") from e
-
     if config is None:
         if os.path.exists(os.path.join(inp, "config.json")):
-            config = read_input("config.json", lambda text:
+            config = read_input(os.path.join(inp, "config.json"), lambda text:
                                 PipelineConfig.from_dict(json.loads(text)))
         else:
             config = PipelineConfig()
     cfg = config
 
-    rig = read_input("rig.json", CameraRig.from_json)
-    grid = read_input("grid.json", VoxelGridSpec.from_json)
-    poses = read_input("poses.json", lambda text: [
+    rig = read_input(os.path.join(inp, "rig.json"), CameraRig.from_json)
+    grid = read_input(os.path.join(inp, "grid.json"), VoxelGridSpec.from_json)
+    poses = read_input(os.path.join(inp, "poses.json"), lambda text: [
         RigidTransform.from_dict(d) for d in json.loads(text)])
     num_frames = len(poses)
     if num_frames < 2:

@@ -80,13 +80,13 @@ def enumerate_tta():
 
 
 def apply_flips(volume: np.ndarray, tag: AugmentationTag) -> np.ndarray:
-    """The tag's voxel flips of a (..., nx, ny, nz) volume."""
+    """The tag's voxel flips of a (..., nx, ny, nz) volume, as a view."""
     out = volume
     if tag.vox_flip_x:
         out = np.flip(out, axis=-3)
     if tag.vox_flip_y:
         out = np.flip(out, axis=-2)
-    return np.ascontiguousarray(out)
+    return out
 
 
 def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
@@ -95,7 +95,7 @@ def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
 
     occ_prob: (nx, ny, nz); sem_prob: (K, nx, ny, nz). Flips are
     involutions, so applying the tag's flips again restores the canonical
-    frame; img_hflip needs no correction.
+    frame; img_hflip needs no correction. Returns views of the inputs.
     """
     return apply_flips(occ_prob, tag), apply_flips(sem_prob, tag)
 

@@ -64,7 +64,7 @@ def write_tensor(path, array: np.ndarray) -> None:
         fh.write(a.tobytes())
 
 
-def read_tensor(path, expect_dtype=None, expect_ndim=None) -> np.ndarray:
+def read_tensor(path) -> np.ndarray:
     """Read a tensor file; the payload is read straight into the result."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -94,10 +94,4 @@ def read_tensor(path, expect_dtype=None, expect_ndim=None) -> np.ndarray:
         if got != expected:
             raise TruncatedPayloadError(
                 f"{path}: payload {got} bytes, expected {expected}")
-    if expect_dtype is not None and arr.dtype != np.dtype(expect_dtype):
-        raise DtypeMismatchError(
-            f"{path}: dtype {arr.dtype}, expected {np.dtype(expect_dtype)}")
-    if expect_ndim is not None and arr.ndim != expect_ndim:
-        raise DtypeMismatchError(
-            f"{path}: ndim {arr.ndim}, expected {expect_ndim}")
     return arr

@@ -375,6 +375,55 @@ def test_missing_json_key_names_stage_and_file(tmp_path, scene_dir, capsys,
     assert f"stage 'inputs' failed on {path}" in err and repr(key) in err
 
 
+@pytest.mark.parametrize("command, flag, key", [
+    ("cost-volume", "--pose-current", "rotation"),
+    ("lift", "--rig", "cameras"),
+    ("warp", "--grid", "nz"),
+], ids=["cost-volume", "lift", "warp"])
+def test_subcommand_missing_json_key_names_stage_and_file(
+        tmp_path, scene_dir, capsys, command, flag, key):
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps(
+        json.loads((scene_dir / "poses.json").read_text())[0]))
+    files = {"--rig": scene_dir / "rig.json", "--grid": scene_dir / "grid.json",
+             "--pose-current": pose, "--pose-previous": pose,
+             "--transform": pose}
+    bad = tmp_path / "bad.json"
+    doc = json.loads(files[flag].read_text())
+    del doc[key]
+    bad.write_text(json.dumps(doc))
+    files[flag] = bad
+    feats = str(scene_dir / "features" / "frame01_stride8.msoc")
+    logits = str(scene_dir / "depth_logits" / "frame01_stride8.msoc")
+    argv = {"cost-volume": ["--current", feats, "--previous", feats],
+            "lift": ["--features", feats, "--depth-logits", logits],
+            "warp": ["--input", feats]}[command]
+    json_flags = {"cost-volume": ("--rig", "--pose-current", "--pose-previous"),
+                  "lift": ("--rig", "--grid"),
+                  "warp": ("--grid", "--transform")}[command]
+    for f in json_flags:
+        argv += [f, str(files[f])]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", str(tmp_path / "out.msoc")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {bad}" in err and repr(key) in err
+
+
+def test_eval_label_outside_classes_is_validation_error(tmp_path, capsys):
+    labels = np.zeros((4, 4, 2), np.uint8)
+    write_tensor(tmp_path / "gt.msoc", labels)
+    write_tensor(tmp_path / "mask.msoc", np.ones_like(labels))
+    labels[1, 2, 0] = 20
+    write_tensor(tmp_path / "pred.msoc", labels)
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(tmp_path / "pred.msoc"),
+                 "--gt", str(tmp_path / "gt.msoc"),
+                 "--mask", str(tmp_path / "mask.msoc"),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert "label 20" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_fuse_holds_one_prediction_entry(scene_dir):
     preds = str(scene_dir / "preds")
     entry = sum(read_tensor(os.path.join(preds, f"model_a_entry0_{k}.msoc"))

@@ -164,19 +164,19 @@ class TestVoxelIndex:
                                  voxel_size=np.array([0.5, 0.5, 1.0]))
 
     def test_origin_is_cell_zero(self):
-        assert geo.voxel_index([-1.0, -2.0, 0.0], self.grid()) == 0
+        assert geo.voxel_indices(np.array([-1.0, -2.0, 0.0]), self.grid()) == 0
 
     def test_upper_boundary_outside(self):
         g = self.grid()
         p = g.origin + np.array([g.nx, g.ny, g.nz]) * g.voxel_size
-        assert geo.voxel_index(p, g) is None
+        assert geo.voxel_indices(p, g) == -1
 
     def test_scalar_floor_oracle(self):
         g = self.grid()
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            p = g.origin + rng.uniform(0, 1, 3) * [g.nx, g.ny, g.nz] * g.voxel_size
-            idx = geo.voxel_index(p, g)
+        points = (g.origin + rng.uniform(0, 1, (100, 3))
+                  * [g.nx, g.ny, g.nz] * g.voxel_size)
+        for p, idx in zip(points, geo.voxel_indices(points, g)):
             cx = int(np.floor((p[0] - g.origin[0]) / g.voxel_size[0]))
             cy = int(np.floor((p[1] - g.origin[1]) / g.voxel_size[1]))
             cz = int(np.floor((p[2] - g.origin[2]) / g.voxel_size[2]))

@@ -6,18 +6,23 @@ from msocc.gt_multiscale import FREE
 
 
 def loop_oracle(pred, gt, mask, k):
-    tp = np.zeros(k, int); fp = np.zeros(k, int); fn = np.zeros(k, int)
+    """Per-voxel counts over the classes 0..k-1 and FREE (index k), and the
+    number of masked voxels."""
+    labels = list(range(k)) + [FREE]
+    tp, fp, fn = np.zeros((3, k + 1), int)
+    voxels = 0
     for p, g, m in zip(pred.ravel(), gt.ravel(), mask.ravel()):
         if not m:
             continue
-        for c in range(k):
+        voxels += 1
+        for i, c in enumerate(labels):
             if p == c and g == c:
-                tp[c] += 1
+                tp[i] += 1
             elif p == c and g != c:
-                fp[c] += 1
+                fp[i] += 1
             elif p != c and g == c:
-                fn[c] += 1
-    return tp, fp, fn
+                fn[i] += 1
+    return tp, fp, fn, voxels
 
 
 def random_labels(rng, shape=(6, 6, 2), k=5, p_free=0.3):
@@ -44,14 +49,26 @@ class TestAccumulate:
     @pytest.mark.parametrize("seed", range(5))
     def test_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        pred, gt = random_labels(rng), random_labels(rng)
-        mask = rng.random(pred.shape) < 0.7
-        t = metrics.ConfusionTally(5)
+        shape = (10, 10, 4)
+        pred = random_labels(rng, shape, k=17)
+        gt = random_labels(rng, shape, k=17)
+        mask = rng.random(shape) < 0.7
+        t = metrics.ConfusionTally(17)
         metrics.accumulate(pred, gt, mask, t)
-        tp, fp, fn = loop_oracle(pred, gt, mask, 5)
-        assert np.array_equal(t.tp, tp)
-        assert np.array_equal(t.fp, fp)
-        assert np.array_equal(t.fn, fn)
+        tp, fp, fn, voxels = loop_oracle(pred, gt, mask, 17)
+        assert np.array_equal(t.tp, tp[:17])
+        assert np.array_equal(t.fp, fp[:17])
+        assert np.array_equal(t.fn, fn[:17])
+        assert t.voxels_evaluated == voxels
+        denom = tp + fp + fn
+        scored = denom > 0
+        iou = tp[scored] / denom[scored]
+        per_class, mean = metrics.miou(t, include_free=True)
+        assert per_class[FREE] == tp[17] / denom[17]
+        ids = [*range(17), FREE]
+        assert list(per_class) == [ids[i] for i in np.flatnonzero(scored)]
+        assert list(per_class.values()) == list(iou)
+        assert mean == pytest.approx(iou.mean())
 
     def test_shape_mismatch(self):
         t = metrics.ConfusionTally(5)
@@ -60,23 +77,33 @@ class TestAccumulate:
                                np.zeros((2, 2, 2), np.uint8),
                                np.ones((2, 2, 1), bool), t)
 
-    def test_batch_merge_equals_concat(self):
+    def test_frames_accumulate_like_concat(self):
         rng = np.random.default_rng(9)
         frames = [(random_labels(rng), random_labels(rng),
                    rng.random((6, 6, 2)) < 0.6) for _ in range(4)]
-        t_all = metrics.ConfusionTally(5)
+        t_frames = metrics.ConfusionTally(5)
         for p, g, m in frames:
-            metrics.accumulate(p, g, m, t_all)
-        t1, t2 = metrics.ConfusionTally(5), metrics.ConfusionTally(5)
-        for p, g, m in frames[:2]:
-            metrics.accumulate(p, g, m, t1)
-        for p, g, m in frames[2:]:
-            metrics.accumulate(p, g, m, t2)
-        t1.merge(t2)
-        assert np.array_equal(t1.tp, t_all.tp)
-        assert np.array_equal(t1.fp, t_all.fp)
-        assert np.array_equal(t1.fn, t_all.fn)
-        assert t1.free_tp == t_all.free_tp
+            metrics.accumulate(p, g, m, t_frames)
+        t_all = metrics.ConfusionTally(5)
+        metrics.accumulate(*(np.concatenate(a) for a in zip(*frames)), t_all)
+        assert np.array_equal(t_frames.matrix, t_all.matrix)
+        assert t_frames.voxels_evaluated == t_all.voxels_evaluated
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("label", [5, 20, -1])
+    def test_label_outside_classes_rejected(self, side, label):
+        rng = np.random.default_rng(10)
+        arrays = {"pred": random_labels(rng).astype(np.int64),
+                  "gt": random_labels(rng).astype(np.int64)}
+        mask = np.ones((6, 6, 2), bool)
+        mask[0, 0, 0] = False
+        arrays[side][0, 0, 0] = label  # outside the mask: not read
+        t = metrics.ConfusionTally(5)
+        metrics.accumulate(arrays["pred"], arrays["gt"], mask, t)
+        arrays[side][1, 0, 0] = label
+        with pytest.raises(ValueError, match=f"label {label} "):
+            metrics.accumulate(arrays["pred"], arrays["gt"], mask, t)
+        assert t.voxels_evaluated == mask.sum()
 
 
 class TestMiou:

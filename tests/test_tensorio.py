@@ -60,14 +60,16 @@ def test_future_version_rejected(tmp_path):
         tensorio.read_tensor(p)
 
 
-def test_expectation_mismatch(tmp_path):
-    a = np.zeros((2, 2), dtype=np.float32)
+def test_dtype_outside_the_format(tmp_path):
     p = tmp_path / "t.msoc"
-    tensorio.write_tensor(p, a)
-    with pytest.raises(tensorio.DtypeMismatchError):
-        tensorio.read_tensor(p, expect_dtype=np.uint8)
-    with pytest.raises(tensorio.DtypeMismatchError):
-        tensorio.read_tensor(p, expect_ndim=3)
+    with pytest.raises(tensorio.DtypeMismatchError, match="unsupported"):
+        tensorio.write_tensor(p, np.zeros(3, dtype=np.int64))
+    tensorio.write_tensor(p, np.zeros(3, dtype=np.uint8))
+    raw = bytearray(p.read_bytes())
+    raw[6] = 9
+    p.write_bytes(bytes(raw))
+    with pytest.raises(tensorio.DtypeMismatchError, match="unknown dtype code 9"):
+        tensorio.read_tensor(p)
 
 
 def test_little_endian_on_disk(tmp_path):

@@ -34,15 +34,13 @@ print(f"pooling index: {index.num_entries} in-grid contributions, "
       f"{len(np.unique(index.target_vox))} occupied voxels")
 
 features = rng.standard_normal((2, 16, 48, 64))
-depths = np.stack([normalize_depth_logits(
-    rng.standard_normal((frustum.num_bins, 48, 64))) for _ in range(2)])
+depths = normalize_depth_logits(
+    rng.standard_normal((2, frustum.num_bins, 48, 64)))
 
 volume = lift_and_pool(features, depths, index)
 print(f"voxel volume shape: {volume.shape}")
 
 # sanity: total pooled mass equals the sum of every in-grid contribution
-h, w = frustum.feat_height, frustum.feat_width
-d, v, u = np.unravel_index(index.point_offsets, (frustum.num_bins, h, w))
-mass = (depths[index.cam_ids, d, v, u]
-        * features[index.cam_ids, :, v, u].sum(axis=1)).sum()
+cam, d, v, u = np.unravel_index(index.depth_index, depths.shape)
+mass = (depths[cam, d, v, u] * features[cam, :, v, u].sum(axis=1)).sum()
 print(f"mass conservation: pooled {volume.sum():.6f} vs contributed {mass:.6f}")

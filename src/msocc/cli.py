@@ -62,9 +62,9 @@ def cmd_cost_volume(args):
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
-    cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
-                              args.camera, cur, prev, rel)
-    write_tensor(args.out, cv.astype(np.float32))
+    _, cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
+                                 args.camera, cur, prev, rel)
+    write_tensor(args.out, cv)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
@@ -76,8 +76,8 @@ def cmd_lift(args):
                                  read_input(args.rig, CameraRig.from_json),
                                  read_input(args.grid, VoxelGridSpec.from_json),
                                  *feats.shape[2:])
-    out = pipeline.lift_frame(feats, logits, idx)
-    write_tensor(args.out, out.astype(np.float32))
+    _, out = pipeline.lift_frame(feats, logits, idx)
+    write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
@@ -157,8 +157,9 @@ def cmd_ensemble(args):
 
 
 def cmd_threshold(args):
-    out = pipeline.threshold(read_tensor(args.occ_prob),
-                             read_tensor(args.sem_labels), args.table)
+    out = postprocess.apply_thresholds(read_tensor(args.occ_prob),
+                                       read_tensor(args.sem_labels),
+                                       pipeline.threshold_table(args.table))
     write_tensor(args.out, out)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Lift 2D features through depth distributions into ego-frame voxel grids.
 
 The pooling index is precomputed once per (rig, frustum, grid) triple: every
-in-bounds frustum point is stored as (camera id, point offset, target voxel),
-so lifting is a gather of depth-weighted features followed by a per-channel
-scatter-add (`np.bincount`) into the voxels. The full C x (H*W*D) lifted
-tensor is never materialized.
+in-bounds frustum point is stored as (depth-weight index, pixel index,
+target voxel), so lifting is a gather of depth-weighted features followed by
+a per-channel scatter-add (`np.bincount`) into the voxels. The full
+C x (H*W*D) lifted tensor is never materialized.
 """
 
 from __future__ import annotations
@@ -24,36 +24,37 @@ __all__ = [
 
 
 def normalize_depth_logits(logits: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax over the depth axis of a (D, H, W) logit array."""
-    z = np.asarray(logits, dtype=np.float64)
-    if np.isnan(z).any():
-        raise ValueError("depth logits contain NaN")
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    """Per-pixel softmax over the depth axis (-3) of (..., D, H, W) logits."""
+    z = np.array(logits, dtype=np.float64)
+    z -= z.max(axis=-3, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-3, keepdims=True)
+    return z
 
 
 @dataclass(frozen=True)
 class PoolingIndex:
-    """Scatter plan from frustum points to voxels: entry i adds the point
-    `point_offsets[i]` of camera `cam_ids[i]` to voxel `target_vox[i]`.
+    """Scatter plan from frustum points to voxels: entry i adds the depth
+    weight `depths.flat[depth_index[i]]` times the features of pixel
+    `pixel_index[i]` to voxel `target_vox[i]`, where depths is (N, D, H, W)
+    and the pixels are (N, H, W), both flattened row-major.
 
-    Entries are sorted by target voxel id, ties broken by (camera id, point
-    offset), so the scatter-add sums each voxel in a fixed order. Point
-    offsets index the (d, v, u) row-major frustum lattice:
-    offset = (d * H + v) * W + u.
+    Entries are in frustum order: camera, then the (d, v, u) row-major
+    lattice of `frustum_points`, so `depth_index` is strictly increasing.
+    `np.bincount` adds each voxel's weights in input order, so every voxel
+    sums its entries in that fixed order and the result is reproducible.
     """
 
-    cam_ids: np.ndarray      # (n_entries,) int32
-    point_offsets: np.ndarray  # (n_entries,) int64
-    target_vox: np.ndarray   # (n_entries,) int64 flat voxel ids, ascending
+    target_vox: np.ndarray   # (n_entries,) int64 flat voxel ids
+    depth_index: np.ndarray  # (n_entries,) int64 into the flat depths
+    pixel_index: np.ndarray  # (n_entries,) int64 into the flat pixels
     frustum: FrustumSpec
     grid: VoxelGridSpec
     num_cameras: int
 
     @property
     def num_entries(self) -> int:
-        return len(self.cam_ids)
+        return len(self.target_vox)
 
 
 def build_pooling_index(rig: CameraRig, f: FrustumSpec,
@@ -62,23 +63,17 @@ def build_pooling_index(rig: CameraRig, f: FrustumSpec,
 
     Intrinsics in the rig must already be scaled to f.stride.
     """
-    cams, offs, targets = [], [], []
+    n_pix = f.feat_height * f.feat_width
+    n_pts = f.num_bins * n_pix
+    targets, depth_idx, pixel_idx = [], [], []
     for cam_id, (k, cam_to_ego) in enumerate(rig.cameras):
-        pts = frustum_points(k, f, cam_to_ego)
-        vox = voxel_indices(pts, g)
-        keep = vox >= 0
-        cams.append(np.full(int(keep.sum()), cam_id, dtype=np.int32))
-        offs.append(np.nonzero(keep)[0].astype(np.int64))
-        targets.append(vox[keep])
-    cam_ids = np.concatenate(cams)
-    point_offsets = np.concatenate(offs)
-    target_vox = np.concatenate(targets)
-
-    # entries are generated in (camera, offset) order, so a stable sort on
-    # the voxel id alone breaks ties by (camera, offset)
-    order = np.argsort(target_vox, kind="stable")
-    return PoolingIndex(cam_ids[order], point_offsets[order], target_vox[order],
-                        f, g, len(rig))
+        vox = voxel_indices(frustum_points(k, f, cam_to_ego), g)
+        offsets = np.nonzero(vox >= 0)[0]
+        targets.append(vox[offsets])
+        depth_idx.append(cam_id * n_pts + offsets)
+        pixel_idx.append(cam_id * n_pix + offsets % n_pix)
+    return PoolingIndex(np.concatenate(targets), np.concatenate(depth_idx),
+                        np.concatenate(pixel_idx), f, g, len(rig))
 
 
 def lift_and_pool(features: np.ndarray, depths: np.ndarray,
@@ -86,8 +81,8 @@ def lift_and_pool(features: np.ndarray, depths: np.ndarray,
     """Depth-weighted scatter-sum of camera features into the voxel grid.
 
     features: (N, C, H, W); depths: (N, D, H, W) per-pixel categorical
-    distributions. Returns (C, nx, ny, nz). Accumulation runs in f64 and the
-    result is cast back to the feature dtype.
+    distributions. Returns the float64 (C, nx, ny, nz) accumulator, whatever
+    the feature dtype: products and sums run in float64.
 
     out[c, v] = sum over entries (cam, p) -> v of
                 depths[cam, d_p, y_p, x_p] * features[cam, c, y_p, x_p]
@@ -104,13 +99,10 @@ def lift_and_pool(features: np.ndarray, depths: np.ndarray,
 
     n_vox = idx.grid.num_voxels
     c_chan = features.shape[1]
-    depth_flat = depths.reshape(idx.num_cameras, -1).astype(np.float64)
-    weights = depth_flat[idx.cam_ids, idx.point_offsets]
-    pixel_offsets = idx.point_offsets % (h * w)
-
-    feat_flat = features.reshape(idx.num_cameras, c_chan, h * w).astype(np.float64)
-    out = np.zeros((c_chan, n_vox), dtype=np.float64)
+    weights = depths.reshape(-1)[idx.depth_index].astype(np.float64, copy=False)
+    feat = np.moveaxis(features, 1, 0).reshape(c_chan, -1)  # (C, N*H*W)
+    out = np.empty((c_chan, n_vox))
     for c in range(c_chan):
-        contrib = weights * feat_flat[idx.cam_ids, c, pixel_offsets]
-        out[c] = np.bincount(idx.target_vox, weights=contrib, minlength=n_vox)
-    return out.reshape(c_chan, *idx.grid.shape).astype(features.dtype)
+        out[c] = np.bincount(idx.target_vox, weights=weights * feat[c, idx.pixel_index],
+                             minlength=n_vox)
+    return out.reshape(c_chan, *idx.grid.shape)

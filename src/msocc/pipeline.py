@@ -130,16 +130,19 @@ def frustum(cfg: PipelineConfig, stride: int, h: int, w: int) -> FrustumSpec:
 
 def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
                 cur: np.ndarray, prev: np.ndarray,
-                rel: RigidTransform) -> np.ndarray:
+                rel: RigidTransform):
     """Plane-sweep cost volume of camera `cam` from its (C, H, W) features
-    at `stride` in the current and previous frame."""
+    at `stride` in the current and previous frame; returns the float64
+    (D, H, W) volume and the float32 copy it is written as. The check runs
+    on the copy, since a finite float64 value can overflow float32."""
     k, cam_to_ego = rig.cameras[cam]
     f = frustum(cfg, stride, cur.shape[1], cur.shape[2])
     cv = temporal.build_cost_volume(cur.astype(np.float64),
                                     prev.astype(np.float64), rel,
                                     k.scaled(stride), f, cam_to_ego=cam_to_ego)
-    check_finite(f"cost volume camera {cam}", cv)
-    return cv
+    written = cv.astype(np.float32)
+    check_finite(f"cost volume camera {cam}", written)
+    return cv, written
 
 
 def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
@@ -148,15 +151,16 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
     return build_pooling_index(scaled, frustum(cfg, stride, h, w), grid)
 
 
-def lift_frame(feats: np.ndarray, logits: np.ndarray, idx) -> np.ndarray:
+def lift_frame(feats: np.ndarray, logits: np.ndarray, idx):
     """Lift one frame's (N, C, H, W) features through the softmax of its
-    (N, D, H, W) depth logits; returns the f64 (C, nx, ny, nz) grid."""
+    (N, D, H, W) depth logits; returns the float64 (C, nx, ny, nz) grid and
+    the float32 copy it is written as. The check runs on the copy, since a
+    finite float64 sum can overflow float32."""
     check_finite("depth logits", logits)
-    depths = np.stack([normalize_depth_logits(logits[c])
-                       for c in range(logits.shape[0])])
-    lifted = lift_and_pool(feats.astype(np.float64), depths, idx)
-    check_finite("lifted grid", lifted)
-    return lifted
+    lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx)
+    written = lifted.astype(np.float32)
+    check_finite("lifted grid", written)
+    return lifted, written
 
 
 def write_pyramid(out_dir: str, pyramid) -> None:
@@ -209,12 +213,11 @@ def fuse(entries_a, entries_b, weights):
     return occ_prob, sem_label
 
 
-def threshold(occ_prob, sem_label, table_path: str | None):
-    """Class-wise thresholds from the table at `table_path`, or the
-    built-in defaults when it is None."""
-    table = (postprocess.load_threshold_table(table_path) if table_path
-             else postprocess.DEFAULT_THRESHOLDS)
-    return postprocess.apply_thresholds(occ_prob, sem_label, table)
+def threshold_table(path: str | None) -> dict:
+    """Class-wise thresholds from the table at `path`, or the built-in
+    defaults when it is None."""
+    return (postprocess.load_threshold_table(path) if path
+            else postprocess.DEFAULT_THRESHOLDS)
 
 
 def evaluate(pred, gt, mask, num_classes: int,
@@ -226,21 +229,19 @@ def evaluate(pred, gt, mask, num_classes: int,
             "miou": mean, "voxels_evaluated": tally.voxels_evaluated}
 
 
-def run_pipeline(input_dir: str, output_dir: str,
-                 config: PipelineConfig | None = None) -> dict:
-    """Execute every stage over an input directory; returns the combined
-    report (also written as JSON into output_dir)."""
+def run_pipeline(input_dir: str, output_dir: str) -> dict:
+    """Execute every stage over an input directory, configured by its
+    config.json (the defaults when absent); returns the combined report
+    (also written as JSON into output_dir)."""
     inp = input_dir
     out = output_dir
     os.makedirs(out, exist_ok=True)
 
-    if config is None:
-        if os.path.exists(os.path.join(inp, "config.json")):
-            config = read_input(os.path.join(inp, "config.json"), lambda text:
-                                PipelineConfig.from_dict(json.loads(text)))
-        else:
-            config = PipelineConfig()
-    cfg = config
+    if os.path.exists(os.path.join(inp, "config.json")):
+        cfg = read_input(os.path.join(inp, "config.json"), lambda text:
+                         PipelineConfig.from_dict(json.loads(text)))
+    else:
+        cfg = PipelineConfig()
 
     rig = read_input(os.path.join(inp, "rig.json"), CameraRig.from_json)
     grid = read_input(os.path.join(inp, "grid.json"), VoxelGridSpec.from_json)
@@ -251,6 +252,10 @@ def run_pipeline(input_dir: str, output_dir: str,
         raise PipelineStageError(
             "inputs", os.path.join(inp, "poses.json"),
             ValueError(f"need at least 2 frames, found {num_frames}"))
+    table = (os.path.join(inp, cfg.threshold_table) if cfg.threshold_table
+             else None)
+    with _stage("inputs", table):
+        thresholds = threshold_table(table)
 
     def frame_path(kind, t, stride):
         return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
@@ -265,16 +270,18 @@ def run_pipeline(input_dir: str, output_dir: str,
             feats_prev = read_tensor(frame_path("features", t - 1, cfg.cost_stride))
             rel = relative_ego_motion(poses[t - 1], poses[t])
             for cam in range(feats_cur.shape[0]):
-                cv = cost_volume(cfg, cfg.cost_stride, rig, cam,
-                                 feats_cur[cam], feats_prev[cam], rel)
+                cv, written = cost_volume(cfg, cfg.cost_stride, rig, cam,
+                                          feats_cur[cam], feats_prev[cam], rel)
                 write_tensor(os.path.join(
                     cv_dir, f"frame{t:02d}_cam{cam}_stride{cfg.cost_stride}.msoc"),
-                    cv.astype(np.float32))
+                    written)
                 for s in cfg.strides:
                     cv_s = temporal.rescale_cost_volume(cv, s, cfg.cost_stride)
                     write_tensor(os.path.join(
                         cv_dir, f"frame{t:02d}_cam{cam}_stride{s}.msoc"),
                         cv_s.astype(np.float32))
+                # so the next camera's volume is built without them alive
+                del cv, written
 
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
     vox_dir = os.path.join(out, "voxel")
@@ -295,9 +302,8 @@ def run_pipeline(input_dir: str, output_dir: str,
             path = frame_path("depth_logits", t, stride)
             with _stage("lift_stack", path):
                 logits = read_tensor(path)
-                lifted = lift_frame(feats, logits, idx)
                 # blocks are kept in float32, the dtype the stack is written in
-                block = lifted.astype(np.float32)
+                lifted, block = lift_frame(feats, logits, idx)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"), block)
                 if t < num_frames - 1:
@@ -356,9 +362,7 @@ def run_pipeline(input_dir: str, output_dir: str,
         prediction_sets = load_prediction_sets(preds)
     with _stage("postprocess", preds):
         occ_prob, sem_label = fuse(*prediction_sets, cfg.ensemble_weights)
-        table = cfg.threshold_table
-        final = threshold(occ_prob, sem_label,
-                          os.path.join(inp, table) if table else None)
+        final = postprocess.apply_thresholds(occ_prob, sem_label, thresholds)
         write_tensor(os.path.join(out, "occ_prob.msoc"),
                      occ_prob.astype(np.float32))
         write_tensor(os.path.join(out, "final_labels.msoc"), final)

@@ -155,6 +155,6 @@ def load_threshold_table(path) -> dict:
         raise ValueError(f"threshold table missing classes: {missing}")
     for name in CLASS_NAMES:
         t = table[name]
-        if not (0.0 < t < 1.0):
-            raise ValueError(f"threshold for {name!r} must be in (0, 1), got {t}")
+        if not isinstance(t, (int, float)) or not (0.0 < t < 1.0):
+            raise ValueError(f"threshold for {name!r} must be in (0, 1), got {t!r}")
     return {n: float(table[n]) for n in CLASS_NAMES}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msocc import fixtures, pipeline
+from msocc import fixtures, pipeline, postprocess
 from msocc.cli import main
 from msocc.geometry import RigidTransform
 from msocc.gt_multiscale import FREE
@@ -504,3 +504,46 @@ def test_module_entry_point_warns_nothing():
                                *args], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "table, code",
+    [(None, 4), ({"Car": 0.5}, 2),
+     ({name: "0.5" for name in postprocess.CLASS_NAMES}, 2)],
+    ids=["missing_file", "missing_class", "not_a_number"])
+def test_bad_threshold_table_fails_before_any_stage(tmp_path, scene_dir,
+                                                    capsys, table, code):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    if table is not None:
+        (inp / "table.json").write_text(json.dumps(table))
+    config = json.loads((inp / "config.json").read_text())
+    config["threshold_table"] = "table.json"
+    (inp / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == code
+    assert (f"stage 'inputs' failed on {inp / 'table.json'}"
+            in capsys.readouterr().err)
+    assert not (out / "cost_volumes").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_float32_overflow_is_numerical_error(tmp_path, scene_dir, capsys):
+    # finite float32 features whose float64 products and sums overflow the
+    # float32 outputs
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    for path in (inp / "features").iterdir():
+        write_tensor(path, np.full_like(read_tensor(path), 3.0e38))
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    assert "stage 'cost_volume'" in capsys.readouterr().err
+    assert main(["lift", "--features",
+                 str(inp / "features" / "frame01_stride8.msoc"),
+                 "--depth-logits",
+                 str(inp / "depth_logits" / "frame01_stride8.msoc"),
+                 "--rig", str(inp / "rig.json"), "--grid", str(inp / "grid.json"),
+                 "--stride", "8", "--out", str(tmp_path / "lifted.msoc")]) == 3
+    assert "lifted grid" in capsys.readouterr().err

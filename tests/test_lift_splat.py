@@ -29,6 +29,11 @@ def naive_scatter(rig, f, g, features, depths):
     return out, entries
 
 
+def decode(idx, f):
+    """(camera, point offset) of each entry, from its flat depth index."""
+    return np.divmod(idx.depth_index, f.num_bins * f.feat_height * f.feat_width)
+
+
 def small_setup(seed, n_cams=2, ch=3, h=4, w=8, d=6, grid_n=(10, 10, 4)):
     rng = np.random.default_rng(seed)
     cams = []
@@ -66,11 +71,11 @@ class TestNormalizeDepthLogits:
         assert np.allclose(out.sum(axis=0), 1.0, atol=1e-12)
         assert (out >= 0).all()
 
-    def test_nan_rejected(self):
-        z = np.zeros((2, 1, 1))
-        z[0] = np.nan
-        with pytest.raises(ValueError):
-            normalize_depth_logits(z)
+    def test_cameras_at_once_equal_stacked(self):
+        rng = np.random.default_rng(1)
+        logits = (rng.standard_normal((3, 7, 5, 4)) * 10).astype(np.float32)
+        want = np.stack([normalize_depth_logits(z) for z in logits])
+        assert normalize_depth_logits(logits).tobytes() == want.tobytes()
 
 
 class TestBuildPoolingIndex:
@@ -98,15 +103,18 @@ class TestBuildPoolingIndex:
         rig, f, g, features, depths = small_setup(11)
         idx = build_pooling_index(rig, f, g)
         _, entries = naive_scatter(rig, f, g, features, depths)
-        got = sorted(zip(idx.target_vox, idx.cam_ids, idx.point_offsets))
+        cams, offs = decode(idx, f)
+        got = sorted(zip(idx.target_vox, cams, offs))
         want = sorted((vox, cam, off) for cam, off, vox in entries)
         assert got == want
+        n_pix = f.feat_height * f.feat_width
+        assert (idx.pixel_index == cams * n_pix + offs % n_pix).all()
 
-    def test_sorted_by_target_then_cam_then_offset(self):
+    def test_depth_index_strictly_increasing(self):
         rig, f, g, *_ = small_setup(12)
         idx = build_pooling_index(rig, f, g)
-        keys = list(zip(idx.target_vox, idx.cam_ids, idx.point_offsets))
-        assert keys == sorted(keys)
+        assert idx.num_entries > 0
+        assert (np.diff(idx.depth_index) > 0).all()
 
 
 class TestLiftAndPool:
@@ -153,10 +161,9 @@ class TestLiftAndPool:
         idx = build_pooling_index(rig, f, g)
         out = lift_and_pool(features, depths, idx)
         h, w = f.feat_height, f.feat_width
-        pix = idx.point_offsets % (h * w)
         contrib = 0.0
-        for cam, off, p in zip(idx.cam_ids, idx.point_offsets, pix):
-            d = off // (h * w)
+        for cam, off in zip(*decode(idx, f)):
+            d, p = divmod(off, h * w)
             contrib += depths[cam, d, p // w, p % w] \
                 * features[cam, :, p // w, p % w].sum()
         assert np.isclose(out.sum(), contrib, rtol=1e-6)
@@ -175,3 +182,52 @@ class TestLiftAndPool:
             lift_and_pool(features[:, :, :-1], depths, idx)
         with pytest.raises(ValueError):
             lift_and_pool(features, depths[:, :-1], idx)
+
+
+def sorted_index_lift(rig, f, g, features, depths):
+    """Reference lift: a pooling index stable-sorted by target voxel (ties
+    in camera, offset order) and a 2-D (camera, offset) gather kernel. The
+    frustum-order index must give the same bytes. Returns the float64
+    accumulator."""
+    cams, offs, targets = [], [], []
+    for cam_id, (k, cam_to_ego) in enumerate(rig.cameras):
+        vox = geo.voxel_indices(geo.frustum_points(k, f, cam_to_ego), g)
+        keep = vox >= 0
+        cams.append(np.full(int(keep.sum()), cam_id, dtype=np.int32))
+        offs.append(np.nonzero(keep)[0].astype(np.int64))
+        targets.append(vox[keep])
+    order = np.argsort(np.concatenate(targets), kind="stable")
+    cam_ids = np.concatenate(cams)[order]
+    point_offsets = np.concatenate(offs)[order]
+    target_vox = np.concatenate(targets)[order]
+
+    n_cams, c_chan = features.shape[:2]
+    h, w = f.feat_height, f.feat_width
+    depth_flat = depths.reshape(n_cams, -1).astype(np.float64)
+    weights = depth_flat[cam_ids, point_offsets]
+    pixel_offsets = point_offsets % (h * w)
+    feat_flat = features.reshape(n_cams, c_chan, h * w).astype(np.float64)
+    out = np.zeros((c_chan, g.num_voxels))
+    for c in range(c_chan):
+        contrib = weights * feat_flat[cam_ids, c, pixel_offsets]
+        out[c] = np.bincount(target_vox, weights=contrib, minlength=g.num_voxels)
+    return out.reshape(c_chan, *g.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matches_sorted_index(dtype):
+    nonempty = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        rig, f, g, features, depths = small_setup(
+            seed + 2000, n_cams=int(rng.integers(1, 4)),
+            ch=int(rng.integers(1, 5)), h=int(rng.integers(2, 9)),
+            w=int(rng.integers(2, 13)), d=int(rng.integers(1, 9)))
+        features = features.astype(dtype)
+        idx = build_pooling_index(rig, f, g)
+        nonempty += idx.num_entries > 0
+        out = lift_and_pool(features, depths, idx)
+        want = sorted_index_lift(rig, f, g, features, depths)
+        assert out.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+    assert nonempty >= 10

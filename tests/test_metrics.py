@@ -151,7 +151,7 @@ class TestMiou:
         t1 = metrics.ConfusionTally(5)
         metrics.accumulate(pred, gt, mask, t1)
         pred2 = pred.copy()
-        pred2[~mask] = (pred2[~mask].astype(int) + 1 % 5).astype(np.uint8)
+        pred2[~mask] = ((pred2[~mask].astype(int) + 1) % 5).astype(np.uint8)
         t2 = metrics.ConfusionTally(5)
         metrics.accumulate(pred2, gt, mask, t2)
         assert metrics.miou(t1) == metrics.miou(t2)

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fixtures, losses, pipeline, postprocess, temporal
+from . import fixtures, losses, metrics, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import build_pyramid
 from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
@@ -165,9 +165,12 @@ def cmd_threshold(args):
 
 
 def cmd_eval(args):
-    report = pipeline.evaluate(read_tensor(args.pred), read_tensor(args.gt),
-                               read_tensor(args.mask).astype(bool),
-                               args.num_classes, args.include_free)
+    try:
+        report = pipeline.evaluate(read_tensor(args.pred), read_tensor(args.gt),
+                                   read_tensor(args.mask).astype(bool),
+                                   args.num_classes, args.include_free)
+    except metrics.LabelError as e:  # name the --pred or --gt file
+        raise PipelineStageError("eval", getattr(args, e.side), e) from e
     pipeline.write_json(args.out, report)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .gt_multiscale import FREE
 
-__all__ = ["ConfusionTally", "accumulate", "miou"]
+__all__ = ["ConfusionTally", "LabelError", "accumulate", "miou"]
 
 
 @dataclass
@@ -45,15 +45,24 @@ class ConfusionTally:
         return int(self.matrix.sum())
 
 
-def _matrix_index(labels: np.ndarray, k: int) -> np.ndarray:
-    """Labels as matrix indices; raises on a label that is neither a class
-    id below k nor FREE."""
+class LabelError(ValueError):
+    """A label that is neither a class id nor FREE; `side` names the
+    argument of `accumulate` that holds it ("pred" or "gt")."""
+
+    def __init__(self, side: str, message: str):
+        super().__init__(f"{side} {message}")
+        self.side = side
+
+
+def _matrix_index(labels: np.ndarray, k: int, side: str) -> np.ndarray:
+    """Labels as matrix indices; raises LabelError on a label that is
+    neither a class id below k nor FREE."""
     idx = labels.astype(np.int64)
     free = idx == FREE
     bad = ~free & ((idx < 0) | (idx >= k))
     if bad.any():
-        raise ValueError(f"label {idx[bad][0]} is neither a class id below "
-                         f"{k} nor FREE ({FREE})")
+        raise LabelError(side, f"label {idx[bad][0]} is neither a class id "
+                         f"below {k} nor FREE ({FREE})")
     idx[free] = k
     return idx
 
@@ -65,8 +74,8 @@ def accumulate(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray,
         raise ValueError("shape mismatch")
     m = np.asarray(mask, dtype=bool)
     k = tally.num_classes
-    p = _matrix_index(np.asarray(pred)[m], k)
-    g = _matrix_index(np.asarray(gt)[m], k)
+    p = _matrix_index(np.asarray(pred)[m], k, "pred")
+    g = _matrix_index(np.asarray(gt)[m], k, "gt")
     tally.matrix += np.bincount(g * (k + 1) + p,
                                 minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
     return tally

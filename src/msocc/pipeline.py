@@ -137,9 +137,8 @@ def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
     on the copy, since a finite float64 value can overflow float32."""
     k, cam_to_ego = rig.cameras[cam]
     f = frustum(cfg, stride, cur.shape[1], cur.shape[2])
-    cv = temporal.build_cost_volume(cur.astype(np.float64),
-                                    prev.astype(np.float64), rel,
-                                    k.scaled(stride), f, cam_to_ego=cam_to_ego)
+    cv = temporal.build_cost_volume(cur, prev, rel, k.scaled(stride), f,
+                                    cam_to_ego=cam_to_ego)
     written = cv.astype(np.float32)
     check_finite(f"cost volume camera {cam}", written)
     return cv, written

@@ -3,9 +3,15 @@
 The matching cost is the channel-mean dot product between the current
 feature and the previous feature bilinearly sampled at the reprojection of
 each depth hypothesis, one depth plane at a time. Hypotheses reprojecting
-outside the previous image score zero. The voxel warp builds, per axis, the
-(clamped source index, weight) options of every cell once, then gathers each
-corner of their product into one reused float64 buffer.
+outside the previous image score zero. Both feature maps are cast to
+float64 once per call. The sampler gathers each of a plane's four corners
+into one of two reused (C, H, W) buffers, weights it in place by its x and
+then its y weight, and adds it to the sum in a fixed corner order; that
+operation order is the rounding of the four-term bilinear formula, so the
+cost volume's bytes do not depend on how the buffers are reused. The voxel
+warp builds, per axis, the (clamped source index, weight) options of every
+cell once, then gathers each corner of their product into one reused
+float64 buffer.
 """
 
 from __future__ import annotations
@@ -30,7 +36,14 @@ def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     """Sample (C, H, W) at continuous pixel coords; centers at integer + 0.5.
 
     Out-of-bounds samples (where the footprint would leave the image) return 0.
-    Returns (C, ...) matching the shape of u.
+    Returns float64 (C, ...) matching the shape of u.
+
+    The image is cast to float64 once (a no-op for a float64 image). Each
+    corner is gathered into one of two (C, ...) buffers and weighted in
+    place, first by its x weight and then by its y weight; the corners are
+    added in the order (x0, y0), (x1, y0), (x0, y1), (x1, y1). That is the
+    rounding of `sample * wx * wy` summed left to right, so the order is
+    fixed: a folded weight `wx * wy` or another corner order changes bytes.
     """
     c, h, w = image.shape
     x = np.asarray(u, dtype=np.float64) - 0.5
@@ -45,14 +58,27 @@ def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
     fx = x - x0c
     fy = y - y0c
-    img = image.reshape(c, -1)
+    gx = 1 - fx
+    gy = 1 - fy
+    img = image.reshape(c, -1).astype(np.float64, copy=False)
     base = y0c * w + x0c
     last = h * w - 1  # degenerate 1-pixel axes carry zero weight anyway
-    s = (img[:, base] * (1 - fx) * (1 - fy)
-         + img[:, np.minimum(base + 1, last)] * fx * (1 - fy)
-         + img[:, np.minimum(base + w, last)] * (1 - fx) * fy
-         + img[:, np.minimum(base + w + 1, last)] * fx * fy)
-    return s * valid
+    corners = ((base, gx, gy), (np.minimum(base + 1, last), fx, gy),
+               (np.minimum(base + w, last), gx, fy),
+               (np.minimum(base + w + 1, last), fx, fy))
+    s = np.empty((c, *x.shape))
+    buf = np.empty_like(s)
+    for i, (idx, wx, wy) in enumerate(corners):
+        dst = buf if i else s
+        # indices are clamped already; "clip" also lets take write into dst
+        # without a temporary
+        np.take(img, idx, axis=1, out=dst, mode="clip")
+        dst *= wx
+        dst *= wy
+        if i:
+            s += buf
+    s *= valid
+    return s
 
 
 def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
@@ -82,8 +108,10 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     prev_pts = frustum_points(k, f, cur_cam_to_prev_cam)
     pu, pv, pz = project(prev_pts.reshape(f.num_bins, h, w, 3), k)
     pu = np.where(pz <= 0, -1.0, pu)  # behind the camera: forced out of bounds
-    # einsum over mixed float32/float64 operands sums in another order
+    # einsum over mixed float32/float64 operands sums in another order;
+    # prev is cast here once, not per plane inside the sampler
     cur = cur.astype(np.float64, copy=False)
+    prev = prev.astype(np.float64, copy=False)
     cost = np.stack([np.einsum("chw,chw->hw", cur, bilinear_sample(prev, u, v))
                      for u, v in zip(pu, pv)])
     return cost / c

@@ -231,6 +231,25 @@ def test_lift_subcommand_matches_run(tmp_path, scene_dir, run_dir):
     assert (tmp_path / "lifted.msoc.meta.json").exists()
 
 
+def test_cost_volume_subcommand_matches_run(tmp_path, scene_dir, run_dir):
+    for t in (0, 1):
+        feats = read_tensor(scene_dir / "features" / f"frame{t:02d}_stride4.msoc")
+        write_tensor(tmp_path / f"feats{t}.msoc", feats[0])
+    poses = json.loads((scene_dir / "poses.json").read_text())
+    for t in (0, 1):
+        (tmp_path / f"pose{t}.json").write_text(json.dumps(poses[t]))
+    out = tmp_path / "cv.msoc"
+    rc = main(["cost-volume", "--current", str(tmp_path / "feats1.msoc"),
+               "--previous", str(tmp_path / "feats0.msoc"),
+               "--rig", str(scene_dir / "rig.json"), "--camera", "0",
+               "--pose-current", str(tmp_path / "pose1.json"),
+               "--pose-previous", str(tmp_path / "pose0.json"),
+               "--stride", "4", "--out", str(out)])
+    assert rc == 0
+    want = (run_dir / "cost_volumes" / "frame01_cam0_stride4.msoc").read_bytes()
+    assert out.read_bytes() == want
+
+
 def test_ensemble_subcommand_matches_run(tmp_path, scene_dir, run_dir):
     rc = main(["ensemble", "--preds", str(scene_dir / "preds"),
                "--out-occ", str(tmp_path / "occ.msoc"),
@@ -409,18 +428,25 @@ def test_subcommand_missing_json_key_names_stage_and_file(
     assert f"stage 'inputs' failed on {bad}" in err and repr(key) in err
 
 
-def test_eval_label_outside_classes_is_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_eval_label_outside_classes_is_validation_error(tmp_path, capsys, side):
     labels = np.zeros((4, 4, 2), np.uint8)
-    write_tensor(tmp_path / "gt.msoc", labels)
     write_tensor(tmp_path / "mask.msoc", np.ones_like(labels))
-    labels[1, 2, 0] = 20
-    write_tensor(tmp_path / "pred.msoc", labels)
+    bad = labels.copy()
+    bad[1, 2, 0] = 20
+    for name in ("pred", "gt"):
+        write_tensor(tmp_path / f"{name}.msoc", bad if name == side else labels)
     capsys.readouterr()
     assert main(["eval", "--pred", str(tmp_path / "pred.msoc"),
                  "--gt", str(tmp_path / "gt.msoc"),
                  "--mask", str(tmp_path / "mask.msoc"),
                  "--out", str(tmp_path / "report.json")]) == 2
-    assert "label 20" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "label 20" in err
+    # the message names the file holding the label, and only that one
+    other = "gt" if side == "pred" else "pred"
+    assert str(tmp_path / f"{side}.msoc") in err
+    assert str(tmp_path / f"{other}.msoc") not in err
     assert not (tmp_path / "report.json").exists()
 
 

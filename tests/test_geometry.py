@@ -78,6 +78,45 @@ class TestRigidTransform:
             rhs = geo.compose(a, geo.compose(b, c)).apply(x)
             assert np.allclose(lhs, rhs, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (37, 3), (4, 5, 3),
+                                       (2, 3, 4, 3)])
+    def test_apply_matches_matmul_bytes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(100):
+            t = random_transform(rng)
+            p = 20 * rng.standard_normal(shape)
+            got = t.apply(p)
+            assert got.tobytes() == (p @ t.rotation.T + t.translation).tobytes()
+            assert got.shape == shape and got.flags.c_contiguous
+
+    def test_apply_in_blocks_matches_matmul_bytes(self):
+        # one product over more rows than a block, and one large enough
+        # that OpenBLAS splits it over threads
+        rng = np.random.default_rng(6)
+        rows = geo._APPLY_BLOCK_ROWS
+        for shape in [(0, 3), (rows, 3), (3 * rows + 7, 3),
+                      (59, 32, 48, 3)]:
+            for _ in range(3):
+                t = random_transform(rng)
+                p = 50 * rng.standard_normal(shape)
+                got = t.apply(p)
+                want = p @ t.rotation.T + t.translation
+                assert got.tobytes() == want.tobytes()
+                assert got.shape == shape and got.flags.c_contiguous
+
+    def test_apply_casts_and_copies_strided_input(self):
+        rng = np.random.default_rng(7)
+        t = random_transform(rng)
+        p = rng.standard_normal((3, 40, 6)).astype(np.float32)[:, ::2, :3].T
+        want = p.astype(np.float64) @ t.rotation.T + t.translation
+        got = t.apply(p)
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (3, 1), ()])
+    def test_apply_rejects_non_point_shapes(self, shape):
+        with pytest.raises(ValueError):
+            geo.RigidTransform.identity().apply(np.zeros(shape))
+
     def test_invalid_rotation_rejected(self):
         with pytest.raises(ValueError):
             geo.RigidTransform(np.eye(3) * 2, np.zeros(3))

@@ -24,6 +24,65 @@ def small_grid():
                              voxel_size=np.array([0.5, 0.5, 0.5]))
 
 
+def four_term_sample(image, u, v):
+    """Reference sampler: the four weighted corner gathers as one
+    expression, summed left to right, then masked."""
+    c, h, w = image.shape
+    x = np.asarray(u, dtype=np.float64) - 0.5
+    y = np.asarray(v, dtype=np.float64) - 0.5
+    eps = 1e-9
+    valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
+    x = np.clip(x, 0.0, w - 1.0)
+    y = np.clip(y, 0.0, h - 1.0)
+    x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+    y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+    fx = x - x0c
+    fy = y - y0c
+    img = image.reshape(c, -1)
+    base = y0c * w + x0c
+    last = h * w - 1
+    s = (img[:, base] * (1 - fx) * (1 - fy)
+         + img[:, np.minimum(base + 1, last)] * fx * (1 - fy)
+         + img[:, np.minimum(base + w, last)] * (1 - fx) * fy
+         + img[:, np.minimum(base + w + 1, last)] * fx * fy)
+    return s * valid
+
+
+class TestBilinearSample:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hw", [(9, 13), (1, 13), (9, 1), (1, 1)])
+    def test_matches_four_term_formula(self, dtype, hw):
+        h, w = hw
+        rng = np.random.default_rng(h * 100 + w)
+        image = rng.standard_normal((6, h, w)).astype(dtype)
+        # a (D, H, W) sweep reaching up to 3 pixels past every border
+        u = rng.uniform(-3.0, w + 3.0, (4, 5, 7))
+        v = rng.uniform(-3.0, h + 3.0, (4, 5, 7))
+        # pixel centers, the hull's edges and just inside or outside them
+        u.flat[:6] = [0.5, w - 0.5, 0.5 - 1e-10, w - 0.5 + 1e-10, 0.5 - 1e-6, 1.0]
+        v.flat[:6] = [0.5, h - 0.5, h - 0.5 + 1e-10, 0.5 - 1e-10, 1.0, h - 0.5 + 1e-6]
+        got = temporal.bilinear_sample(image, u, v)
+        want = four_term_sample(image, u, v)
+        assert got.shape == (6, 4, 5, 7) and got.dtype == np.float64
+        assert (got == 0).any() and (got != 0).any()
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory(self):
+        # stereo scale: 64 channels, 64x176 pixels, one depth plane
+        rng = np.random.default_rng(11)
+        image = rng.standard_normal((64, 64, 176))
+        u = rng.uniform(-2.0, 178.0, (64, 176))
+        v = rng.uniform(-2.0, 66.0, (64, 176))
+        tracemalloc.start()
+        try:
+            temporal.bilinear_sample(image, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # peak in units of one (C, H, W) float64 map
+        assert peak <= 2.5 * image.nbytes
+
+
 class TestCostVolume:
     def test_zero_parallax_degeneracy(self, k, frustum):
         rng = np.random.default_rng(0)
@@ -80,9 +139,8 @@ class TestCostVolume:
                                  np.arange(48) + 0.5, indexing="ij")
         pu, pv, pz = geo.project(
             cur_to_prev.apply(geo.unproject(uu, vv, dd, k)), k)
-        sampled = temporal.bilinear_sample(prev, np.where(pz <= 0, -1.0, pu), pv)
-        want = np.einsum("chw,cdhw->dhw", cur.astype(np.float64),
-                         sampled.astype(np.float64)) / 5
+        sampled = four_term_sample(prev, np.where(pz <= 0, -1.0, pu), pv)
+        want = np.einsum("chw,cdhw->dhw", cur.astype(np.float64), sampled) / 5
         got = temporal.build_cost_volume(cur, prev, rel, k, frustum,
                                          cam_to_ego=cam_to_ego)
         assert (want != 0).mean() > 0.5

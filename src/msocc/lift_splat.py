@@ -77,12 +77,14 @@ def build_pooling_index(rig: CameraRig, f: FrustumSpec,
 
 
 def lift_and_pool(features: np.ndarray, depths: np.ndarray,
-                  idx: PoolingIndex) -> np.ndarray:
+                  idx: PoolingIndex, dtype=np.float64) -> np.ndarray:
     """Depth-weighted scatter-sum of camera features into the voxel grid.
 
     features: (N, C, H, W); depths: (N, D, H, W) per-pixel categorical
-    distributions. Returns the float64 (C, nx, ny, nz) accumulator, whatever
-    the feature dtype: products and sums run in float64.
+    distributions. Returns the (C, nx, ny, nz) grid in `dtype`, whatever the
+    feature dtype: products and sums run in float64 one channel row at a
+    time, and each row is stored into the result, so a float32 grid equals
+    the float64 grid cast to float32 without that grid being held.
 
     out[c, v] = sum over entries (cam, p) -> v of
                 depths[cam, d_p, y_p, x_p] * features[cam, c, y_p, x_p]
@@ -101,7 +103,7 @@ def lift_and_pool(features: np.ndarray, depths: np.ndarray,
     c_chan = features.shape[1]
     weights = depths.reshape(-1)[idx.depth_index].astype(np.float64, copy=False)
     feat = np.moveaxis(features, 1, 0).reshape(c_chan, -1)  # (C, N*H*W)
-    out = np.empty((c_chan, n_vox))
+    out = np.empty((c_chan, n_vox), dtype=dtype)
     for c in range(c_chan):
         out[c] = np.bincount(idx.target_vox, weights=weights * feat[c, idx.pixel_index],
                              minlength=n_vox)

@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import losses, metrics, postprocess, temporal
+from .checks import NumericalError, check_finite
 from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion, RigidTransform
 from .gt_multiscale import FREE, build_pyramid
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
@@ -44,10 +45,6 @@ class PipelineStageError(Exception):
         self.stage = stage
         self.path = path
         self.cause = cause
-
-
-class NumericalError(Exception):
-    """NaN or inf detected in a pipeline tensor (exit code 3 at the CLI)."""
 
 
 @dataclass
@@ -76,13 +73,6 @@ class PipelineConfig:
         if cfg.weight_mode not in ("inverse_frequency", "uniform"):
             raise ValueError(f"unknown weight_mode {cfg.weight_mode!r}")
         return cfg
-
-
-def check_finite(name: str, arr) -> None:
-    arr = np.asarray(arr)
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{name}: {int(np.isnan(arr).sum())} NaN, "
-                             f"{int(np.isinf(arr).sum())} inf")
 
 
 @contextmanager
@@ -150,14 +140,17 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
     return build_pooling_index(scaled, frustum(cfg, stride, h, w), grid)
 
 
-def lift_frame(feats: np.ndarray, logits: np.ndarray, idx):
+def lift_frame(feats: np.ndarray, logits: np.ndarray, idx,
+               dtype=np.float32):
     """Lift one frame's (N, C, H, W) features through the softmax of its
-    (N, D, H, W) depth logits; returns the float64 (C, nx, ny, nz) grid and
-    the float32 copy it is written as. The check runs on the copy, since a
-    finite float64 sum can overflow float32."""
+    (N, D, H, W) depth logits; returns the (C, nx, ny, nz) grid in `dtype`
+    (float64 for a grid that is warped on) and the float32 grid it is
+    written as, the same array when `dtype` is float32. The check runs on
+    the float32 grid, since a finite float64 sum can overflow float32."""
     check_finite("depth logits", logits)
-    lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx)
-    written = lifted.astype(np.float32)
+    lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx,
+                           dtype=dtype)
+    written = lifted.astype(np.float32, copy=False)
     check_finite("lifted grid", written)
     return lifted, written
 
@@ -206,10 +199,9 @@ def load_prediction_sets(preds_dir: str):
 
 
 def fuse(entries_a, entries_b, weights):
-    occ_prob, sem_label = postprocess.ensemble(
-        entries_a, entries_b, postprocess.EnsembleConfig(*weights))
-    check_finite("ensembled occupancy", occ_prob)
-    return occ_prob, sem_label
+    """The ensemble of two prediction sets; it checks its own sums."""
+    return postprocess.ensemble(entries_a, entries_b,
+                                postprocess.EnsembleConfig(*weights))
 
 
 def threshold_table(path: str | None) -> dict:
@@ -301,12 +293,15 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             path = frame_path("depth_logits", t, stride)
             with _stage("lift_stack", path):
                 logits = read_tensor(path)
-                # blocks are kept in float32, the dtype the stack is written in
-                lifted, block = lift_frame(feats, logits, idx)
+                # blocks are kept in float32, the dtype the stack is written
+                # in; the current frame is already in the current ego frame,
+                # so only past frames are lifted in float64 and warped
+                past = t < num_frames - 1
+                lifted, block = lift_frame(
+                    feats, logits, idx, np.float64 if past else np.float32)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"), block)
-                if t < num_frames - 1:
-                    # the current frame is already in the current ego frame
+                if past:
                     rel = relative_ego_motion(poses[t], poses[-1])
                     block = temporal.warp_voxel_grid(
                         lifted, rel, g, mode="trilinear").astype(np.float32)

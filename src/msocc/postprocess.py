@@ -4,6 +4,10 @@ ensembling, and class-wise occupancy thresholding.
 The flip group has 8 members: image horizontal flip plus voxel-space flips
 along the two BEV axes. The image flip diversifies the network input but
 needs no volume-space inverse; only the voxel flips are undone here.
+
+The ensemble streams each entry, one volume row at a time, through one
+reused float64 buffer, so no float64 copy of a whole entry is made; see
+`ensemble` for why its operation order is fixed.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_finite
 from .gt_multiscale import FREE
 
 __all__ = [
@@ -103,33 +108,50 @@ def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
 def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
     """Weighted fusion of two models' de-augmented prediction sets.
 
-    Each entry is (occ_prob, sem_prob). The sets may be any iterables; they
-    are consumed one entry at a time, so only that entry and the running
-    sums are held. The weighted sums are normalized by the weighted entry
-    count so occ stays a probability (the paper-style raw sums rescaled to
-    [0, 1]); sem is the argmax of the identically normalized semantic sum,
-    ties to the smallest class id.
+    Each entry is (occ_prob, sem_prob) with sem_prob.shape[1:] ==
+    occ_prob.shape. The sets may be any iterables; they are consumed one
+    entry at a time, so only that entry, the float64 running sums and one
+    float64 row buffer of the occupancy shape are held. The weighted sums
+    are normalized by the weighted entry count so occ stays a probability
+    (the paper-style raw sums rescaled to [0, 1]); sem is the argmax of the
+    identically normalized semantic sum, ties to the smallest class id.
+
+    The occupancy and then each class row of an entry is cast to float64
+    and weighted into the buffer, then added to its sum; the sums are
+    divided by the norm in place. That is the rounding of `weight *
+    x.astype(np.float64)` summed entry by entry, then `/ norm`; folding the
+    weight into the norm or another entry order changes bytes. A NaN or inf
+    in an entry makes its float64 sum non-finite, and either normalized sum
+    holding one raises NumericalError.
     """
-    occ_sum = sem_sum = None
+    occ_sum = sem_sum = buf = None
     counts = []
     for weight, entries in ((cfg.weight_a, entries_a),
                             (cfg.weight_b, entries_b)):
         n = 0
         for n, (occ, sem) in enumerate(entries, 1):
             if occ_sum is None:
+                if sem.shape[1:] != occ.shape:
+                    raise ValueError("mismatched prediction shapes")
                 occ_sum = np.zeros(occ.shape, dtype=np.float64)
                 sem_sum = np.zeros(sem.shape, dtype=np.float64)
+                buf = np.empty(occ.shape, dtype=np.float64)
             elif occ.shape != occ_sum.shape or sem.shape != sem_sum.shape:
                 raise ValueError("mismatched prediction shapes")
-            occ_sum += weight * occ.astype(np.float64)
-            sem_sum += weight * sem.astype(np.float64)
+            occ_sum += np.multiply(occ, weight, out=buf, dtype=np.float64)
+            for k in range(len(sem)):
+                sem_sum[k] += np.multiply(sem[k], weight, out=buf,
+                                          dtype=np.float64)
         if n == 0:
             raise ValueError("both prediction sets must be non-empty")
         counts.append(n)
+    del occ, sem, buf  # the last entry is not needed for the argmax
     norm = cfg.weight_a * counts[0] + cfg.weight_b * counts[1]
-    occ_prob = occ_sum / norm
-    sem_label = np.argmax(sem_sum / norm, axis=0).astype(np.uint8)
-    return occ_prob, sem_label
+    occ_sum /= norm
+    sem_sum /= norm
+    check_finite("ensembled occupancy", occ_sum)
+    check_finite("ensembled semantics", sem_sum)
+    return occ_sum, np.argmax(sem_sum, axis=0).astype(np.uint8)
 
 
 def apply_thresholds(occ_prob: np.ndarray, sem_label: np.ndarray,

@@ -10,8 +10,10 @@ then its y weight, and adds it to the sum in a fixed corner order; that
 operation order is the rounding of the four-term bilinear formula, so the
 cost volume's bytes do not depend on how the buffers are reused. The voxel
 warp builds, per axis, the (clamped source index, weight) options of every
-cell once, then gathers each corner of their product into one reused
-float64 buffer.
+cell once, then streams each corner of their product channel by channel
+through one reused float64 row, so warping a float64 grid allocates one
+full-size array, the (C, N) sum; its corner order and weight product are
+fixed likewise.
 """
 
 from __future__ import annotations
@@ -140,8 +142,11 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     or "trilinear" (feature grids). Each axis gets its options once:
     (clamped source index, weight * in-range), one of weight 1 for nearest,
     (lo, 1 - frac) and (lo + 1, frac) for trilinear. The corners are the
-    product of the three axes' options, z fastest; each is gathered into one
-    preallocated float64 buffer, weighted in place and added to the sum.
+    product of the three axes' options, z fastest. Each corner's flat source
+    index and weight `wx * wy * wz` are computed once; then, channel by
+    channel, the corner is gathered into one reused float64 row, weighted in
+    place and added to that channel's sum. Splitting the work by channel
+    keeps the bytes; another corner order or weight grouping changes them.
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -173,16 +178,18 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     _, ny, nz = grid.shape
     flat_prev = prev.reshape(c, -1).astype(np.float64, copy=False)
     out = np.zeros(flat_prev.shape)
-    buf = np.empty_like(out)
+    buf = np.empty(flat_prev.shape[1])
     # corners in x-major order, z fastest
     for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
-        # indices are clamped already; "clip" also lets take write into buf
-        # without a temporary
-        np.take(flat_prev, (ix * ny + iy) * nz + iz, axis=1, out=buf,
-                mode="clip")
-        buf *= wx * wy * wz
-        out += buf
-    del buf  # before the cast to a narrower dtype allocates
+        idx = (ix * ny + iy) * nz + iz
+        w = wx * wy * wz
+        for row, acc in zip(flat_prev, out):
+            # indices are clamped already; "clip" also lets take write into
+            # buf without a temporary
+            np.take(row, idx, out=buf, mode="clip")
+            buf *= w
+            acc += buf
+    del idx, w, buf  # before the cast to a narrower dtype allocates
     out = out.reshape(c, *grid.shape).astype(prev.dtype, copy=False)
     return out[0] if squeeze else out
 

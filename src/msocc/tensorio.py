@@ -52,6 +52,9 @@ class TruncatedPayloadError(TensorIOError):
 
 
 def write_tensor(path, array: np.ndarray) -> None:
+    """Write `array` as a tensor file. A C-contiguous little-endian array's
+    own buffer is written as the payload, with no bytes copy; any other
+    array is first made into one."""
     a = np.ascontiguousarray(array)
     dt = a.dtype.newbyteorder("<") if a.dtype.byteorder == ">" else a.dtype
     a = a.astype(dt, copy=False)
@@ -61,7 +64,7 @@ def write_tensor(path, array: np.ndarray) -> None:
     header += struct.pack(f"<{a.ndim}Q", *a.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(a.tobytes())
+        fh.write(a.data)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -336,6 +336,28 @@ def test_inf_prediction_is_numerical_error(tmp_path, scene_dir, capsys):
     assert "stage 'postprocess'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_semantic_prediction_is_numerical_error(tmp_path, scene_dir,
+                                                          capsys, value):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    entry = inp / "preds" / "model_b_entry3_sem.msoc"
+    sem = read_tensor(entry)
+    sem[2, 1, 1, 0] = value
+    write_tensor(entry, sem)
+    capsys.readouterr()
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 3
+    assert "ensembled semantics" in capsys.readouterr().err
+    assert not (tmp_path / "sem.msoc").exists()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'postprocess'" in err and "ensembled semantics" in err
+    assert not (tmp_path / "out" / "final_labels.msoc").exists()
+
+
 def test_single_frame_rejected_before_any_stage(tmp_path, scene_dir, capsys):
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)

@@ -231,3 +231,13 @@ def test_matches_sorted_index(dtype):
         assert out.dtype == np.float64
         assert out.tobytes() == want.tobytes()
     assert nonempty >= 10
+
+
+def test_float32_grid_is_cast_of_float64_grid():
+    for seed in range(4):
+        rig, f, g, features, depths = small_setup(seed + 3000, ch=3)
+        idx = build_pooling_index(rig, f, g)
+        want = lift_and_pool(features, depths, idx).astype(np.float32)
+        out = lift_and_pool(features, depths, idx, dtype=np.float32)
+        assert out.dtype == np.float32 and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()

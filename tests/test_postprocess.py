@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from msocc import postprocess as pp
+from msocc.checks import NumericalError
 from msocc.gt_multiscale import FREE
 
 
@@ -138,6 +140,79 @@ class TestEnsemble:
                 pp.ensemble(wrap([e]), wrap([]))
             with pytest.raises(ValueError):
                 pp.ensemble(wrap([e]), wrap([bad]))
+
+
+def expression_ensemble(a, b, wa, wb):
+    """Reference fusion: each entry cast to float64 and weighted as one
+    whole-volume expression, summed entry by entry, then divided by the
+    norm and argmaxed."""
+    occ_sum = np.zeros(a[0][0].shape)
+    sem_sum = np.zeros(a[0][1].shape)
+    for w, entries in ((wa, a), (wb, b)):
+        for occ, sem in entries:
+            occ_sum += w * occ.astype(np.float64)
+            sem_sum += w * sem.astype(np.float64)
+    norm = wa * len(a) + wb * len(b)
+    return occ_sum / norm, np.argmax(sem_sum / norm, axis=0).astype(np.uint8)
+
+
+class TestEnsembleBytes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 4, 3, 2), (1, 4, 3, 2),
+                                       (3, 1, 4, 2)], ids=["k5", "k1", "nx1"])
+    @pytest.mark.parametrize("weights", [(0.45, 0.55), (2, 3), (0.1, 7.3)],
+                             ids=["default", "int", "uneven"])
+    def test_matches_expression(self, dtype, shape, weights):
+        rng = np.random.default_rng(21)
+        tags = pp.enumerate_tta()
+
+        def entries(n):
+            # de-augmented flipped views, as the pipeline passes them
+            return [pp.deaugment(tags[j % 8],
+                                 rng.random(shape[1:]).astype(dtype),
+                                 rng.random(shape).astype(dtype))
+                    for j in range(n)]
+
+        a, b = entries(5), entries(3)
+        assert any(not s.flags.c_contiguous for _, s in a)
+        occ, label = pp.ensemble(a, b, pp.EnsembleConfig(*weights))
+        want_occ, want_label = expression_ensemble(a, b, *weights)
+        assert occ.dtype == np.float64 and label.dtype == np.uint8
+        assert occ.tobytes() == want_occ.tobytes()
+        assert label.tobytes() == want_label.tobytes()
+
+    def test_memory(self):
+        rng = np.random.default_rng(22)
+        shape = (64, 64, 16)
+        entries = [(rng.random(shape, dtype=np.float32),
+                    rng.random((17, *shape), dtype=np.float32))
+                   for _ in range(4)]
+        one = entries[0][0].nbytes + entries[0][1].nbytes
+        tracemalloc.start()
+        try:
+            pp.ensemble(entries[:2], entries[2:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 sums are 2x one entry; no float64 copy of an entry
+        assert peak <= 4.5 * one
+
+    def test_semantic_shape_must_match_occupancy(self):
+        e = (np.zeros((2, 2, 1)), np.zeros((3, 2, 3, 1)))
+        with pytest.raises(ValueError, match="shapes"):
+            pp.ensemble([e], [e])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", [0, 1], ids=["occ", "sem"])
+    def test_nonfinite_entry_raises(self, value, part):
+        rng = np.random.default_rng(23)
+        a = [(rng.random((3, 3, 2)), rng.random((4, 3, 3, 2)))
+             for _ in range(2)]
+        a[1][part].flat[5] = value
+        with pytest.raises(NumericalError,
+                           match=("occupancy", "semantics")[part]):
+            pp.ensemble(a, a[:1])
 
 
 class TestThresholds:

@@ -349,8 +349,9 @@ class TestWarpVoxelGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # peak in units of one (C, N) float64 grid
-        assert peak <= 3.6 * a.nbytes
+        # peak in units of one (C, N) float64 grid: the sum, the per-axis
+        # options and one row buffer
+        assert peak <= 2.5 * a.nbytes
 
     def test_bad_mode(self):
         g = small_grid()

@@ -26,6 +26,43 @@ def test_all_dtypes(tmp_path, dtype):
     assert np.array_equal(tensorio.read_tensor(p), a)
 
 
+def file_bytes(array):
+    """The tensor file of `array`: header, then the little-endian C-order
+    payload."""
+    a = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<"))
+    code = {"f4": 0, "f8": 1, "u1": 2, "i4": 3}[a.dtype.str[1:]]
+    return (b"MSOC" + struct.pack("<HBB", 1, code, a.ndim)
+            + struct.pack(f"<{a.ndim}Q", *a.shape) + a.tobytes())
+
+
+@pytest.mark.parametrize("a", [
+    *((np.arange(60).reshape(3, 4, 5) * 7 % 11).astype(dt)
+      for dt in ("<f4", "<f8", "u1", "<i4")),
+    (np.arange(24).reshape(2, 3, 4) / 3).astype(">f4"),
+    np.arange(24, dtype=">i4").reshape(4, 6),
+    np.arange(120, dtype=np.float64).reshape(4, 5, 6)[::2, :, 1::2],
+    np.flip(np.arange(24, dtype=np.float32).reshape(2, 12), axis=1),
+    np.zeros((3, 0, 2), dtype=np.float32),
+], ids=["f4", "f8", "u1", "i4", "big_f4", "big_i4", "strided", "flipped",
+        "empty"])
+def test_file_is_header_then_payload(tmp_path, a):
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, a)
+    assert p.read_bytes() == file_bytes(a)
+    assert np.array_equal(tensorio.read_tensor(p), a)
+
+
+def test_write_copies_no_payload(tmp_path):
+    a = np.random.default_rng(2).standard_normal(1 << 19)  # 4 MB
+    tracemalloc.start()
+    try:
+        tensorio.write_tensor(tmp_path / "t.msoc", a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * a.nbytes
+
+
 def test_bad_magic(tmp_path):
     p = tmp_path / "bad.msoc"
     p.write_bytes(b"XXXX" + b"\x00" * 20)

@@ -12,12 +12,9 @@ class NumericalError(Exception):
 
 
 def check_finite(name: str, arr) -> None:
-    """Raise NumericalError if `arr` holds a NaN or an inf.
-
-    A NaN makes the minimum and the maximum NaN and an inf makes one of
-    them infinite, so two reductions decide it without a full-size boolean
-    temporary; NaN and inf are counted only to report a failure.
-    """
+    """Raise NumericalError if `arr` holds a NaN or an inf. Two reductions
+    decide it with no full-size boolean temporary; `test_any_position_fails`
+    pins that they see every NaN and inf."""
     arr = np.asarray(arr)
     if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NumericalError(f"{name}: {int(np.isnan(arr).sum())} NaN, "

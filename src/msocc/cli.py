@@ -24,11 +24,13 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+DEFAULTS = PipelineConfig()
+
 
 def _add_depth_flags(p):
-    p.add_argument("--depth-min", type=float, default=1.0)
-    p.add_argument("--depth-max", type=float, default=13.0)
-    p.add_argument("--depth-step", type=float, default=1.0)
+    p.add_argument("--depth-min", type=float, default=DEFAULTS.depth_min)
+    p.add_argument("--depth-max", type=float, default=DEFAULTS.depth_max)
+    p.add_argument("--depth-step", type=float, default=DEFAULTS.depth_step)
 
 
 def _depth_config(args) -> PipelineConfig:
@@ -121,6 +123,7 @@ def cmd_loss(args):
               "gamma": args.gamma, "weight_mode": args.weight_mode}
     pipeline.check_finite("loss report", list(report.values())[:4])
     pipeline.write_json(args.out, report)
+    _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
@@ -147,9 +150,9 @@ def cmd_deaug(args):
 
 
 def cmd_ensemble(args):
-    occ_prob, sem_label = pipeline.fuse(
+    occ_prob, sem_label = postprocess.ensemble(
         *pipeline.load_prediction_sets(args.preds),
-        (args.weight_a, args.weight_b))
+        postprocess.EnsembleConfig(args.weight_a, args.weight_b))
     write_tensor(args.out_occ, occ_prob.astype(np.float32))
     write_tensor(args.out_sem, sem_label)
     _write_meta(args.out_occ + ".meta.json", args)
@@ -172,6 +175,7 @@ def cmd_eval(args):
     except metrics.LabelError as e:  # name the --pred or --gt file
         raise PipelineStageError("eval", getattr(args, e.side), e) from e
     pipeline.write_json(args.out, report)
+    _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
@@ -203,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--camera", type=int, default=0)
     s.add_argument("--pose-current", required=True)
     s.add_argument("--pose-previous", required=True)
-    s.add_argument("--stride", type=int, default=4)
+    s.add_argument("--stride", type=int, default=DEFAULTS.cost_stride)
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_cost_volume)
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth-logits", required=True)
     s.add_argument("--rig", required=True)
     s.add_argument("--grid", required=True)
-    s.add_argument("--stride", type=int, default=8)
+    s.add_argument("--stride", type=int, default=DEFAULTS.strides[0])
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_lift)
@@ -231,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--occ", required=True)
     s.add_argument("--sem", required=True)
     s.add_argument("--mask", required=True)
-    s.add_argument("--levels", type=int, default=3)
-    s.add_argument("--num-classes", type=int, default=17)
+    s.add_argument("--levels", type=int, default=len(DEFAULTS.strides))
+    s.add_argument("--num-classes", type=int, default=DEFAULTS.num_classes)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_gt_downsample)
 
@@ -244,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mask", required=True)
     s.add_argument("--depth-logits")
     s.add_argument("--gt-depth")
-    s.add_argument("--gamma", type=float, default=2.0)
+    s.add_argument("--gamma", type=float, default=DEFAULTS.gamma)
     s.add_argument("--weight-mode", choices=("inverse_frequency", "uniform"),
-                   default="inverse_frequency")
+                   default=DEFAULTS.weight_mode)
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_loss)
@@ -268,8 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ensemble", help="fuse two models' prediction sets")
     s.add_argument("--preds", required=True,
                    help="directory with tags.json and entry tensors")
-    s.add_argument("--weight-a", type=float, default=0.45)
-    s.add_argument("--weight-b", type=float, default=0.55)
+    s.add_argument("--weight-a", type=float,
+                   default=DEFAULTS.ensemble_weights[0])
+    s.add_argument("--weight-b", type=float,
+                   default=DEFAULTS.ensemble_weights[1])
     s.add_argument("--out-occ", required=True)
     s.add_argument("--out-sem", required=True)
     s.set_defaults(func=cmd_ensemble)
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pred", required=True)
     s.add_argument("--gt", required=True)
     s.add_argument("--mask", required=True)
-    s.add_argument("--num-classes", type=int, default=17)
+    s.add_argument("--num-classes", type=int, default=DEFAULTS.num_classes)
     s.add_argument("--include-free", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_eval)

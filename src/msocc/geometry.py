@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,10 +67,7 @@ class Intrinsics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "width": self.width, "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
@@ -110,16 +107,14 @@ class RigidTransform:
         return cls(r, np.asarray(t, dtype=np.float64))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to points of shape (..., 3); returns a C-ordered array.
+        """Apply to points of shape (..., 3); returns a C-ordered array
+        whose bytes `test_apply_matches_matmul_bytes` pins to `p @ R.T + t`.
 
-        Bytes equal `points @ R.T + t`, which a test pins. The product runs
-        in blocks of _APPLY_BLOCK_ROWS points, each small enough that
-        OpenBLAS keeps it on one thread: a 2-thread small-K product leaves
-        its worker thread spinning, and when the process gets only one CPU
-        a lattice-sized call then stalls (0.26 s instead of 0.013 s for
-        664,576 points, measured on a shared 2-CPU VM). Every output row is
-        the same 3-term product either way, so blocking changes no byte.
-        The translation is added in place.
+        The product runs in blocks of _APPLY_BLOCK_ROWS points, each small
+        enough that OpenBLAS keeps it on one thread: a 2-thread small-K
+        product leaves its worker thread spinning, and when the process
+        gets only one CPU a lattice-sized call then stalls (0.26 s instead
+        of 0.013 s for 664,576 points, measured on a shared 2-CPU VM).
         """
         p = np.asarray(points, dtype=np.float64)
         if p.shape[-1:] != (3,):

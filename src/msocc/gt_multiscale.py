@@ -73,6 +73,8 @@ class MultiScaleGT:
 def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
                   levels: int = 3, num_classes: int = 17) -> MultiScaleGT:
     """Ground-truth pyramid with `levels` scales, level 0 the input itself."""
+    if not np.shape(occ) == np.shape(sem) == np.shape(mask):
+        raise ValueError("shape mismatch")
     if ((sem == FREE) != (occ == 0)).any():
         raise ValueError("semantics must be FREE exactly where occupancy is 0")
     occs, sems, masks = [occ], [sem], [mask]

@@ -51,6 +51,8 @@ def class_frequency_weights(sem: np.ndarray, occ: np.ndarray,
     mean 1. Semantic frequencies are taken over masked occupied voxels;
     absent classes get the 1/eps ceiling before normalization."""
     m = np.asarray(mask, dtype=bool)
+    if np.shape(sem) != m.shape or np.shape(occ) != m.shape:
+        raise ValueError("shape mismatch")
     if not m.any():
         raise ValueError("empty visibility mask")
     occ_m = np.asarray(occ)[m]
@@ -99,6 +101,8 @@ def focal_sem_loss(sem_logits: np.ndarray, gt: np.ndarray,
         raise ValueError("gamma must be non-negative")
     z = np.asarray(sem_logits, dtype=np.float64)
     k = z.shape[0]
+    if len({z.shape[1:], np.shape(gt), np.shape(occ_gt), np.shape(mask)}) > 1:
+        raise ValueError("shape mismatch")
     contrib = np.asarray(mask, dtype=bool) & (np.asarray(occ_gt) == 1)
     if not contrib.any():
         raise ValueError("no masked occupied voxels")
@@ -136,6 +140,8 @@ def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
     z = np.asarray(depth_logits, dtype=np.float64)
     d = z.shape[0]
     v = np.asarray(valid, dtype=bool)
+    if z.shape[1:] != v.shape or np.shape(gt_depth) != v.shape:
+        raise ValueError("shape mismatch")
     if not v.any():
         raise ValueError("no valid depth pixels")
     bins = f.bin_of(np.asarray(gt_depth))

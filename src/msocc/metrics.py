@@ -29,18 +29,6 @@ class ConfusionTally:
         self.matrix = np.zeros((n, n), dtype=np.int64)
 
     @property
-    def tp(self) -> np.ndarray:
-        return self.matrix.diagonal()[:self.num_classes]
-
-    @property
-    def fp(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)[:self.num_classes] - self.tp
-
-    @property
-    def fn(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)[:self.num_classes] - self.tp
-
-    @property
     def voxels_evaluated(self) -> int:
         return int(self.matrix.sum())
 

@@ -198,12 +198,6 @@ def load_prediction_sets(preds_dir: str):
     return entries("a"), entries("b")
 
 
-def fuse(entries_a, entries_b, weights):
-    """The ensemble of two prediction sets; it checks its own sums."""
-    return postprocess.ensemble(entries_a, entries_b,
-                                postprocess.EnsembleConfig(*weights))
-
-
 def threshold_table(path: str | None) -> dict:
     """Class-wise thresholds from the table at `path`, or the built-in
     defaults when it is None."""
@@ -355,7 +349,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     with _stage("postprocess", os.path.join(preds, "tags.json")):
         prediction_sets = load_prediction_sets(preds)
     with _stage("postprocess", preds):
-        occ_prob, sem_label = fuse(*prediction_sets, cfg.ensemble_weights)
+        occ_prob, sem_label = postprocess.ensemble(
+            *prediction_sets, postprocess.EnsembleConfig(*cfg.ensemble_weights))
         final = postprocess.apply_thresholds(occ_prob, sem_label, thresholds)
         write_tensor(os.path.join(out, "occ_prob.msoc"),
                      occ_prob.astype(np.float32))

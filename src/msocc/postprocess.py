@@ -4,10 +4,6 @@ ensembling, and class-wise occupancy thresholding.
 The flip group has 8 members: image horizontal flip plus voxel-space flips
 along the two BEV axes. The image flip diversifies the network input but
 needs no volume-space inverse; only the voxel flips are undone here.
-
-The ensemble streams each entry, one volume row at a time, through one
-reused float64 buffer, so no float64 copy of a whole entry is made; see
-`ensemble` for why its operation order is fixed.
 """
 
 from __future__ import annotations
@@ -109,20 +105,13 @@ def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
     """Weighted fusion of two models' de-augmented prediction sets.
 
     Each entry is (occ_prob, sem_prob) with sem_prob.shape[1:] ==
-    occ_prob.shape. The sets may be any iterables; they are consumed one
-    entry at a time, so only that entry, the float64 running sums and one
-    float64 row buffer of the occupancy shape are held. The weighted sums
-    are normalized by the weighted entry count so occ stays a probability
-    (the paper-style raw sums rescaled to [0, 1]); sem is the argmax of the
-    identically normalized semantic sum, ties to the smallest class id.
-
-    The occupancy and then each class row of an entry is cast to float64
-    and weighted into the buffer, then added to its sum; the sums are
-    divided by the norm in place. That is the rounding of `weight *
-    x.astype(np.float64)` summed entry by entry, then `/ norm`; folding the
-    weight into the norm or another entry order changes bytes. A NaN or inf
-    in an entry makes its float64 sum non-finite, and either normalized sum
-    holding one raises NumericalError.
+    occ_prob.shape; the sets may be any iterables and are consumed one
+    entry at a time. The weighted sums are normalized by the weighted entry
+    count so occ stays a probability (the paper-style raw sums rescaled to
+    [0, 1]); sem is the argmax of the identically normalized semantic sum,
+    ties to the smallest class id. `TestEnsembleBytes` pins the operation
+    order and the memory peak. A NaN or inf in an entry raises
+    NumericalError.
     """
     occ_sum = sem_sum = buf = None
     counts = []

@@ -3,17 +3,9 @@
 The matching cost is the channel-mean dot product between the current
 feature and the previous feature bilinearly sampled at the reprojection of
 each depth hypothesis, one depth plane at a time. Hypotheses reprojecting
-outside the previous image score zero. Both feature maps are cast to
-float64 once per call. The sampler gathers each of a plane's four corners
-into one of two reused (C, H, W) buffers, weights it in place by its x and
-then its y weight, and adds it to the sum in a fixed corner order; that
-operation order is the rounding of the four-term bilinear formula, so the
-cost volume's bytes do not depend on how the buffers are reused. The voxel
-warp builds, per axis, the (clamped source index, weight) options of every
-cell once, then streams each corner of their product channel by channel
-through one reused float64 row, so warping a float64 grid allocates one
-full-size array, the (C, N) sum; its corner order and weight product are
-fixed likewise.
+outside the previous image score zero. The sampler and the voxel warp
+reuse buffers in a fixed operation order, whose bytes `TestBilinearSample`
+and `test_matches_eight_corner_loop` pin.
 """
 
 from __future__ import annotations
@@ -38,14 +30,8 @@ def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     """Sample (C, H, W) at continuous pixel coords; centers at integer + 0.5.
 
     Out-of-bounds samples (where the footprint would leave the image) return 0.
-    Returns float64 (C, ...) matching the shape of u.
-
-    The image is cast to float64 once (a no-op for a float64 image). Each
-    corner is gathered into one of two (C, ...) buffers and weighted in
-    place, first by its x weight and then by its y weight; the corners are
-    added in the order (x0, y0), (x1, y0), (x0, y1), (x1, y1). That is the
-    rounding of `sample * wx * wy` summed left to right, so the order is
-    fixed: a folded weight `wx * wy` or another corner order changes bytes.
+    Returns float64 (C, ...) matching the shape of u. The corner and weight
+    order is fixed; `TestBilinearSample` pins it to the four-term formula.
     """
     c, h, w = image.shape
     x = np.asarray(u, dtype=np.float64) - 0.5
@@ -64,16 +50,14 @@ def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     gy = 1 - fy
     img = image.reshape(c, -1).astype(np.float64, copy=False)
     base = y0c * w + x0c
-    last = h * w - 1  # degenerate 1-pixel axes carry zero weight anyway
-    corners = ((base, gx, gy), (np.minimum(base + 1, last), fx, gy),
-               (np.minimum(base + w, last), gx, fy),
-               (np.minimum(base + w + 1, last), fx, fy))
+    # take's "clip" clamps the corners past a degenerate 1-pixel axis, which
+    # carry zero weight, and lets it write into dst without a temporary
+    corners = ((base, gx, gy), (base + 1, fx, gy), (base + w, gx, fy),
+               (base + w + 1, fx, fy))
     s = np.empty((c, *x.shape))
     buf = np.empty_like(s)
     for i, (idx, wx, wy) in enumerate(corners):
         dst = buf if i else s
-        # indices are clamped already; "clip" also lets take write into dst
-        # without a temporary
         np.take(img, idx, axis=1, out=dst, mode="clip")
         dst *= wx
         dst *= wy
@@ -139,14 +123,8 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     For each current cell center x, the source location is invert(rel)(x) in
     continuous cell coordinates of `prev`; out-of-grid samples are zero.
     mode: "nearest" (exact copy under identity motion, suitable for labels)
-    or "trilinear" (feature grids). Each axis gets its options once:
-    (clamped source index, weight * in-range), one of weight 1 for nearest,
-    (lo, 1 - frac) and (lo + 1, frac) for trilinear. The corners are the
-    product of the three axes' options, z fastest. Each corner's flat source
-    index and weight `wx * wy * wz` are computed once; then, channel by
-    channel, the corner is gathered into one reused float64 row, weighted in
-    place and added to that channel's sum. Splitting the work by channel
-    keeps the bytes; another corner order or weight grouping changes them.
+    or "trilinear" (feature grids). The corner order and weight grouping
+    are fixed; `test_matches_eight_corner_loop` pins them.
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -184,8 +162,7 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
         idx = (ix * ny + iy) * nz + iz
         w = wx * wy * wz
         for row, acc in zip(flat_prev, out):
-            # indices are clamped already; "clip" also lets take write into
-            # buf without a temporary
+            # "clip" lets take write into buf without a temporary
             np.take(row, idx, out=buf, mode="clip")
             buf *= w
             acc += buf

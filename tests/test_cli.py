@@ -290,6 +290,77 @@ def test_loss_subcommand_no_valid_depth_is_validation_error(tmp_path, scene_dir)
     assert rc == 2
 
 
+def test_loss_subcommand_depth_shape_mismatch_is_validation_error(
+        tmp_path, scene_dir, capsys):
+    write_tensor(tmp_path / "dlogits.msoc", np.zeros((12, 12, 16), np.float32))
+    write_tensor(tmp_path / "gt_depth.msoc", np.full((96, 128), 5.0))
+    capsys.readouterr()
+    rc = main(["loss",
+               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+               "--gt-occ", str(scene_dir / "gt_occ.msoc"),
+               "--gt-sem", str(scene_dir / "gt_sem.msoc"),
+               "--mask", str(scene_dir / "mask.msoc"),
+               "--depth-logits", str(tmp_path / "dlogits.msoc"),
+               "--gt-depth", str(tmp_path / "gt_depth.msoc"),
+               "--out", str(tmp_path / "loss.json")])
+    assert rc == 2
+    assert "shape mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "loss.json").exists()
+
+
+def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):
+    rc = main(["loss",
+               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+               "--gt-occ", str(scene_dir / "gt_occ.msoc"),
+               "--gt-sem", str(scene_dir / "gt_sem.msoc"),
+               "--mask", str(scene_dir / "mask.msoc"),
+               "--depth-min", "2.0", "--depth-max", "10.0",
+               "--depth-step", "0.5", "--gamma", "1.5",
+               "--out", str(tmp_path / "loss.json")])
+    assert rc == 0
+    meta = json.loads((tmp_path / "loss.json.meta.json").read_text())
+    assert (meta["depth_min"], meta["depth_max"], meta["depth_step"],
+            meta["gamma"]) == (2.0, 10.0, 0.5, 1.5)
+
+    labels = np.zeros((4, 4, 2), np.uint8)
+    for name in ("pred", "gt", "mask"):
+        write_tensor(tmp_path / f"{name}.msoc", labels + (name == "mask"))
+    rc = main(["eval", "--pred", str(tmp_path / "pred.msoc"),
+               "--gt", str(tmp_path / "gt.msoc"),
+               "--mask", str(tmp_path / "mask.msoc"), "--num-classes", "5",
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 0
+    meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+    assert meta["num_classes"] == 5
+
+
+def test_gt_downsample_mask_shape_mismatch_is_validation_error(
+        tmp_path, scene_dir, capsys):
+    write_tensor(tmp_path / "mask.msoc", np.ones((12, 12, 16), np.uint8))
+    capsys.readouterr()
+    rc = main(["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
+               "--sem", str(scene_dir / "gt_sem.msoc"),
+               "--mask", str(tmp_path / "mask.msoc"),
+               "--out", str(tmp_path / "pyr")])
+    assert rc == 2
+    assert "shape mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "pyr").exists()
+
+
+def test_run_mask_shape_mismatch_fails_in_gt_pyramid(tmp_path, scene_dir,
+                                                     capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    write_tensor(inp / "mask.msoc", np.ones((12, 12, 16), np.uint8))
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'gt_pyramid' failed" in err and "shape mismatch" in err
+
+
 @pytest.mark.parametrize("mode,atol", [("nearest", 0.0), ("trilinear", 1e-6)])
 def test_warp_subcommand_identity(tmp_path, scene_dir, run_dir, mode, atol):
     src = run_dir / "voxel" / "frame01_scale0.msoc"
@@ -472,13 +543,13 @@ def test_eval_label_outside_classes_is_validation_error(tmp_path, capsys, side):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_fuse_holds_one_prediction_entry(scene_dir):
+def test_ensemble_holds_one_prediction_entry(scene_dir):
     preds = str(scene_dir / "preds")
     entry = sum(read_tensor(os.path.join(preds, f"model_a_entry0_{k}.msoc"))
                 .nbytes for k in ("occ", "sem"))
     tracemalloc.start()
     try:
-        pipeline.fuse(*pipeline.load_prediction_sets(preds), (0.45, 0.55))
+        postprocess.ensemble(*pipeline.load_prediction_sets(preds))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -171,3 +171,12 @@ class TestBuildPyramid:
         sem = np.zeros((4, 4, 2), np.uint8)  # label 0 where occ says free
         with pytest.raises(ValueError):
             build_pyramid(occ, sem, np.ones((4, 4, 2), bool))
+
+    @pytest.mark.parametrize("mismatched", ["sem", "mask"])
+    def test_shape_mismatch_rejected(self, mismatched):
+        args = {"occ": np.zeros((4, 4, 2), np.uint8),
+                "sem": np.full((4, 4, 2), FREE, np.uint8),
+                "mask": np.ones((4, 4, 2), bool)}
+        args[mismatched] = args[mismatched][:2, :2]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            build_pyramid(**args)

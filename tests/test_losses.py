@@ -66,6 +66,15 @@ class TestClassFrequencyWeights:
             losses.class_frequency_weights(sem, occ,
                                            np.zeros((2, 2, 2), bool))
 
+    @pytest.mark.parametrize("mismatched", ["sem", "mask"])
+    def test_shape_mismatch_rejected(self, mismatched):
+        args = {"sem": np.zeros((4, 4, 2), np.uint8),
+                "occ": np.ones((4, 4, 2), np.uint8),
+                "mask": np.ones((4, 4, 2), bool)}
+        args[mismatched] = args[mismatched][:2, :2]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            losses.class_frequency_weights(**args)
+
 
 class TestBceOccLoss:
     def test_saturated_correct(self):
@@ -192,6 +201,17 @@ class TestFocalSemLoss:
                                   np.ones_like(occ, bool),
                                   losses.ClassWeights.uniform(2))
 
+    @pytest.mark.parametrize("mismatched", ["sem_logits", "occ_gt", "mask"])
+    def test_shape_mismatch_rejected(self, mismatched):
+        args = {"sem_logits": np.zeros((3, 4, 4, 2)),
+                "gt": np.zeros((4, 4, 2), np.uint8),
+                "occ_gt": np.ones((4, 4, 2), np.uint8),
+                "mask": np.ones((4, 4, 2), bool),
+                "w": losses.ClassWeights.uniform(3)}
+        args[mismatched] = args[mismatched][..., :2, :2, :]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            losses.focal_sem_loss(**args)
+
 
 class TestDepthLoss:
     def frustum(self):
@@ -232,6 +252,14 @@ class TestDepthLoss:
         with pytest.raises(ValueError):
             losses.depth_loss(np.zeros((59, 3, 4)), np.full((3, 4), 5.0),
                               np.zeros((3, 4), bool), f)
+
+    @pytest.mark.parametrize("gt_shape,valid_shape",
+                             [((3, 4), (6, 8)), ((6, 8), (6, 8)),
+                              ((6, 8), (3, 4))])
+    def test_shape_mismatch_rejected(self, gt_shape, valid_shape):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            losses.depth_loss(np.zeros((59, 3, 4)), np.full(gt_shape, 5.0),
+                              np.ones(valid_shape, bool), self.frustum())
 
 
 class TestTotalLoss:

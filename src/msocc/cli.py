@@ -43,8 +43,10 @@ def _parse_transform(text) -> RigidTransform:
 
 
 def _write_meta(path, args):
+    # --out is the file beside the metadata or the directory holding it; it
+    # is left out so the same command into two places writes the same bytes
     pipeline.write_json(path, {k: v for k, v in vars(args).items()
-                               if k != "func"})
+                               if k not in ("func", "out")})
 
 
 def cmd_synth(args):

@@ -140,7 +140,16 @@ def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
     sem_sum /= norm
     check_finite("ensembled occupancy", occ_sum)
     check_finite("ensembled semantics", sem_sum)
-    return occ_sum, np.argmax(sem_sum, axis=0).astype(np.uint8)
+    # a running max over class rows, in place of argmax over axis 0, which
+    # copies sem_sum; strict > keeps ties on the smallest class id
+    best = sem_sum[0]
+    label = np.zeros(occ_sum.shape, dtype=np.uint8)
+    m = np.empty(occ_sum.shape, dtype=bool)
+    for k in range(1, len(sem_sum)):
+        np.greater(sem_sum[k], best, out=m)
+        np.copyto(label, k, where=m)
+        np.maximum(best, sem_sum[k], out=best)
+    return occ_sum, label
 
 
 def apply_thresholds(occ_prob: np.ndarray, sem_label: np.ndarray,

@@ -2,10 +2,11 @@
 
 The matching cost is the channel-mean dot product between the current
 feature and the previous feature bilinearly sampled at the reprojection of
-each depth hypothesis, one depth plane at a time. Hypotheses reprojecting
-outside the previous image score zero. The sampler and the voxel warp
-reuse buffers in a fixed operation order, whose bytes `TestBilinearSample`
-and `test_matches_eight_corner_loop` pin.
+each depth hypothesis, one depth plane at a time. Each of the four corners
+is gathered from a channel-last copy of `prev` and dotted with `cur`, so the
+(C, H, W) sample is never built. Hypotheses reprojecting outside the
+previous image score +0.0. `test_matches_corner_dot_formula` pins the
+cost volume's bytes and `test_matches_eight_corner_loop` the voxel warp's.
 """
 
 from __future__ import annotations
@@ -18,53 +19,11 @@ from .geometry import (FrustumSpec, Intrinsics, RigidTransform, compose,
                        frustum_points, invert, project)
 
 __all__ = [
-    "bilinear_sample",
     "build_cost_volume",
     "rescale_cost_volume",
     "warp_voxel_grid",
     "stack_temporal",
 ]
-
-
-def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample (C, H, W) at continuous pixel coords; centers at integer + 0.5.
-
-    Out-of-bounds samples (where the footprint would leave the image) return 0.
-    Returns float64 (C, ...) matching the shape of u. The corner and weight
-    order is fixed; `TestBilinearSample` pins it to the four-term formula.
-    """
-    c, h, w = image.shape
-    x = np.asarray(u, dtype=np.float64) - 0.5
-    y = np.asarray(v, dtype=np.float64) - 0.5
-    # valid inside the convex hull of pixel centers; outside scores 0
-    # (epsilon absorbs roundoff from reprojection chains at the border)
-    eps = 1e-9
-    valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
-    x = np.clip(x, 0.0, w - 1.0)
-    y = np.clip(y, 0.0, h - 1.0)
-    x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
-    y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
-    fx = x - x0c
-    fy = y - y0c
-    gx = 1 - fx
-    gy = 1 - fy
-    img = image.reshape(c, -1).astype(np.float64, copy=False)
-    base = y0c * w + x0c
-    # take's "clip" clamps the corners past a degenerate 1-pixel axis, which
-    # carry zero weight, and lets it write into dst without a temporary
-    corners = ((base, gx, gy), (base + 1, fx, gy), (base + w, gx, fy),
-               (base + w + 1, fx, fy))
-    s = np.empty((c, *x.shape))
-    buf = np.empty_like(s)
-    for i, (idx, wx, wy) in enumerate(corners):
-        dst = buf if i else s
-        np.take(img, idx, axis=1, out=dst, mode="clip")
-        dst *= wx
-        dst *= wy
-        if i:
-            s += buf
-    s *= valid
-    return s
 
 
 def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
@@ -76,10 +35,14 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     stride. rel maps previous-ego to current-ego coordinates; cam_to_ego
     (default identity) is the camera extrinsic shared by both frames.
 
-    cost[d, v, u] = <cur[:, v, u], bilinear_sample(prev, reproject(u, v, depth_d))> / C
-
-    `prev` is sampled one depth plane at a time, so memory grows with
-    C * H * W, not with the number of depth bins.
+    cost[d, v, u] = sum of (wx * wy) * <cur[:, v, u], prev[:, corner]> / C
+    over the four pixel centers of prev around the reprojection of (u, v)
+    at depth_d, in the order (base, gx, gy), (base+1, fx, gy), (base+w, gx,
+    fy), (base+w+1, fx, fy). A reprojection outside the hull of pixel
+    centers, or behind the camera, scores +0.0. Memory grows with C * H * W,
+    not with the number of depth bins. `test_matches_corner_dot_formula`
+    pins this order byte for byte; `test_matches_all_planes_formula` bounds
+    it against the four-term sample.
     """
     if cur.shape != prev.shape:
         raise ValueError(f"feature shapes differ: {cur.shape} vs {prev.shape}")
@@ -92,15 +55,36 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     cur_cam_to_prev_cam = compose(invert(cam_to_ego),
                                   compose(invert(rel), cam_to_ego))
     prev_pts = frustum_points(k, f, cur_cam_to_prev_cam)
-    pu, pv, pz = project(prev_pts.reshape(f.num_bins, h, w, 3), k)
+    pu, pv, pz = project(prev_pts.reshape(f.num_bins, -1, 3), k)
     pu = np.where(pz <= 0, -1.0, pu)  # behind the camera: forced out of bounds
-    # einsum over mixed float32/float64 operands sums in another order;
-    # prev is cast here once, not per plane inside the sampler
-    cur = cur.astype(np.float64, copy=False)
-    prev = prev.astype(np.float64, copy=False)
-    cost = np.stack([np.einsum("chw,chw->hw", cur, bilinear_sample(prev, u, v))
-                     for u, v in zip(pu, pv)])
-    return cost / c
+    n = h * w
+    # channel-last float64 rows, so each corner is one row gather
+    cur_t = np.ascontiguousarray(cur.reshape(c, n).T, dtype=np.float64)
+    prev_t = np.ascontiguousarray(prev.reshape(c, n).T, dtype=np.float64)
+    g = np.empty((n, c))
+    cost = np.zeros((f.num_bins, n))
+    # pixel centers sit at integer + 0.5; eps absorbs reprojection roundoff
+    eps = 1e-9
+    for u, v, acc in zip(pu, pv, cost):
+        x, y = u - 0.5, v - 0.5
+        valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
+        x = np.clip(x, 0.0, w - 1.0)
+        y = np.clip(y, 0.0, h - 1.0)
+        x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+        y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+        fx = x - x0c
+        fy = y - y0c
+        gx = 1 - fx
+        gy = 1 - fy
+        base = y0c * w + x0c
+        # take's "clip" clamps the corners past a degenerate 1-pixel axis,
+        # which carry zero weight, and lets it write into g without a copy
+        for idx, wx, wy in ((base, gx, gy), (base + 1, fx, gy),
+                            (base + w, gx, fy), (base + w + 1, fx, fy)):
+            np.take(prev_t, idx, axis=0, out=g, mode="clip")
+            acc += (wx * wy) * np.einsum("pc,pc->p", cur_t, g)
+        np.copyto(acc, 0.0, where=~valid)
+    return cost.reshape(f.num_bins, h, w) / c
 
 
 def rescale_cost_volume(cv: np.ndarray, target_stride: int,

@@ -1,0 +1,29 @@
+"""Reference formulas shared by the test modules."""
+
+import numpy as np
+
+
+def four_term_sample(image, u, v):
+    """Reference bilinear sampler of a (C, H, W) image at continuous pixel
+    coordinates (centers at integer + 0.5): the four weighted corner gathers
+    as one expression, summed left to right, then masked to zero outside
+    the hull of pixel centers."""
+    c, h, w = image.shape
+    x = np.asarray(u, dtype=np.float64) - 0.5
+    y = np.asarray(v, dtype=np.float64) - 0.5
+    eps = 1e-9
+    valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
+    x = np.clip(x, 0.0, w - 1.0)
+    y = np.clip(y, 0.0, h - 1.0)
+    x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+    y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+    fx = x - x0c
+    fy = y - y0c
+    img = image.reshape(c, -1)
+    base = y0c * w + x0c
+    last = h * w - 1
+    s = (img[:, base] * (1 - fx) * (1 - fy)
+         + img[:, np.minimum(base + 1, last)] * fx * (1 - fy)
+         + img[:, np.minimum(base + w, last)] * (1 - fx) * fy
+         + img[:, np.minimum(base + w + 1, last)] * fx * fy)
+    return s * valid

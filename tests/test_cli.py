@@ -45,6 +45,14 @@ def test_synth_layout(scene_dir):
     assert (scene_dir / "preds" / "tags.json").exists()
 
 
+def test_synth_tree_independent_of_out_path(scene_dir, tmp_path):
+    other = tmp_path / "elsewhere" / "inp"
+    rc = main(["synth", "--out", str(other), "--seed", "3", "--cameras", "2",
+               "--boxes", "4", "--frames", "4"])
+    assert rc == 0
+    assert tree_hash(other) == tree_hash(scene_dir)
+
+
 def test_run_oracle_miou(scene_dir, tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--input", str(scene_dir), "--output", str(out)])

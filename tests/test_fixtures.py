@@ -6,6 +6,8 @@ from msocc import geometry as geo
 from msocc.geometry import VoxelGridSpec, voxel_indices
 from msocc.gt_multiscale import FREE
 
+from _reference import four_term_sample
+
 
 class TestValueNoise:
     def test_deterministic(self):
@@ -88,7 +90,6 @@ class TestTexturedPlane:
         assert cur.var() > 0
 
     def test_homography_warp_reproduces(self):
-        from msocc.temporal import bilinear_sample
         k = self.k()
         d_star, b = 10.0, 2.0
         cur, prev, _ = fixtures.textured_plane_features(d_star, k,
@@ -96,7 +97,7 @@ class TestTexturedPlane:
         disp = k.fx * b / d_star
         uu, vv = np.meshgrid(np.arange(k.width) + 0.5,
                              np.arange(k.height) + 0.5)
-        warped = bilinear_sample(prev, uu - disp, vv)
+        warped = four_term_sample(prev, uu - disp, vv)
         valid = uu - disp >= 0.5
         err = np.abs(warped - cur)[:, valid]
         assert err.max() < 1e-3

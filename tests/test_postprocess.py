@@ -194,8 +194,18 @@ class TestEnsembleBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float64 sums are 2x one entry; no float64 copy of an entry
-        assert peak <= 4.5 * one
+        # the float64 sums are 2x one entry; no float64 copy of an entry or
+        # of the semantic sum
+        assert peak <= 2.25 * one
+
+    def test_ties_go_to_smallest_class(self):
+        sem = np.zeros((5, 4, 1, 1))
+        sem[:, 1] = 0.5  # all five classes tie
+        sem[[2, 4], 2] = 0.9  # classes 2 and 4 tie above the rest
+        sem[[3, 4], 3] = 0.7
+        entry = (np.full((4, 1, 1), 0.5), sem)
+        _, label = pp.ensemble([entry], [entry])
+        assert label.ravel().tolist() == [0, 0, 2, 3]
 
     def test_semantic_shape_must_match_occupancy(self):
         e = (np.zeros((2, 2, 1)), np.zeros((3, 2, 3, 1)))

@@ -7,6 +7,8 @@ import pytest
 from msocc import fixtures, temporal
 from msocc import geometry as geo
 
+from _reference import four_term_sample
+
 
 @pytest.fixture
 def k():
@@ -24,63 +26,70 @@ def small_grid():
                              voxel_size=np.array([0.5, 0.5, 0.5]))
 
 
-def four_term_sample(image, u, v):
-    """Reference sampler: the four weighted corner gathers as one
-    expression, summed left to right, then masked."""
-    c, h, w = image.shape
-    x = np.asarray(u, dtype=np.float64) - 0.5
-    y = np.asarray(v, dtype=np.float64) - 0.5
-    eps = 1e-9
-    valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
-    x = np.clip(x, 0.0, w - 1.0)
-    y = np.clip(y, 0.0, h - 1.0)
-    x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
-    y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
-    fx = x - x0c
-    fy = y - y0c
-    img = image.reshape(c, -1)
-    base = y0c * w + x0c
+def sweep(cur_shape, rel, k, f, cam_to_ego=None):
+    """The whole sweep at once: (D, H, W) reprojected u, v with the
+    behind-camera rule applied."""
+    _, h, w = cur_shape
+    cam_to_ego = cam_to_ego or geo.RigidTransform.identity()
+    cur_to_prev = geo.compose(geo.invert(cam_to_ego),
+                              geo.compose(geo.invert(rel), cam_to_ego))
+    dd, vv, uu = np.meshgrid(f.bin_centers(), np.arange(h) + 0.5,
+                             np.arange(w) + 0.5, indexing="ij")
+    pu, pv, pz = geo.project(cur_to_prev.apply(geo.unproject(uu, vv, dd, k)), k)
+    return np.where(pz <= 0, -1.0, pu), pv
+
+
+def four_term_volume(cur, prev, pu, pv):
+    """Reference cost volume: one (C, D, H, W) four-term sample of prev,
+    contracted with cur over channels."""
+    sampled = four_term_sample(prev, pu, pv)
+    return np.einsum("chw,cdhw->dhw", cur.astype(np.float64), sampled) / len(cur)
+
+
+def corner_dot_volume(cur, prev, pu, pv):
+    """Reference cost volume in the corner-dot order: per plane, the
+    (wx * wy)-weighted dot products of cur with the four gathered corners,
+    summed in corner order; invalid pixels set to +0.0; then / C."""
+    c, h, w = cur.shape
+    cur_t = np.ascontiguousarray(cur.reshape(c, -1).T, dtype=np.float64)
+    prev_t = np.ascontiguousarray(prev.reshape(c, -1).T, dtype=np.float64)
     last = h * w - 1
-    s = (img[:, base] * (1 - fx) * (1 - fy)
-         + img[:, np.minimum(base + 1, last)] * fx * (1 - fy)
-         + img[:, np.minimum(base + w, last)] * (1 - fx) * fy
-         + img[:, np.minimum(base + w + 1, last)] * fx * fy)
-    return s * valid
+    planes = []
+    for u, v in zip(pu.reshape(len(pu), -1), pv.reshape(len(pv), -1)):
+        x = u - 0.5
+        y = v - 0.5
+        eps = 1e-9
+        valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
+        x = np.clip(x, 0.0, w - 1.0)
+        y = np.clip(y, 0.0, h - 1.0)
+        x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+        y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+        fx = x - x0c
+        fy = y - y0c
+        base = y0c * w + x0c
+        s = 0.0
+        for idx, wx, wy in ((base, 1 - fx, 1 - fy), (base + 1, fx, 1 - fy),
+                            (base + w, 1 - fx, fy), (base + w + 1, fx, fy)):
+            corner = prev_t[np.minimum(idx, last)]
+            s = s + (wx * wy) * np.einsum("pc,pc->p", cur_t, corner)
+        planes.append(np.where(valid, s, 0.0))
+    return np.stack(planes).reshape(-1, h, w) / c
 
 
-class TestBilinearSample:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("hw", [(9, 13), (1, 13), (9, 1), (1, 1)])
-    def test_matches_four_term_formula(self, dtype, hw):
-        h, w = hw
-        rng = np.random.default_rng(h * 100 + w)
-        image = rng.standard_normal((6, h, w)).astype(dtype)
-        # a (D, H, W) sweep reaching up to 3 pixels past every border
-        u = rng.uniform(-3.0, w + 3.0, (4, 5, 7))
-        v = rng.uniform(-3.0, h + 3.0, (4, 5, 7))
-        # pixel centers, the hull's edges and just inside or outside them
-        u.flat[:6] = [0.5, w - 0.5, 0.5 - 1e-10, w - 0.5 + 1e-10, 0.5 - 1e-6, 1.0]
-        v.flat[:6] = [0.5, h - 0.5, h - 0.5 + 1e-10, 0.5 - 1e-10, 1.0, h - 0.5 + 1e-6]
-        got = temporal.bilinear_sample(image, u, v)
-        want = four_term_sample(image, u, v)
-        assert got.shape == (6, 4, 5, 7) and got.dtype == np.float64
-        assert (got == 0).any() and (got != 0).any()
-        assert got.tobytes() == want.tobytes()
+def assert_close_to_four_term(got, want):
+    """The corner-dot sum order against the four-term sample: within 1e-12
+    of the largest value, the same argmax and the same exact zeros."""
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(np.argmax(got, axis=0), np.argmax(want, axis=0))
+    assert np.array_equal(got == 0, want == 0)
 
-    def test_memory(self):
-        # stereo scale: 64 channels, 64x176 pixels, one depth plane
-        rng = np.random.default_rng(11)
-        image = rng.standard_normal((64, 64, 176))
-        u = rng.uniform(-2.0, 178.0, (64, 176))
-        v = rng.uniform(-2.0, 66.0, (64, 176))
-        tracemalloc.start()
-        try:
-            temporal.bilinear_sample(image, u, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # peak in units of one (C, H, W) float64 map
-        assert peak <= 2.5 * image.nbytes
+
+def rig_camera():
+    """A camera looking along ego +y, mounted 1.5 m up and 0.5 m aside."""
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    return geo.RigidTransform(
+        geo.RigidTransform.from_yaw(0.3).rotation @ axes, (0.5, 0.0, 1.5))
 
 
 class TestCostVolume:
@@ -106,12 +115,35 @@ class TestCostVolume:
 
     def test_out_of_bounds_scores_zero(self, k, frustum):
         rng = np.random.default_rng(1)
+        # cur * prev < 0, so a zero made by multiplying would be -0.0
         cur = rng.standard_normal((2, 32, 48)) + 5.0
-        prev = rng.standard_normal((2, 32, 48)) + 5.0
+        prev = rng.standard_normal((2, 32, 48)) - 5.0
         # huge lateral motion pushes every reprojection off the image
         rel = geo.RigidTransform.from_translation([1e5, 0.0, 0.0])
         cv = temporal.build_cost_volume(cur, prev, rel, k, frustum)
-        assert np.all(cv == 0.0)
+        assert np.all(cv == 0.0) and not np.signbit(cv).any()
+
+    def test_behind_camera_scores_zero(self, k, frustum):
+        rng = np.random.default_rng(3)
+        cur = rng.standard_normal((2, 32, 48)) + 5.0
+        prev = rng.standard_normal((2, 32, 48)) - 5.0
+        # the previous camera sits 9.5 m ahead, so the planes at 7-9 m lie
+        # behind it
+        rel = geo.RigidTransform.from_translation([0.0, 0.0, 9.5])
+        behind = frustum.bin_centers() < 9.5
+        assert 0 < behind.sum() < frustum.num_bins
+        # unforced, their mirrored projections would partly land inside
+        dd, vv, uu = np.meshgrid(frustum.bin_centers()[behind],
+                                 np.arange(32) + 0.5, np.arange(48) + 0.5,
+                                 indexing="ij")
+        mu, mv, _ = geo.project(
+            geo.invert(rel).apply(geo.unproject(uu, vv, dd, k)), k)
+        assert ((mu > 0.5) & (mu < 47.5) & (mv > 0.5) & (mv < 31.5)).any()
+        cv = temporal.build_cost_volume(cur, prev, rel, k, frustum)
+        assert np.all(cv[behind] == 0.0) and (cv[~behind] != 0).any()
+        assert not np.signbit(cv[cv == 0]).any()
+        assert_close_to_four_term(
+            cv, four_term_volume(cur, prev, *sweep(cur.shape, rel, k, frustum)))
 
     def test_bilinear_in_prev_features(self, k, frustum):
         rng = np.random.default_rng(2)
@@ -123,28 +155,72 @@ class TestCostVolume:
         assert np.allclose(a, b, atol=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_corner_dot_formula(self, k, frustum, dtype):
+        rng = np.random.default_rng(9)
+        cur = rng.standard_normal((5, 32, 48)).astype(dtype)
+        prev = rng.standard_normal((5, 32, 48)).astype(dtype)
+        rel = geo.RigidTransform.from_yaw(0.04, (0.8, 0.3, 0.0))
+        want = corner_dot_volume(cur, prev,
+                                 *sweep(cur.shape, rel, k, frustum, rig_camera()))
+        got = temporal.build_cost_volume(cur, prev, rel, k, frustum,
+                                         cam_to_ego=rig_camera())
+        assert (want != 0).mean() > 0.5
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_all_planes_formula(self, k, frustum, dtype):
         rng = np.random.default_rng(9)
         cur = rng.standard_normal((5, 32, 48)).astype(dtype)
         prev = rng.standard_normal((5, 32, 48)).astype(dtype)
         rel = geo.RigidTransform.from_yaw(0.04, (0.8, 0.3, 0.0))
-        # camera looking along ego +y, mounted 1.5 m up and 0.5 m aside
-        axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        cam_to_ego = geo.RigidTransform(
-            geo.RigidTransform.from_yaw(0.3).rotation @ axes, (0.5, 0.0, 1.5))
-        # the whole sweep at once: one (C, D, H, W) sample tensor
-        cur_to_prev = geo.compose(geo.invert(cam_to_ego),
-                                  geo.compose(geo.invert(rel), cam_to_ego))
-        dd, vv, uu = np.meshgrid(frustum.bin_centers(), np.arange(32) + 0.5,
-                                 np.arange(48) + 0.5, indexing="ij")
-        pu, pv, pz = geo.project(
-            cur_to_prev.apply(geo.unproject(uu, vv, dd, k)), k)
-        sampled = four_term_sample(prev, np.where(pz <= 0, -1.0, pu), pv)
-        want = np.einsum("chw,cdhw->dhw", cur.astype(np.float64), sampled) / 5
+        want = four_term_volume(cur, prev,
+                                *sweep(cur.shape, rel, k, frustum, rig_camera()))
         got = temporal.build_cost_volume(cur, prev, rel, k, frustum,
-                                         cam_to_ego=cam_to_ego)
+                                         cam_to_ego=rig_camera())
         assert (want != 0).mean() > 0.5
-        assert np.array_equal(got, want)
+        assert_close_to_four_term(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hw", [(9, 13), (1, 13), (9, 1), (1, 1)])
+    def test_matches_four_term_sample(self, dtype, hw):
+        h, w = hw
+        rng = np.random.default_rng(h * 100 + w)
+        cur = rng.standard_normal((6, h, w)).astype(dtype)
+        prev = rng.standard_normal((6, h, w)).astype(dtype)
+        k = geo.Intrinsics(fx=50, fy=50, cx=w / 2, cy=h / 2, width=w, height=h)
+        f = geo.FrustumSpec(w, h, 1, depth_min=6.5, depth_max=14.5)
+        # on a 1-pixel axis every corner clamps onto its one row or column,
+        # and only reprojections onto its center line are valid: each motion
+        # keeps that line and moves some pixels off the image
+        rel = {(9, 13): geo.RigidTransform.from_yaw(0.04, (0.8, 0.3, 0.0)),
+               (1, 13): geo.RigidTransform.from_translation([0.7, 0.0, 0.0]),
+               (9, 1): geo.RigidTransform.from_translation([0.0, 0.7, 0.0]),
+               (1, 1): geo.RigidTransform.from_translation([0.0, 0.0, 9.5]),
+               }[hw]
+        got = temporal.build_cost_volume(cur, prev, rel, k, f)
+        want = four_term_volume(cur, prev, *sweep(cur.shape, rel, k, f))
+        assert (got == 0).any() and (got != 0).any()
+        assert_close_to_four_term(got, want)
+
+    def test_memory(self):
+        # stereo scale: 64 channels, 64x176 pixels, one depth plane
+        k = geo.Intrinsics(fx=88, fy=88, cx=88, cy=32, width=176, height=64)
+        f = geo.FrustumSpec(176, 64, 1, depth_min=10.0, depth_max=11.0)
+        assert f.num_bins == 1
+        rng = np.random.default_rng(11)
+        cur = rng.standard_normal((64, 64, 176))
+        prev = rng.standard_normal((64, 64, 176))
+        rel = geo.RigidTransform.from_yaw(0.02, (0.5, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            temporal.build_cost_volume(cur, prev, rel, k, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # peak in units of one (C, H, W) float64 map: the channel-last
+        # copies of cur and prev, one corner gather buffer, and per-pixel
+        # vectors
+        assert peak <= 3.5 * cur.nbytes
 
     def test_memory_independent_of_depth_bins(self):
         # stereo scale: 64 channels, 64x176 pixels, 59 depth bins

@@ -37,4 +37,5 @@ for occ, sem, mask in zip(pyramid.occ, pyramid.sem, pyramid.mask):
 report = losses.total_loss([a for a, _ in per_scale],
                            [b for _, b in per_scale],
                            [0.0, 0.0, 0.0])
-print(f"weighted total: {report.total:.4f} (alphas {report.alphas})")
+alphas = [row["alpha"] for row in report["scales"]]
+print(f"weighted total: {report['total']:.4f} (alphas {alphas})")

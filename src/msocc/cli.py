@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fixtures, losses, metrics, pipeline, postprocess, temporal
+from . import fixtures, metrics, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import build_pyramid
 from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
@@ -33,9 +33,9 @@ def _add_depth_flags(p):
     p.add_argument("--depth-step", type=float, default=DEFAULTS.depth_step)
 
 
-def _depth_config(args) -> PipelineConfig:
+def _depth_config(args, **fields) -> PipelineConfig:
     return PipelineConfig(depth_min=args.depth_min, depth_max=args.depth_max,
-                          depth_step=args.depth_step)
+                          depth_step=args.depth_step, **fields)
 
 
 def _parse_transform(text) -> RigidTransform:
@@ -106,21 +106,13 @@ def cmd_gt_downsample(args):
 
 
 def cmd_loss(args):
-    occ_logits = read_tensor(args.occ_logits).astype(np.float64)
-    sem_logits = read_tensor(args.sem_logits).astype(np.float64)
-    lo, ls = pipeline.scale_losses(
-        occ_logits, sem_logits, read_tensor(args.gt_occ),
-        read_tensor(args.gt_sem), read_tensor(args.mask).astype(bool),
-        sem_logits.shape[0], args.weight_mode, args.gamma)
-    ld = 0.0
-    if args.depth_logits and args.gt_depth:
-        dlogits = read_tensor(args.depth_logits).astype(np.float64)
-        gt_depth = read_tensor(args.gt_depth)
-        f = pipeline.frustum(_depth_config(args), 1, *dlogits.shape[1:])
-        valid = f.in_range(gt_depth)
-        ld, _ = losses.depth_loss(dlogits,
-                                  np.where(valid, gt_depth, args.depth_min),
-                                  valid, f)
+    cfg = _depth_config(args, gamma=args.gamma, weight_mode=args.weight_mode)
+    depth = ((read_tensor(args.depth_logits), read_tensor(args.gt_depth))
+             if args.depth_logits and args.gt_depth else ())
+    lo, ls, ld = pipeline.scale_losses(
+        cfg, read_tensor(args.occ_logits), read_tensor(args.sem_logits),
+        read_tensor(args.gt_occ), read_tensor(args.gt_sem),
+        read_tensor(args.mask).astype(bool), *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld,
               "gamma": args.gamma, "weight_mode": args.weight_mode}
     pipeline.check_finite("loss report", list(report.values())[:4])
@@ -164,7 +156,7 @@ def cmd_ensemble(args):
 def cmd_threshold(args):
     out = postprocess.apply_thresholds(read_tensor(args.occ_prob),
                                        read_tensor(args.sem_labels),
-                                       pipeline.threshold_table(args.table))
+                                       postprocess.load_threshold_table(args.table))
     write_tensor(args.out, out)
     return EXIT_OK
 
@@ -248,8 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gt-occ", required=True)
     s.add_argument("--gt-sem", required=True)
     s.add_argument("--mask", required=True)
-    s.add_argument("--depth-logits")
-    s.add_argument("--gt-depth")
+    s.add_argument("--depth-logits", help="(D, h, w) map or (N, D, h, w) "
+                                          "camera stack")
+    s.add_argument("--gt-depth", help="depth at the logits' pixels, "
+                                      "(h, w) or (N, h, w)")
     s.add_argument("--gamma", type=float, default=DEFAULTS.gamma)
     s.add_argument("--weight-mode", choices=("inverse_frequency", "uniform"),
                    default=DEFAULTS.weight_mode)

@@ -66,9 +66,6 @@ class Intrinsics:
             height=self.height // stride,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
         return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
@@ -179,7 +176,7 @@ class CameraRig:
     def to_json(self) -> str:
         return json.dumps({
             "cameras": [
-                {"intrinsics": k.to_dict(), "cam_to_ego": t.to_dict()}
+                {"intrinsics": asdict(k), "cam_to_ego": t.to_dict()}
                 for k, t in self.cameras
             ]
         }, indent=2)

@@ -66,9 +66,6 @@ class MultiScaleGT:
     sem: tuple
     mask: tuple
 
-    def __len__(self) -> int:
-        return len(self.occ)
-
 
 def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
                   levels: int = 3, num_classes: int = 17) -> MultiScaleGT:
@@ -77,6 +74,10 @@ def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
         raise ValueError("shape mismatch")
     if ((sem == FREE) != (occ == 0)).any():
         raise ValueError("semantics must be FREE exactly where occupancy is 0")
+    labels = sem[sem != FREE]
+    if labels.size and labels.max() >= num_classes:
+        raise ValueError(f"semantic label {labels.max()} is not below "
+                         f"num_classes {num_classes}")
     occs, sems, masks = [occ], [sem], [mask]
     for _ in range(levels - 1):
         occ = downsample_occ(occs[-1])

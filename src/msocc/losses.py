@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ClassWeights",
-    "LossReport",
     "class_frequency_weights",
     "bce_occ_loss",
     "focal_sem_loss",
@@ -136,7 +135,8 @@ def focal_sem_loss(sem_logits: np.ndarray, gt: np.ndarray,
 def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
                valid: np.ndarray, f):
     """Cross-entropy between the per-pixel depth softmax and the one-hot bin
-    containing the ground-truth depth, averaged over valid pixels."""
+    containing the ground-truth depth, averaged over valid pixels; only the
+    valid pixels' depths are binned."""
     z = np.asarray(depth_logits, dtype=np.float64)
     d = z.shape[0]
     v = np.asarray(valid, dtype=bool)
@@ -144,15 +144,14 @@ def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
         raise ValueError("shape mismatch")
     if not v.any():
         raise ValueError("no valid depth pixels")
-    bins = f.bin_of(np.asarray(gt_depth))
-    if ((bins[v] < 0) | (bins[v] >= d)).any():
+    labels = f.bin_of(np.asarray(gt_depth)[v])
+    if ((labels < 0) | (labels >= d)).any():
         raise ValueError("valid gt depth outside the bin range")
     n = v.sum()
 
     zc = z[:, v] - z[:, v].max(axis=0, keepdims=True)
     p = np.exp(zc)
     p /= p.sum(axis=0, keepdims=True)
-    labels = bins[v]
     idx = np.arange(n)
     loss = -np.log(p[labels, idx]).sum() / n
     grad = np.zeros_like(z)
@@ -160,33 +159,19 @@ def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
     return float(loss), grad
 
 
-@dataclass(frozen=True)
-class LossReport:
-    occ: tuple      # per scale
-    sem: tuple
-    depth: tuple
-    per_scale: tuple
-    total: float
-    alphas: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "scales": [
-                {"occ": o, "sem": s, "depth": d, "weighted_total": t, "alpha": a}
-                for o, s, d, t, a in zip(self.occ, self.sem, self.depth,
-                                         self.per_scale, self.alphas)
-            ],
-            "total": self.total,
-        }
-
-
 def total_loss(occ_losses, sem_losses, depth_losses,
-               alphas=(1.0, 0.5, 0.25)) -> LossReport:
+               alphas=(1.0, 0.5, 0.25)) -> dict:
     """Total = sum_i alpha_i * (L_occ,i + L_sem,i + L_depth,i) with
-    alpha_i = 1 / 2^i by default, scale 0 the finest."""
+    alpha_i = 1 / 2^i by default, scale 0 the finest; returns the report
+    with one row of components per scale and the total."""
     if not (len(occ_losses) == len(sem_losses) == len(depth_losses) == len(alphas)):
         raise ValueError("per-scale component counts differ")
-    per = tuple(o + s + d for o, s, d in zip(occ_losses, sem_losses, depth_losses))
-    total = float(sum(a * l for a, l in zip(alphas, per)))
-    return LossReport(tuple(occ_losses), tuple(sem_losses), tuple(depth_losses),
-                      per, total, tuple(alphas))
+    per = [o + s + d for o, s, d in zip(occ_losses, sem_losses, depth_losses)]
+    return {
+        "scales": [
+            {"occ": o, "sem": s, "depth": d, "weighted_total": t, "alpha": a}
+            for o, s, d, t, a in zip(occ_losses, sem_losses, depth_losses,
+                                     per, alphas)
+        ],
+        "total": float(sum(a * l for a, l in zip(alphas, per))),
+    }

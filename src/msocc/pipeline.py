@@ -72,6 +72,12 @@ class PipelineConfig:
             setattr(cfg, k, v)
         if cfg.weight_mode not in ("inverse_frequency", "uniform"):
             raise ValueError(f"unknown weight_mode {cfg.weight_mode!r}")
+        if len(cfg.ensemble_weights) != 2:
+            raise ValueError(f"ensemble_weights needs 2 weights, got "
+                             f"{len(cfg.ensemble_weights)}")
+        if len(cfg.alphas) != len(cfg.strides):
+            raise ValueError(f"{len(cfg.alphas)} alphas for "
+                             f"{len(cfg.strides)} strides")
         return cfg
 
 
@@ -157,22 +163,41 @@ def lift_frame(feats: np.ndarray, logits: np.ndarray, idx,
 
 def write_pyramid(out_dir: str, pyramid) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    for i in range(len(pyramid)):
+    for i in range(len(pyramid.occ)):
         for name in ("occ", "sem", "mask"):
             write_tensor(os.path.join(out_dir, f"{name}_scale{i}.msoc"),
                          getattr(pyramid, name)[i].astype(np.uint8))
 
 
-def scale_losses(occ_logits, sem_logits, occ, sem, mask, num_classes: int,
-                 weight_mode: str, gamma: float):
-    """Occupancy BCE and semantic focal loss of one scale."""
-    if weight_mode == "inverse_frequency":
-        w = losses.class_frequency_weights(sem, occ, mask, num_classes)
+def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
+                 depth_logits=None, gt_depth=None):
+    """Occupancy BCE, semantic focal loss and depth cross-entropy of one
+    scale, with class weights over the K classes of `sem_logits`.
+    `depth_logits` is a (..., D, h, w) stack of camera maps and `gt_depth`
+    the (..., h, w) depth at their pixels; the depth term is the mean over
+    cameras, a camera with no in-range depth counting 0, and is 0.0 when
+    no depth is given."""
+    k = sem_logits.shape[0]
+    if cfg.weight_mode == "inverse_frequency":
+        w = losses.class_frequency_weights(sem, occ, mask, k)
     else:
-        w = losses.ClassWeights.uniform(num_classes)
+        w = losses.ClassWeights.uniform(k)
     lo, _ = losses.bce_occ_loss(occ_logits, occ, mask, w)
-    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, gamma)
-    return lo, ls
+    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, cfg.gamma)
+    if depth_logits is None:
+        return lo, ls, 0.0
+    if gt_depth.shape != depth_logits.shape[:-3] + depth_logits.shape[-2:]:
+        raise ValueError(f"depth shape mismatch: logits {depth_logits.shape}, "
+                         f"gt {gt_depth.shape}")
+    z = depth_logits.reshape(-1, *depth_logits.shape[-3:])
+    gt = gt_depth.reshape(-1, *gt_depth.shape[-2:])
+    f = frustum(cfg, 1, *gt.shape[1:])
+    valid = f.in_range(gt)
+    if not valid.any():
+        raise ValueError("no valid depth pixels")
+    ld = sum(losses.depth_loss(z[c], gt[c], valid[c], f)[0]
+             for c in range(len(z)) if valid[c].any())
+    return lo, ls, ld / len(z)
 
 
 def load_prediction_sets(preds_dir: str):
@@ -198,13 +223,6 @@ def load_prediction_sets(preds_dir: str):
     return entries("a"), entries("b")
 
 
-def threshold_table(path: str | None) -> dict:
-    """Class-wise thresholds from the table at `path`, or the built-in
-    defaults when it is None."""
-    return (postprocess.load_threshold_table(path) if path
-            else postprocess.DEFAULT_THRESHOLDS)
-
-
 def evaluate(pred, gt, mask, num_classes: int,
              include_free: bool = False) -> dict:
     tally = metrics.ConfusionTally(num_classes)
@@ -220,7 +238,6 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     (also written as JSON into output_dir)."""
     inp = input_dir
     out = output_dir
-    os.makedirs(out, exist_ok=True)
 
     if os.path.exists(os.path.join(inp, "config.json")):
         cfg = read_input(os.path.join(inp, "config.json"), lambda text:
@@ -237,10 +254,10 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         raise PipelineStageError(
             "inputs", os.path.join(inp, "poses.json"),
             ValueError(f"need at least 2 frames, found {num_frames}"))
-    table = (os.path.join(inp, cfg.threshold_table) if cfg.threshold_table
-             else None)
+    table = cfg.threshold_table and os.path.join(inp, cfg.threshold_table)
     with _stage("inputs", table):
-        thresholds = threshold_table(table)
+        thresholds = postprocess.load_threshold_table(table)
+    os.makedirs(out, exist_ok=True)
 
     def frame_path(kind, t, stride):
         return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
@@ -317,32 +334,18 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
         gt_depth = read_tensor(os.path.join(inp, "gt_depth.msoc"))
-        occ_l, sem_l, dep_l = [], [], []
+        terms = []
         for i, stride in enumerate(cfg.strides):
-            lo, ls = scale_losses(
+            # depth supervision at this scale's stride, pixel-center subsampled
+            c = stride // 2
+            terms.append(scale_losses(
+                cfg,
                 read_tensor(os.path.join(inp, "heads", f"occ_logits_scale{i}.msoc")),
                 read_tensor(os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc")),
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
-                cfg.num_classes, cfg.weight_mode, cfg.gamma)
-            # depth supervision at this scale's stride, pixel-center subsampled
-            logits = current_logits[i]
-            sub = gt_depth[:, stride // 2::stride, stride // 2::stride]
-            f = frustum(cfg, stride, logits.shape[2], logits.shape[3])
-            valid = f.in_range(sub)
-            dl = 0.0
-            for cam in range(logits.shape[0]):
-                if valid[cam].any():
-                    l, _ = losses.depth_loss(logits[cam].astype(np.float64),
-                                             np.where(valid[cam], sub[cam],
-                                                      f.depth_min),
-                                             valid[cam], f)
-                    dl += l
-            dl /= logits.shape[0]
-            occ_l.append(lo)
-            sem_l.append(ls)
-            dep_l.append(dl)
-        report = losses.total_loss(occ_l, sem_l, dep_l, cfg.alphas)
-        write_json(os.path.join(out, "loss_report.json"), report.to_dict())
+                current_logits[i], gt_depth[:, c::stride, c::stride]))
+        report = losses.total_loss(*zip(*terms), cfg.alphas)
+        write_json(os.path.join(out, "loss_report.json"), report)
 
     # ---- stage: de-augment, ensemble, threshold, evaluate ----
     preds = os.path.join(inp, "preds")
@@ -361,7 +364,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     write_json(os.path.join(out, "metadata.json"),
                {"config": asdict(cfg), "num_frames": num_frames})
-    return {"loss": report.to_dict(), "eval": eval_report}
+    return {"loss": report, "eval": eval_report}
 
 
 def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,

@@ -167,7 +167,9 @@ def apply_thresholds(occ_prob: np.ndarray, sem_label: np.ndarray,
 
 def load_threshold_table(path) -> dict:
     """Read a class-name -> threshold JSON table, validating completeness
-    and the (0, 1) range."""
+    and the (0, 1) range; no path gives DEFAULT_THRESHOLDS."""
+    if not path:
+        return DEFAULT_THRESHOLDS
     with open(path) as fh:
         table = json.load(fh)
     missing = [n for n in CLASS_NAMES if n not in table]

@@ -191,7 +191,8 @@ def test_criterion_7_loss_constants():
     ok &= abs(l_focal0 - ce) < 1e-12
 
     r = losses.total_loss([1, 1, 1], [0, 0, 0], [0, 0, 0])
-    ok &= r.total == 1.75 and r.alphas == (1.0, 0.5, 0.25)
+    ok &= (r["total"] == 1.75
+           and [row["alpha"] for row in r["scales"]] == [1.0, 0.5, 0.25])
     report("7. loss constants (ln2, ln59, focal gamma 0, alpha weights)",
            bool(ok))
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msocc import fixtures, pipeline, postprocess
+from msocc import fixtures, losses, pipeline, postprocess
 from msocc.cli import main
 from msocc.geometry import RigidTransform
 from msocc.gt_multiscale import FREE
@@ -315,6 +316,133 @@ def test_loss_subcommand_depth_shape_mismatch_is_validation_error(
     assert rc == 2
     assert "shape mismatch" in capsys.readouterr().err
     assert not (tmp_path / "loss.json").exists()
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("desk")
+    load_workloads().make_inputs("desk", 0, str(root / "inp"))
+    assert main(["run", "--input", str(root / "inp"),
+                 "--output", str(root / "out")]) == 0
+    return root / "inp", root / "out"
+
+
+def test_loss_subcommand_matches_run_on_every_desk_scale(tmp_path, desk_run):
+    inp, out = desk_run
+    cfg = json.loads((inp / "config.json").read_text())
+    last = len(json.loads((inp / "poses.json").read_text())) - 1
+    gt_depth = read_tensor(inp / "gt_depth.msoc")
+    rows = json.loads((out / "loss_report.json").read_text())["scales"]
+    for i, s in enumerate(cfg["strides"]):
+        # the run's depth supervision: the current frame's logits against
+        # gt_depth sampled at pixel centers
+        write_tensor(tmp_path / "gt_depth.msoc",
+                     gt_depth[:, s // 2::s, s // 2::s])
+        rc = main(["loss",
+                   "--occ-logits", str(inp / "heads" / f"occ_logits_scale{i}.msoc"),
+                   "--sem-logits", str(inp / "heads" / f"sem_logits_scale{i}.msoc"),
+                   "--gt-occ", str(out / "gt_pyramid" / f"occ_scale{i}.msoc"),
+                   "--gt-sem", str(out / "gt_pyramid" / f"sem_scale{i}.msoc"),
+                   "--mask", str(out / "gt_pyramid" / f"mask_scale{i}.msoc"),
+                   "--depth-logits", str(inp / "depth_logits" /
+                                         f"frame{last:02d}_stride{s}.msoc"),
+                   "--gt-depth", str(tmp_path / "gt_depth.msoc"),
+                   "--depth-min", str(cfg["depth_min"]),
+                   "--depth-max", str(cfg["depth_max"]),
+                   "--depth-step", str(cfg["depth_step"]),
+                   "--out", str(tmp_path / "loss.json")])
+        assert rc == 0
+        got = json.loads((tmp_path / "loss.json").read_text())
+        assert got["depth"] > 0.0
+        assert ((got["occ"], got["sem"], got["depth"])
+                == (rows[i]["occ"], rows[i]["sem"], rows[i]["depth"]))
+
+
+def test_loss_subcommand_uniform_weights(tmp_path, scene_dir, run_dir):
+    pyr = run_dir / "gt_pyramid"
+    rc = main(["loss",
+               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale1.msoc"),
+               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale1.msoc"),
+               "--gt-occ", str(pyr / "occ_scale1.msoc"),
+               "--gt-sem", str(pyr / "sem_scale1.msoc"),
+               "--mask", str(pyr / "mask_scale1.msoc"),
+               "--weight-mode", "uniform", "--out", str(tmp_path / "loss.json")])
+    assert rc == 0
+    got = json.loads((tmp_path / "loss.json").read_text())
+    occ, sem = read_tensor(pyr / "occ_scale1.msoc"), read_tensor(pyr / "sem_scale1.msoc")
+    mask = read_tensor(pyr / "mask_scale1.msoc").astype(bool)
+    sem_logits = read_tensor(scene_dir / "heads" / "sem_logits_scale1.msoc")
+    w = losses.ClassWeights.uniform(sem_logits.shape[0])
+    lo, _ = losses.bce_occ_loss(
+        read_tensor(scene_dir / "heads" / "occ_logits_scale1.msoc"), occ, mask, w)
+    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, 2.0)
+    assert (got["occ"], got["sem"], got["weight_mode"]) == (lo, ls, "uniform")
+    inverse = json.loads((run_dir / "loss_report.json").read_text())["scales"][1]
+    assert (got["occ"], got["sem"]) != (inverse["occ"], inverse["sem"])
+
+
+def test_run_without_in_range_depth_fails_in_loss_stage(tmp_path, scene_dir,
+                                                        capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    gt_depth = read_tensor(inp / "gt_depth.msoc")
+    write_tensor(inp / "gt_depth.msoc", np.full_like(gt_depth, np.inf))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'loss'" in err and "no valid depth pixels" in err
+    assert not (out / "loss_report.json").exists()
+
+
+def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
+                                                         capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    config = json.loads((inp / "config.json").read_text())
+    config["num_classes"] = 5
+    (inp / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'gt_pyramid' failed" in err and "num_classes 5" in err
+    rc = main(["gt-downsample", "--occ", str(inp / "gt_occ.msoc"),
+               "--sem", str(inp / "gt_sem.msoc"),
+               "--mask", str(inp / "mask.msoc"), "--num-classes", "5",
+               "--out", str(tmp_path / "pyr")])
+    assert rc == 2
+    assert "num_classes 5" in capsys.readouterr().err
+    assert not (tmp_path / "pyr").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("ensemble_weights", [0.5], "ensemble_weights needs 2 weights, got 1"),
+    ("ensemble_weights", [0.4, 0.3, 0.3], "needs 2 weights, got 3"),
+    ("alphas", [1.0, 0.5], "2 alphas for 3 strides"),
+], ids=["one_weight", "three_weights", "two_alphas"])
+def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
+                                                key, value, message):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    config = json.loads((inp / "config.json").read_text())
+    config[key] = value
+    (inp / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {inp / 'config.json'}" in err
+    assert message in err
+    assert not out.exists()
 
 
 def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):

@@ -180,3 +180,13 @@ class TestBuildPyramid:
         args[mismatched] = args[mismatched][:2, :2]
         with pytest.raises(ValueError, match="shape mismatch"):
             build_pyramid(**args)
+
+    def test_label_not_below_num_classes_rejected(self):
+        occ = np.ones((8, 8, 4), np.uint8)
+        sem = np.full((8, 8, 4), 4, np.uint8)
+        mask = np.ones((8, 8, 4), bool)
+        build_pyramid(occ, sem, mask, num_classes=5)
+        sem[1, 2, 1] = 5
+        with pytest.raises(ValueError, match="label 5 is not below "
+                                             "num_classes 5"):
+            build_pyramid(occ, sem, mask, num_classes=5)

@@ -265,12 +265,12 @@ class TestDepthLoss:
 class TestTotalLoss:
     def test_all_zero(self):
         r = losses.total_loss([0, 0, 0], [0, 0, 0], [0, 0, 0])
-        assert r.total == 0.0
+        assert r["total"] == 0.0
 
     def test_alpha_arithmetic(self):
         r = losses.total_loss([1, 1, 1], [0, 0, 0], [0, 0, 0])
-        assert r.total == 1.75
-        assert r.alphas == (1.0, 0.5, 0.25)
+        assert r["total"] == 1.75
+        assert [row["alpha"] for row in r["scales"]] == [1.0, 0.5, 0.25]
 
     def test_random_components_match_hand_sum(self):
         rng = np.random.default_rng(9)
@@ -278,9 +278,9 @@ class TestTotalLoss:
         r = losses.total_loss(list(o), list(s), list(d))
         want = sum(a * (oo + ss + dd) for a, oo, ss, dd
                    in zip((1, 0.5, 0.25), o, s, d))
-        assert abs(r.total - want) < 1e-12
+        assert abs(r["total"] - want) < 1e-12
         for i in range(3):
-            assert r.per_scale[i] == o[i] + s[i] + d[i]
+            assert r["scales"][i]["weighted_total"] == o[i] + s[i] + d[i]
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

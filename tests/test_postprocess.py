@@ -270,6 +270,9 @@ class TestThresholds:
         p.write_text(json.dumps(pp.DEFAULT_THRESHOLDS))
         assert pp.load_threshold_table(p) == pp.DEFAULT_THRESHOLDS
 
+    def test_no_table_gives_defaults(self):
+        assert pp.load_threshold_table(None) is pp.DEFAULT_THRESHOLDS
+
     def test_incomplete_table_rejected(self, tmp_path):
         t = dict(pp.DEFAULT_THRESHOLDS)
         t.pop("Car")

@@ -251,9 +251,9 @@ class TestRescaleCostVolume:
     def test_constant(self):
         cv = np.full((5, 8, 16), 3.25)
         for s in (8, 16, 32):
-            out = temporal.rescale_cost_volume(cv, s) if s <= 16 else None
-            if out is not None:
-                assert np.allclose(out, 3.25)
+            out = temporal.rescale_cost_volume(cv, s)
+            assert out.shape == (5, 32 // s, 64 // s)
+            assert np.allclose(out, 3.25)
 
     def test_block_mean(self):
         cv = np.array([[[1.0, 2.0], [3.0, 4.0]]])

@@ -24,7 +24,7 @@ def looking_along(yaw):
 
 
 rig = geo.CameraRig(((k, looking_along(0.0)), (k, looking_along(np.pi))))
-frustum = geo.FrustumSpec(64, 48, 1, depth_min=1.0, depth_max=13.0,
+frustum = geo.FrustumSpec(depth_min=1.0, depth_max=13.0,
                           depth_step=1.0)
 grid = geo.VoxelGridSpec(40, 40, 8, origin=np.array([-8.0, -8.0, -1.0]),
                          voxel_size=np.array([0.4, 0.4, 0.4]))

@@ -11,7 +11,7 @@ from msocc import fixtures, temporal
 from msocc import geometry as geo
 
 k = geo.Intrinsics(fx=50.0, fy=50.0, cx=24.0, cy=16.0, width=48, height=32)
-frustum = geo.FrustumSpec(48, 32, 1, depth_min=6.5, depth_max=14.5,
+frustum = geo.FrustumSpec(depth_min=6.5, depth_max=14.5,
                           depth_step=1.0)
 true_depth = 10.0
 

@@ -78,8 +78,7 @@ def cmd_lift(args):
     logits = read_tensor(args.depth_logits)
     idx = pipeline.pooling_index(_depth_config(args), args.stride,
                                  read_input(args.rig, CameraRig.from_json),
-                                 read_input(args.grid, VoxelGridSpec.from_json),
-                                 *feats.shape[2:])
+                                 read_input(args.grid, VoxelGridSpec.from_json))
     _, out = pipeline.lift_frame(feats, logits, idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
@@ -115,7 +114,6 @@ def cmd_loss(args):
         read_tensor(args.mask).astype(bool), *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld,
               "gamma": args.gamma, "weight_mode": args.weight_mode}
-    pipeline.check_finite("loss report", list(report.values())[:4])
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -195,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("cost-volume", help="plane-sweep cost volume")
-    s.add_argument("--current", required=True)
-    s.add_argument("--previous", required=True)
+    s.add_argument("--current", required=True, help="(N, C, H, W) features")
+    s.add_argument("--previous", required=True, help="(N, C, H, W) features")
     s.add_argument("--rig", required=True)
     s.add_argument("--camera", type=int, default=0)
     s.add_argument("--pose-current", required=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gt_multiscale import FREE
-from .geometry import (CameraRig, FrustumSpec, Intrinsics, RigidTransform,
-                       VoxelGridSpec, project, unproject)
+from .geometry import (CameraRig, Intrinsics, RigidTransform, VoxelGridSpec,
+                       project, unproject)
 
 __all__ = [
     "SyntheticScene",

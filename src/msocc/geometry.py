@@ -168,6 +168,8 @@ class CameraRig:
         cams = tuple(self.cameras)
         if len(cams) < 1:
             raise ValueError("rig needs at least one camera")
+        if len({(k.width, k.height) for k, _ in cams}) > 1:
+            raise ValueError("rig cameras differ in image size")
         object.__setattr__(self, "cameras", cams)
 
     def __len__(self) -> int:
@@ -193,11 +195,9 @@ class CameraRig:
 
 @dataclass(frozen=True)
 class FrustumSpec:
-    feat_width: int
-    feat_height: int
-    stride: int
-    depth_min: float = 1.0
-    depth_max: float = 60.0
+    """Depth bins; the pixel lattice is the stride-scaled Intrinsics'."""
+    depth_min: float
+    depth_max: float
     depth_step: float = 1.0
 
     def __post_init__(self):
@@ -299,13 +299,13 @@ def frustum_points(k: Intrinsics, f: FrustumSpec,
                    cam_to_ego: RigidTransform) -> np.ndarray:
     """Ego-frame lattice of the camera view volume.
 
-    Returns (D * feat_height * feat_width, 3) with row-major ordering over
+    Returns (D * k.height * k.width, 3) with row-major ordering over
     (d, v, u): depth bin slowest, u fastest. Each point is the unprojection
     of pixel center (u + 0.5, v + 0.5) at the bin-center depth, mapped
-    through cam_to_ego. Intrinsics must already be scaled to f.stride.
+    through cam_to_ego. `k` is scaled to the stride of the feature map.
     """
-    us = np.arange(f.feat_width) + 0.5
-    vs = np.arange(f.feat_height) + 0.5
+    us = np.arange(k.width) + 0.5
+    vs = np.arange(k.height) + 0.5
     ds = f.bin_centers()
     dd, vv, uu = np.meshgrid(ds, vs, us, indexing="ij")
     cam_pts = unproject(uu.ravel(), vv.ravel(), dd.ravel(), k)

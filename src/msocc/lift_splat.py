@@ -48,9 +48,8 @@ class PoolingIndex:
     target_vox: np.ndarray   # (n_entries,) int64 flat voxel ids
     depth_index: np.ndarray  # (n_entries,) int64 into the flat depths
     pixel_index: np.ndarray  # (n_entries,) int64 into the flat pixels
-    frustum: FrustumSpec
+    depth_shape: tuple       # (N, D, H, W)
     grid: VoxelGridSpec
-    num_cameras: int
 
     @property
     def num_entries(self) -> int:
@@ -61,9 +60,11 @@ def build_pooling_index(rig: CameraRig, f: FrustumSpec,
                         g: VoxelGridSpec) -> PoolingIndex:
     """Precompute the in-bounds frustum-point -> voxel scatter plan.
 
-    Intrinsics in the rig must already be scaled to f.stride.
+    Intrinsics in the rig must already be scaled to the features' stride.
     """
-    n_pix = f.feat_height * f.feat_width
+    k0 = rig.cameras[0][0]  # the rig's cameras share one image size
+    depth_shape = (len(rig), f.num_bins, k0.height, k0.width)
+    n_pix = k0.height * k0.width
     n_pts = f.num_bins * n_pix
     targets, depth_idx, pixel_idx = [], [], []
     for cam_id, (k, cam_to_ego) in enumerate(rig.cameras):
@@ -73,7 +74,7 @@ def build_pooling_index(rig: CameraRig, f: FrustumSpec,
         depth_idx.append(cam_id * n_pts + offsets)
         pixel_idx.append(cam_id * n_pix + offsets % n_pix)
     return PoolingIndex(np.concatenate(targets), np.concatenate(depth_idx),
-                        np.concatenate(pixel_idx), f, g, len(rig))
+                        np.concatenate(pixel_idx), depth_shape, g)
 
 
 def lift_and_pool(features: np.ndarray, depths: np.ndarray,
@@ -91,12 +92,10 @@ def lift_and_pool(features: np.ndarray, depths: np.ndarray,
     """
     features = np.asarray(features)
     depths = np.asarray(depths)
-    f = idx.frustum
-    d_bins, h, w = f.num_bins, f.feat_height, f.feat_width
-    if features.ndim != 4 or features.shape[0] != idx.num_cameras \
-            or features.shape[2:] != (h, w):
+    n, _, h, w = idx.depth_shape
+    if features.shape[:1] + features.shape[2:] != (n, h, w):
         raise ValueError(f"features shape {features.shape} inconsistent with index")
-    if depths.shape != (idx.num_cameras, d_bins, h, w):
+    if depths.shape != idx.depth_shape:
         raise ValueError(f"depths shape {depths.shape} inconsistent with index")
 
     n_vox = idx.grid.num_voxels

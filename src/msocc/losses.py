@@ -142,6 +142,8 @@ def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
     v = np.asarray(valid, dtype=bool)
     if z.shape[1:] != v.shape or np.shape(gt_depth) != v.shape:
         raise ValueError("shape mismatch")
+    if d != f.num_bins:
+        raise ValueError(f"{d} depth logits for {f.num_bins} depth bins")
     if not v.any():
         raise ValueError("no valid depth pixels")
     labels = f.bin_of(np.asarray(gt_depth)[v])

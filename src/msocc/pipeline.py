@@ -10,14 +10,15 @@ Input directory layout (as emitted by `msocc synth`):
     rig.json, grid.json, poses.json, config.json
     gt_occ.msoc, gt_sem.msoc, mask.msoc          uint8 / uint8 / uint8
     gt_depth.msoc                                 f64 (N, H, W), inf = no hit
-    features/frame{t:02d}_stride{s}.msoc          f32 (N, C, H, W)
-    depth_logits/frame{t:02d}_stride{s}.msoc      f32 (N, D, H, W)
+    features/frame{t:02d}_stride{s}.msoc          f32 (N, C, H // s, W // s)
+    depth_logits/frame{t:02d}_stride{s}.msoc      f32 (N, D, H // s, W // s)
     heads/occ_logits_scale{i}.msoc                f64 (nx, ny, nz)
     heads/sem_logits_scale{i}.msoc                f64 (K, nx, ny, nz)
     preds/tags.json                               TTA tags per model
     preds/model_{a,b}_entry{j}_{occ,sem}.msoc     augmented probability volumes
 
-Frames are ordered oldest to newest; the last frame is the current one.
+N is the rig's camera count and H x W their shared image size. Frames are
+ordered oldest to newest; the last frame is the current one.
 The 3D fusion network between stacking and the heads is out of scope and
 replaced by identity.
 """
@@ -67,9 +68,10 @@ class PipelineConfig:
         for k, v in d.items():
             if not hasattr(cfg, k):
                 raise ValueError(f"unknown config key {k!r}")
-            if isinstance(getattr(cfg, k), tuple) and v is not None:
-                v = tuple(v)
-            setattr(cfg, k, v)
+            if not _has_type_of(v, getattr(cfg, k)):
+                raise ValueError(f"config key {k!r} has a value of the wrong "
+                                 f"type: {v!r}")
+            setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
         if cfg.weight_mode not in ("inverse_frequency", "uniform"):
             raise ValueError(f"unknown weight_mode {cfg.weight_mode!r}")
         if len(cfg.ensemble_weights) != 2:
@@ -79,6 +81,18 @@ class PipelineConfig:
             raise ValueError(f"{len(cfg.alphas)} alphas for "
                              f"{len(cfg.strides)} strides")
         return cfg
+
+
+def _has_type_of(v, default) -> bool:
+    """Whether config value `v` has the type of a field defaulting to
+    `default`: an int, a number, a list of those, or a string or null."""
+    if isinstance(default, tuple):
+        return (isinstance(v, (list, tuple))
+                and all(_has_type_of(x, default[0]) for x in v))
+    if isinstance(default, (int, float)):
+        number = int if isinstance(default, int) else (int, float)
+        return isinstance(v, number) and not isinstance(v, bool)
+    return v is None or isinstance(v, str)
 
 
 @contextmanager
@@ -118,32 +132,34 @@ def _grid_level(grid: VoxelGridSpec, level: int) -> VoxelGridSpec:
                          origin=grid.origin, voxel_size=grid.voxel_size * f)
 
 
-def frustum(cfg: PipelineConfig, stride: int, h: int, w: int) -> FrustumSpec:
-    return FrustumSpec(feat_width=w, feat_height=h, stride=stride,
-                       depth_min=cfg.depth_min, depth_max=cfg.depth_max,
-                       depth_step=cfg.depth_step)
+def frustum(cfg: PipelineConfig) -> FrustumSpec:
+    return FrustumSpec(cfg.depth_min, cfg.depth_max, cfg.depth_step)
 
 
 def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
                 cur: np.ndarray, prev: np.ndarray,
                 rel: RigidTransform):
-    """Plane-sweep cost volume of camera `cam` from its (C, H, W) features
-    at `stride` in the current and previous frame; returns the float64
-    (D, H, W) volume and the float32 copy it is written as. The check runs
-    on the copy, since a finite float64 value can overflow float32."""
+    """Plane-sweep cost volume of camera `cam` from the (N, C, H, W) feature
+    stacks at `stride` of the current and previous frame; returns the
+    float64 (D, H, W) volume and the float32 copy it is written as. The
+    check runs on the copy, since a finite float64 value can overflow
+    float32."""
+    if not (cur.shape[:1] == prev.shape[:1] == (len(rig),) and
+            0 <= cam < len(rig)):
+        raise ValueError(f"camera {cam} of features {cur.shape} and "
+                         f"{prev.shape} from a {len(rig)}-camera rig")
     k, cam_to_ego = rig.cameras[cam]
-    f = frustum(cfg, stride, cur.shape[1], cur.shape[2])
-    cv = temporal.build_cost_volume(cur, prev, rel, k.scaled(stride), f,
-                                    cam_to_ego=cam_to_ego)
+    cv = temporal.build_cost_volume(cur[cam], prev[cam], rel, k.scaled(stride),
+                                    frustum(cfg), cam_to_ego=cam_to_ego)
     written = cv.astype(np.float32)
     check_finite(f"cost volume camera {cam}", written)
     return cv, written
 
 
 def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
-                  grid: VoxelGridSpec, h: int, w: int):
+                  grid: VoxelGridSpec):
     scaled = CameraRig(tuple((k.scaled(stride), t) for k, t in rig.cameras))
-    return build_pooling_index(scaled, frustum(cfg, stride, h, w), grid)
+    return build_pooling_index(scaled, frustum(cfg), grid)
 
 
 def lift_frame(feats: np.ndarray, logits: np.ndarray, idx,
@@ -176,7 +192,7 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
     `depth_logits` is a (..., D, h, w) stack of camera maps and `gt_depth`
     the (..., h, w) depth at their pixels; the depth term is the mean over
     cameras, a camera with no in-range depth counting 0, and is 0.0 when
-    no depth is given."""
+    no depth is given. A NaN or inf term raises NumericalError."""
     k = sem_logits.shape[0]
     if cfg.weight_mode == "inverse_frequency":
         w = losses.class_frequency_weights(sem, occ, mask, k)
@@ -184,20 +200,21 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
         w = losses.ClassWeights.uniform(k)
     lo, _ = losses.bce_occ_loss(occ_logits, occ, mask, w)
     ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, cfg.gamma)
-    if depth_logits is None:
-        return lo, ls, 0.0
-    if gt_depth.shape != depth_logits.shape[:-3] + depth_logits.shape[-2:]:
-        raise ValueError(f"depth shape mismatch: logits {depth_logits.shape}, "
-                         f"gt {gt_depth.shape}")
-    z = depth_logits.reshape(-1, *depth_logits.shape[-3:])
-    gt = gt_depth.reshape(-1, *gt_depth.shape[-2:])
-    f = frustum(cfg, 1, *gt.shape[1:])
-    valid = f.in_range(gt)
-    if not valid.any():
-        raise ValueError("no valid depth pixels")
-    ld = sum(losses.depth_loss(z[c], gt[c], valid[c], f)[0]
-             for c in range(len(z)) if valid[c].any())
-    return lo, ls, ld / len(z)
+    ld = 0.0
+    if depth_logits is not None:
+        if gt_depth.shape != depth_logits.shape[:-3] + depth_logits.shape[-2:]:
+            raise ValueError(f"depth shape mismatch: logits "
+                             f"{depth_logits.shape}, gt {gt_depth.shape}")
+        z = depth_logits.reshape(-1, *depth_logits.shape[-3:])
+        gt = gt_depth.reshape(-1, *gt_depth.shape[-2:])
+        f = frustum(cfg)
+        valid = f.in_range(gt)
+        if not valid.any():
+            raise ValueError("no valid depth pixels")
+        ld = sum(losses.depth_loss(z[c], gt[c], valid[c], f)[0]
+                 for c in range(len(z)) if valid[c].any()) / len(z)
+    check_finite("losses", [lo, ls, ld])
+    return lo, ls, ld
 
 
 def load_prediction_sets(preds_dir: str):
@@ -259,21 +276,33 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         thresholds = postprocess.load_threshold_table(table)
     os.makedirs(out, exist_ok=True)
 
+    # ---- stage: multi-scale ground truth (first: it needs no other stage,
+    # so a bad label fails before any other output is written) ----
+    with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
+        gt_occ = read_tensor(os.path.join(inp, "gt_occ.msoc"))
+        gt_sem = read_tensor(os.path.join(inp, "gt_sem.msoc"))
+        mask = read_tensor(os.path.join(inp, "mask.msoc")).astype(bool)
+        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides),
+                                num_classes=cfg.num_classes)
+        write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
+
     def frame_path(kind, t, stride):
         return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
 
     # ---- stage: cost volumes at stride 1/4 between adjacent frames ----
     cv_dir = os.path.join(out, "cost_volumes")
     os.makedirs(cv_dir, exist_ok=True)
+    path = frame_path("features", 0, cfg.cost_stride)
+    with _stage("cost_volume", path):
+        feats_prev = read_tensor(path)
     for t in range(1, num_frames):
         path = frame_path("features", t, cfg.cost_stride)
         with _stage("cost_volume", path):
             feats_cur = read_tensor(path)
-            feats_prev = read_tensor(frame_path("features", t - 1, cfg.cost_stride))
             rel = relative_ego_motion(poses[t - 1], poses[t])
-            for cam in range(feats_cur.shape[0]):
+            for cam in range(len(rig)):
                 cv, written = cost_volume(cfg, cfg.cost_stride, rig, cam,
-                                          feats_cur[cam], feats_prev[cam], rel)
+                                          feats_cur, feats_prev, rel)
                 write_tensor(os.path.join(
                     cv_dir, f"frame{t:02d}_cam{cam}_stride{cfg.cost_stride}.msoc"),
                     written)
@@ -284,6 +313,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                         cv_s.astype(np.float32))
                 # so the next camera's volume is built without them alive
                 del cv, written
+        feats_prev = feats_cur  # each frame is read once
 
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
     vox_dir = os.path.join(out, "voxel")
@@ -291,6 +321,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     current_logits = []  # per stride, reused by the loss stage
     for level, stride in enumerate(cfg.strides):
         g = _grid_level(grid, level)
+        with _stage("lift_stack", os.path.join(inp, "rig.json")):
+            idx = pooling_index(cfg, stride, rig, g)
         aligned = []
         for t in range(1, num_frames):
             # each input is read and checked under its own path, so an error
@@ -299,8 +331,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             with _stage("lift_stack", path):
                 feats = read_tensor(path)
                 check_finite("features", feats)
-                if t == 1:
-                    idx = pooling_index(cfg, stride, rig, g, *feats.shape[2:])
+                n, _, h, w = idx.depth_shape
+                if feats.shape[:1] + feats.shape[2:] != (n, h, w):
+                    raise ValueError(f"features {feats.shape} on a {h}x{w} rig")
             path = frame_path("depth_logits", t, stride)
             with _stage("lift_stack", path):
                 logits = read_tensor(path)
@@ -321,15 +354,6 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         stack = temporal.stack_temporal(aligned)
         # identity stands in for the out-of-scope 3D fusion network
         write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"), stack)
-
-    # ---- stage: multi-scale ground truth ----
-    with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
-        gt_occ = read_tensor(os.path.join(inp, "gt_occ.msoc"))
-        gt_sem = read_tensor(os.path.join(inp, "gt_sem.msoc"))
-        mask = read_tensor(os.path.join(inp, "mask.msoc")).astype(bool)
-        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides),
-                                num_classes=cfg.num_classes)
-        write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
@@ -401,6 +425,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     n_cams = len(scene.rig)
     k0 = scene.rig.cameras[0][0]
     num_frames = len(scene.poses)
+    f = frustum(cfg)
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "depth_logits"), exist_ok=True)
     for t in range(num_frames):
@@ -412,7 +437,6 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
                          feats.astype(np.float32))
             if s == cfg.cost_stride:
                 continue
-            f = frustum(cfg, s, h, w)
             sub = scene.gt_depth[:, s // 2::s, s // 2::s]
             logits = rng.standard_normal((n_cams, f.num_bins, h, w)) * 0.1
             valid = f.in_range(sub)

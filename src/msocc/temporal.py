@@ -47,8 +47,8 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     if cur.shape != prev.shape:
         raise ValueError(f"feature shapes differ: {cur.shape} vs {prev.shape}")
     c, h, w = cur.shape
-    if (h, w) != (f.feat_height, f.feat_width):
-        raise ValueError("frustum spec does not match feature shape")
+    if (h, w) != (k.height, k.width):
+        raise ValueError(f"features {h}x{w} vs camera {k.height}x{k.width}")
     if cam_to_ego is None:
         cam_to_ego = RigidTransform.identity()
     # current camera -> previous camera

@@ -52,7 +52,7 @@ def test_criterion_1_and_2_pooling_oracle_and_mass():
         scale = max(np.abs(want).max(), 1e-12)
         worst = max(worst, np.abs(out - want).max() / scale)
         contrib = 0.0
-        h, w = f.feat_height, f.feat_width
+        h, w = features.shape[2:]
         for cam, off, _ in entries:
             di, rem = divmod(off, h * w)
             v, u = divmod(rem, w)
@@ -70,7 +70,7 @@ def test_criterion_1_and_2_pooling_oracle_and_mass():
 def test_criterion_3_pooling_throughput():
     g = geo.VoxelGridSpec(200, 200, 16)
     rig = fixtures._default_rig(6, 128, 48, focal=60.0, cam_height=0.8)
-    f = geo.FrustumSpec(128, 48, 1, depth_min=1.0, depth_max=60.0,
+    f = geo.FrustumSpec(depth_min=1.0, depth_max=60.0,
                         depth_step=0.5)
     idx = build_pooling_index(rig, f, g)
     assert idx.num_entries >= 1_000_000, idx.num_entries
@@ -87,7 +87,7 @@ def test_criterion_3_pooling_throughput():
 
 def test_criterion_4_cost_volume_depth_recovery():
     k = geo.Intrinsics(fx=50, fy=50, cx=24, cy=16, width=48, height=32)
-    f = geo.FrustumSpec(48, 32, 1, depth_min=6.5, depth_max=14.5,
+    f = geo.FrustumSpec(depth_min=6.5, depth_max=14.5,
                         depth_step=1.0)
     cur, prev, rel = fixtures.textured_plane_features(10.0, k)
     cv = temporal.build_cost_volume(cur, prev, rel, k, f)
@@ -168,7 +168,7 @@ def test_criterion_7_loss_constants():
     l_bce, _ = losses.bce_occ_loss(np.zeros(occ.shape), occ, m, w)
     ok = abs(l_bce - math.log(2)) < 1e-9
 
-    f = geo.FrustumSpec(4, 3, 1, depth_min=1.0, depth_max=60.0,
+    f = geo.FrustumSpec(depth_min=1.0, depth_max=60.0,
                         depth_step=1.0)
     assert f.num_bins == 59
     l_d, _ = losses.depth_loss(np.zeros((59, 3, 4)), np.full((3, 4), 7.0),
@@ -213,7 +213,7 @@ def test_criterion_8_gradient_checks():
             zz, sem, occ, mask, w, 2.0)[0], zs)
         worst = max(worst, rel_err(grad, fd))
 
-        f = geo.FrustumSpec(3, 2, 1, depth_min=1.0, depth_max=7.0)
+        f = geo.FrustumSpec(depth_min=1.0, depth_max=7.0)
         gtd = rng.uniform(1.0, 6.9, (2, 3))
         valid = np.ones((2, 3), bool)
         zd = rng.standard_normal((f.num_bins, 2, 3)) * 2

@@ -94,13 +94,11 @@ def test_identity_motion_stack_blocks_identical(tmp_path):
 
 
 def test_cost_volume_subcommand(tmp_path, scene_dir):
-    feats = read_tensor(scene_dir / "features" / "frame01_stride4.msoc")
-    write_tensor(tmp_path / "cur.msoc", feats[0])
-    write_tensor(tmp_path / "prev.msoc", feats[0])
+    path = scene_dir / "features" / "frame01_stride4.msoc"
+    feats = read_tensor(path)
     poses = json.loads((scene_dir / "poses.json").read_text())
     (tmp_path / "p0.json").write_text(json.dumps(poses[0]))
-    rc = main(["cost-volume", "--current", str(tmp_path / "cur.msoc"),
-               "--previous", str(tmp_path / "prev.msoc"),
+    rc = main(["cost-volume", "--current", str(path), "--previous", str(path),
                "--rig", str(scene_dir / "rig.json"),
                "--pose-current", str(tmp_path / "p0.json"),
                "--pose-previous", str(tmp_path / "p0.json"),
@@ -195,10 +193,10 @@ def test_exit_code_validation(tmp_path):
 
 def test_exit_code_numerical(tmp_path, scene_dir):
     feats = read_tensor(scene_dir / "features" / "frame01_stride4.msoc")
-    nanfeat = feats[0].copy()
-    nanfeat[0, 0, 0] = np.nan
+    nanfeat = feats.copy()
+    nanfeat[0, 0, 0, 0] = np.nan
     write_tensor(tmp_path / "cur.msoc", nanfeat)
-    write_tensor(tmp_path / "prev.msoc", feats[0])
+    write_tensor(tmp_path / "prev.msoc", feats)
     poses = json.loads((scene_dir / "poses.json").read_text())
     (tmp_path / "p0.json").write_text(json.dumps(poses[0]))
     rc = main(["cost-volume", "--current", str(tmp_path / "cur.msoc"),
@@ -241,22 +239,114 @@ def test_lift_subcommand_matches_run(tmp_path, scene_dir, run_dir):
 
 
 def test_cost_volume_subcommand_matches_run(tmp_path, scene_dir, run_dir):
-    for t in (0, 1):
-        feats = read_tensor(scene_dir / "features" / f"frame{t:02d}_stride4.msoc")
-        write_tensor(tmp_path / f"feats{t}.msoc", feats[0])
+    # the subcommand takes the run's own (N, C, H, W) feature files
     poses = json.loads((scene_dir / "poses.json").read_text())
     for t in (0, 1):
         (tmp_path / f"pose{t}.json").write_text(json.dumps(poses[t]))
-    out = tmp_path / "cv.msoc"
-    rc = main(["cost-volume", "--current", str(tmp_path / "feats1.msoc"),
-               "--previous", str(tmp_path / "feats0.msoc"),
-               "--rig", str(scene_dir / "rig.json"), "--camera", "0",
-               "--pose-current", str(tmp_path / "pose1.json"),
-               "--pose-previous", str(tmp_path / "pose0.json"),
-               "--stride", "4", "--out", str(out)])
-    assert rc == 0
-    want = (run_dir / "cost_volumes" / "frame01_cam0_stride4.msoc").read_bytes()
-    assert out.read_bytes() == want
+    for cam in (0, 1):
+        out = tmp_path / f"cv{cam}.msoc"
+        rc = main(["cost-volume", "--current",
+                   str(scene_dir / "features" / "frame01_stride4.msoc"),
+                   "--previous",
+                   str(scene_dir / "features" / "frame00_stride4.msoc"),
+                   "--rig", str(scene_dir / "rig.json"), "--camera", str(cam),
+                   "--pose-current", str(tmp_path / "pose1.json"),
+                   "--pose-previous", str(tmp_path / "pose0.json"),
+                   "--stride", "4", "--out", str(out)])
+        assert rc == 0
+        want = (run_dir / "cost_volumes" /
+                f"frame01_cam{cam}_stride4.msoc").read_bytes()
+        assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("flags, message", [
+    # the stride-4 features are 24x32; the rig at stride 8 is 12x16
+    (["--stride", "8"], "features 24x32 vs camera 12x16"),
+    (["--camera", "2"], "camera 2 of features (2, 8, 24, 32)"),
+], ids=["stride", "camera"])
+def test_cost_volume_features_must_fit_rig(tmp_path, scene_dir, capsys,
+                                           flags, message):
+    path = str(scene_dir / "features" / "frame01_stride4.msoc")
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps(
+        json.loads((scene_dir / "poses.json").read_text())[0]))
+    capsys.readouterr()
+    assert main(["cost-volume", "--current", path, "--previous", path,
+                 "--rig", str(scene_dir / "rig.json"), *flags,
+                 "--pose-current", str(pose), "--pose-previous", str(pose),
+                 "--out", str(tmp_path / "cv.msoc")]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pose.json"]
+
+
+def test_lift_stride_must_match_features(tmp_path, scene_dir, capsys):
+    capsys.readouterr()
+    assert main(["lift",
+                 "--features", str(scene_dir / "features" / "frame01_stride8.msoc"),
+                 "--depth-logits",
+                 str(scene_dir / "depth_logits" / "frame01_stride8.msoc"),
+                 "--rig", str(scene_dir / "rig.json"),
+                 "--grid", str(scene_dir / "grid.json"),
+                 "--stride", "16", "--out", str(tmp_path / "lifted.msoc")]) == 2
+    assert "inconsistent with index" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_features_off_the_rig_lattice_name_their_file(tmp_path, scene_dir,
+                                                          capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "features" / "frame01_stride8.msoc"
+    shutil.copy(inp / "features" / "frame01_stride4.msoc", path)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'lift_stack' failed on {path}: features" in err
+    assert "on a 12x16 rig" in err
+
+
+def test_rig_of_mixed_image_sizes_fails_in_inputs(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    rig = json.loads((inp / "rig.json").read_text())
+    rig["cameras"][1]["intrinsics"]["width"] //= 2
+    (inp / "rig.json").write_text(json.dumps(rig))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {inp / 'rig.json'}" in err
+    assert "differ in image size" in err
+    assert not out.exists()
+
+
+def test_cost_volume_stage_reads_each_frame_once(tmp_path, scene_dir,
+                                                 monkeypatch, capsys):
+    reads = []
+
+    def counting_read(path):
+        reads.append(os.path.basename(path))
+        return read_tensor(path)
+
+    monkeypatch.setattr(pipeline, "read_tensor", counting_read)
+    pipeline.run_pipeline(str(scene_dir), str(tmp_path / "out"))
+    frames = len(json.loads((scene_dir / "poses.json").read_text()))
+    assert sorted(r for r in reads if r.endswith("_stride4.msoc")) == \
+        [f"frame{t:02d}_stride4.msoc" for t in range(frames)]
+    monkeypatch.undo()
+
+    # a missing frame is named by its own path, not by the next frame's
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    missing = inp / "features" / "frame00_stride4.msoc"
+    missing.unlink()
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out2")]) == 4
+    err = capsys.readouterr().err
+    assert f"stage 'cost_volume' failed on {missing}" in err
+    assert "frame01_stride4" not in err
 
 
 def test_ensemble_subcommand_matches_run(tmp_path, scene_dir, run_dir):
@@ -315,6 +405,50 @@ def test_loss_subcommand_depth_shape_mismatch_is_validation_error(
                "--out", str(tmp_path / "loss.json")])
     assert rc == 2
     assert "shape mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "loss.json").exists()
+
+
+def test_loss_subcommand_bin_count_must_match_logits(tmp_path, scene_dir,
+                                                     capsys):
+    # the logits have the 12 bins of 1-13 m; --depth-max 40 asks for 39
+    gt_depth = read_tensor(scene_dir / "gt_depth.msoc")
+    write_tensor(tmp_path / "gt_depth.msoc", gt_depth[:, 4::8, 4::8])
+    capsys.readouterr()
+    rc = main(["loss",
+               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+               "--gt-occ", str(scene_dir / "gt_occ.msoc"),
+               "--gt-sem", str(scene_dir / "gt_sem.msoc"),
+               "--mask", str(scene_dir / "mask.msoc"),
+               "--depth-logits",
+               str(scene_dir / "depth_logits" / "frame03_stride8.msoc"),
+               "--gt-depth", str(tmp_path / "gt_depth.msoc"),
+               "--depth-max", "40", "--out", str(tmp_path / "loss.json")])
+    assert rc == 2
+    assert "12 depth logits for 39 depth bins" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["gt_depth.msoc"]
+
+
+def test_nonfinite_head_logits_fail_in_loss(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "heads" / "occ_logits_scale0.msoc"
+    logits = read_tensor(path)
+    logits[1, 2, 3] = np.nan
+    write_tensor(path, logits)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 3
+    assert "stage 'loss'" in capsys.readouterr().err
+    assert not (out / "loss_report.json").exists()
+    # the subcommand fails on the same file through the same check
+    assert main(["loss", "--occ-logits", str(path),
+                 "--sem-logits", str(inp / "heads" / "sem_logits_scale0.msoc"),
+                 "--gt-occ", str(inp / "gt_occ.msoc"),
+                 "--gt-sem", str(inp / "gt_sem.msoc"),
+                 "--mask", str(inp / "mask.msoc"),
+                 "--out", str(tmp_path / "loss.json")]) == 3
+    assert "losses: 1 NaN" in capsys.readouterr().err
     assert not (tmp_path / "loss.json").exists()
 
 
@@ -411,10 +545,12 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
     config["num_classes"] = 5
     (inp / "config.json").write_text(json.dumps(config))
     capsys.readouterr()
-    assert main(["run", "--input", str(inp), "--output",
-                 str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "stage 'gt_pyramid' failed" in err and "num_classes 5" in err
+    # the ground truth is checked before any other stage writes
+    assert os.listdir(out) == []
     rc = main(["gt-downsample", "--occ", str(inp / "gt_occ.msoc"),
                "--sem", str(inp / "gt_sem.msoc"),
                "--mask", str(inp / "mask.msoc"), "--num-classes", "5",
@@ -428,7 +564,16 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
     ("ensemble_weights", [0.5], "ensemble_weights needs 2 weights, got 1"),
     ("ensemble_weights", [0.4, 0.3, 0.3], "needs 2 weights, got 3"),
     ("alphas", [1.0, 0.5], "2 alphas for 3 strides"),
-], ids=["one_weight", "three_weights", "two_alphas"])
+    ("threshold_table", 5, "'threshold_table' has a value of the wrong type"),
+    ("gamma", "2", "'gamma' has a value of the wrong type"),
+    ("depth_min", "1", "'depth_min' has a value of the wrong type"),
+    ("num_classes", 17.0, "'num_classes' has a value of the wrong type"),
+    ("strides", [8, 16.5, 32], "'strides' has a value of the wrong type"),
+    ("alphas", None, "'alphas' has a value of the wrong type"),
+    ("gamma", True, "'gamma' has a value of the wrong type"),
+], ids=["one_weight", "three_weights", "two_alphas", "table_number",
+        "gamma_string", "depth_min_string", "num_classes_float",
+        "stride_float", "alphas_null", "gamma_bool"])
 def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
                                                 key, value, message):
     inp = tmp_path / "inp"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -155,31 +156,37 @@ class TestRelativeEgoMotion:
 
 
 def test_frustum_in_range_half_open():
-    f = geo.FrustumSpec(1, 1, 1, depth_min=1.0, depth_max=13.0)
+    f = geo.FrustumSpec(depth_min=1.0, depth_max=13.0)
     d = np.array([np.nan, np.inf, -np.inf, 0.99, 1.0, 12.99, 13.0])
     assert f.in_range(d).tolist() == [False, False, False, False, True,
                                       True, False]
     assert (f.bin_of(d[f.in_range(d)]) < f.num_bins).all()
 
 
+def test_frustum_spec_holds_only_depth_bins():
+    # the pixel lattice is the stride-scaled Intrinsics', never a copy
+    assert [f.name for f in dataclasses.fields(geo.FrustumSpec)] == \
+        ["depth_min", "depth_max", "depth_step"]
+
+
 class TestFrustumPoints:
     def test_single_point(self):
         k = geo.Intrinsics(fx=10, fy=10, cx=0.5, cy=0.5, width=1, height=1)
-        f = geo.FrustumSpec(1, 1, 1, depth_min=1.0, depth_max=2.0,
+        f = geo.FrustumSpec(depth_min=1.0, depth_max=2.0,
                             depth_step=1.0)
         pts = geo.frustum_points(k, f, geo.RigidTransform.identity())
         assert pts.shape == (1, 3)
 
     def test_principal_point_depth(self):
         k = geo.Intrinsics(fx=10, fy=10, cx=0.5, cy=0.5, width=1, height=1)
-        f = geo.FrustumSpec(1, 1, 1, depth_min=9.5, depth_max=10.5,
+        f = geo.FrustumSpec(depth_min=9.5, depth_max=10.5,
                             depth_step=1.0)
         pts = geo.frustum_points(k, f, geo.RigidTransform.identity())
         assert np.allclose(pts[0], [0.0, 0.0, 10.0])
 
     def test_count(self):
         k = geo.Intrinsics(fx=50, fy=50, cx=22, cy=8, width=44, height=16)
-        f = geo.FrustumSpec(44, 16, 8, depth_min=1.0, depth_max=60.0,
+        f = geo.FrustumSpec(depth_min=1.0, depth_max=60.0,
                             depth_step=1.0)
         assert f.num_bins == 59
         assert geo.frustum_points(k, f, geo.RigidTransform.identity()).shape \
@@ -187,7 +194,7 @@ class TestFrustumPoints:
 
     def test_ordering_d_slowest_u_fastest(self):
         k = geo.Intrinsics(fx=10, fy=10, cx=1.0, cy=1.0, width=2, height=2)
-        f = geo.FrustumSpec(2, 2, 1, depth_min=0.5, depth_max=2.5,
+        f = geo.FrustumSpec(depth_min=0.5, depth_max=2.5,
                             depth_step=1.0)
         pts = geo.frustum_points(k, f, geo.RigidTransform.identity())
         # depths: first 4 points at bin 0 center, next 4 at bin 1 center
@@ -237,6 +244,13 @@ class TestSerialization:
         assert np.allclose(t2.rotation, rig.cameras[0][1].rotation)
         parsed = json.loads(rig.to_json())
         assert len(parsed["cameras"][0]["cam_to_ego"]["rotation"]) == 9
+
+    def test_rig_rejects_mixed_image_sizes(self, k):
+        small = geo.Intrinsics(fx=400.0, fy=410.0, cx=160.0, cy=120.0,
+                               width=320, height=240)
+        t = geo.RigidTransform.identity()
+        with pytest.raises(ValueError, match="differ in image size"):
+            geo.CameraRig(((k, t), (small, t)))
 
     def test_grid_roundtrip(self):
         g = geo.VoxelGridSpec(200, 200, 16)

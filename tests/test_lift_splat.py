@@ -14,14 +14,14 @@ def naive_scatter(rig, f, g, features, depths):
     entries = []
     for cam, (k, cam_to_ego) in enumerate(rig.cameras):
         for di, depth in enumerate(f.bin_centers()):
-            for v in range(f.feat_height):
-                for u in range(f.feat_width):
+            for v in range(k.height):
+                for u in range(k.width):
                     p = cam_to_ego.apply(
                         geo.unproject(u + 0.5, v + 0.5, depth, k))
                     cell = np.floor((p - g.origin) / g.voxel_size).astype(int)
                     if ((cell < 0) | (cell >= [g.nx, g.ny, g.nz])).any():
                         continue
-                    off = (di * f.feat_height + v) * f.feat_width + u
+                    off = (di * k.height + v) * k.width + u
                     vox = (cell[0] * g.ny + cell[1]) * g.nz + cell[2]
                     entries.append((cam, off, vox))
                     out[:, cell[0], cell[1], cell[2]] += \
@@ -29,9 +29,9 @@ def naive_scatter(rig, f, g, features, depths):
     return out, entries
 
 
-def decode(idx, f):
+def decode(idx, depths):
     """(camera, point offset) of each entry, from its flat depth index."""
-    return np.divmod(idx.depth_index, f.num_bins * f.feat_height * f.feat_width)
+    return np.divmod(idx.depth_index, depths[0].size)
 
 
 def small_setup(seed, n_cams=2, ch=3, h=4, w=8, d=6, grid_n=(10, 10, 4)):
@@ -44,8 +44,7 @@ def small_setup(seed, n_cams=2, ch=3, h=4, w=8, d=6, grid_n=(10, 10, 4)):
                                         rng.uniform(-0.5, 0.5, 3))
         cams.append((k, t))
     rig = geo.CameraRig(tuple(cams))
-    f = geo.FrustumSpec(w, h, 1, depth_min=0.5, depth_max=0.5 + d,
-                        depth_step=1.0)
+    f = geo.FrustumSpec(depth_min=0.5, depth_max=0.5 + d, depth_step=1.0)
     g = geo.VoxelGridSpec(*grid_n, origin=np.array([-2.0, -2.0, -1.0]),
                           voxel_size=np.array([0.4, 0.4, 0.5]))
     features = rng.standard_normal((n_cams, ch, h, w))
@@ -83,7 +82,7 @@ class TestBuildPoolingIndex:
         k = geo.Intrinsics(fx=5, fy=5, cx=2, cy=2, width=4, height=4)
         rig = geo.CameraRig(((k, geo.RigidTransform.from_translation(
             [1000.0, 0, 0])),))
-        f = geo.FrustumSpec(4, 4, 1, depth_min=0.5, depth_max=3.5)
+        f = geo.FrustumSpec(depth_min=0.5, depth_max=3.5)
         g = geo.VoxelGridSpec(4, 4, 4, origin=np.array([-1.0, -1.0, -1.0]),
                               voxel_size=np.array([0.5, 0.5, 0.5]))
         idx = build_pooling_index(rig, f, g)
@@ -92,7 +91,7 @@ class TestBuildPoolingIndex:
     def test_single_voxel_encloses_everything(self):
         k = geo.Intrinsics(fx=5, fy=5, cx=2, cy=2, width=4, height=4)
         rig = geo.CameraRig(((k, geo.RigidTransform.identity()),))
-        f = geo.FrustumSpec(4, 4, 1, depth_min=0.5, depth_max=3.5)
+        f = geo.FrustumSpec(depth_min=0.5, depth_max=3.5)
         g = geo.VoxelGridSpec(1, 1, 1, origin=np.array([-50.0, -50.0, -50.0]),
                               voxel_size=np.array([100.0, 100.0, 100.0]))
         idx = build_pooling_index(rig, f, g)
@@ -103,12 +102,17 @@ class TestBuildPoolingIndex:
         rig, f, g, features, depths = small_setup(11)
         idx = build_pooling_index(rig, f, g)
         _, entries = naive_scatter(rig, f, g, features, depths)
-        cams, offs = decode(idx, f)
+        cams, offs = decode(idx, depths)
         got = sorted(zip(idx.target_vox, cams, offs))
         want = sorted((vox, cam, off) for cam, off, vox in entries)
         assert got == want
-        n_pix = f.feat_height * f.feat_width
+        n_pix = features[0, 0].size
         assert (idx.pixel_index == cams * n_pix + offs % n_pix).all()
+
+    def test_depth_shape_from_rig(self):
+        rig, f, g, features, depths = small_setup(19, n_cams=3, h=5, w=7)
+        assert build_pooling_index(rig, f, g).depth_shape == depths.shape \
+            == (3, f.num_bins, 5, 7)
 
     def test_depth_index_strictly_increasing(self):
         rig, f, g, *_ = small_setup(12)
@@ -122,7 +126,7 @@ class TestLiftAndPool:
         rig, f, g, features, _ = small_setup(13, n_cams=1)
         features = np.zeros_like(features)
         features[0, :, 2, 3] = [1.0, 2.0, 3.0]
-        depths = np.zeros((1, f.num_bins, f.feat_height, f.feat_width))
+        depths = np.zeros((1, f.num_bins, *features.shape[2:]))
         depths[0, 4, 2, 3] = 1.0
         # make every other pixel a valid distribution on bin 0
         depths[0, 0] = 1.0
@@ -139,7 +143,7 @@ class TestLiftAndPool:
         rig, f, g, features, _ = small_setup(14, n_cams=1)
         features = np.zeros_like(features)
         features[0, 0, 1, 1] = 1.0
-        depths = np.full((1, f.num_bins, f.feat_height, f.feat_width),
+        depths = np.full((1, f.num_bins, *features.shape[2:]),
                          1.0 / f.num_bins)
         idx = build_pooling_index(rig, f, g)
         out = lift_and_pool(features, depths, idx)
@@ -160,9 +164,9 @@ class TestLiftAndPool:
         rig, f, g, features, depths = small_setup(16)
         idx = build_pooling_index(rig, f, g)
         out = lift_and_pool(features, depths, idx)
-        h, w = f.feat_height, f.feat_width
+        h, w = features.shape[2:]
         contrib = 0.0
-        for cam, off in zip(*decode(idx, f)):
+        for cam, off in zip(*decode(idx, depths)):
             d, p = divmod(off, h * w)
             contrib += depths[cam, d, p // w, p % w] \
                 * features[cam, :, p // w, p % w].sum()
@@ -202,7 +206,7 @@ def sorted_index_lift(rig, f, g, features, depths):
     target_vox = np.concatenate(targets)[order]
 
     n_cams, c_chan = features.shape[:2]
-    h, w = f.feat_height, f.feat_width
+    h, w = features.shape[2:]
     depth_flat = depths.reshape(n_cams, -1).astype(np.float64)
     weights = depth_flat[cam_ids, point_offsets]
     pixel_offsets = point_offsets % (h * w)

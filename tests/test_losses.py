@@ -215,7 +215,7 @@ class TestFocalSemLoss:
 
 class TestDepthLoss:
     def frustum(self):
-        return FrustumSpec(4, 3, 1, depth_min=1.0, depth_max=60.0,
+        return FrustumSpec(depth_min=1.0, depth_max=60.0,
                            depth_step=1.0)
 
     def test_one_hot_correct(self):
@@ -236,7 +236,7 @@ class TestDepthLoss:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_finite_difference(self, seed):
-        f = FrustumSpec(4, 3, 1, depth_min=1.0, depth_max=9.0)
+        f = FrustumSpec(depth_min=1.0, depth_max=9.0)
         rng = np.random.default_rng(seed)
         gt = rng.uniform(1.0, 8.9, (3, 4))
         valid = rng.random((3, 4)) < 0.7
@@ -252,6 +252,12 @@ class TestDepthLoss:
         with pytest.raises(ValueError):
             losses.depth_loss(np.zeros((59, 3, 4)), np.full((3, 4), 5.0),
                               np.zeros((3, 4), bool), f)
+
+    def test_bin_count_mismatch_rejected(self):
+        # 12 logits against the 59 bins of 1-60 m
+        with pytest.raises(ValueError, match="12 depth logits for 59"):
+            losses.depth_loss(np.zeros((12, 3, 4)), np.full((3, 4), 5.0),
+                              np.ones((3, 4), bool), self.frustum())
 
     @pytest.mark.parametrize("gt_shape,valid_shape",
                              [((3, 4), (6, 8)), ((6, 8), (6, 8)),

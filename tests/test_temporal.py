@@ -17,7 +17,7 @@ def k():
 
 @pytest.fixture
 def frustum():
-    return geo.FrustumSpec(48, 32, 1, depth_min=6.5, depth_max=14.5,
+    return geo.FrustumSpec(depth_min=6.5, depth_max=14.5,
                            depth_step=1.0)
 
 
@@ -188,7 +188,7 @@ class TestCostVolume:
         cur = rng.standard_normal((6, h, w)).astype(dtype)
         prev = rng.standard_normal((6, h, w)).astype(dtype)
         k = geo.Intrinsics(fx=50, fy=50, cx=w / 2, cy=h / 2, width=w, height=h)
-        f = geo.FrustumSpec(w, h, 1, depth_min=6.5, depth_max=14.5)
+        f = geo.FrustumSpec(depth_min=6.5, depth_max=14.5)
         # on a 1-pixel axis every corner clamps onto its one row or column,
         # and only reprojections onto its center line are valid: each motion
         # keeps that line and moves some pixels off the image
@@ -205,7 +205,7 @@ class TestCostVolume:
     def test_memory(self):
         # stereo scale: 64 channels, 64x176 pixels, one depth plane
         k = geo.Intrinsics(fx=88, fy=88, cx=88, cy=32, width=176, height=64)
-        f = geo.FrustumSpec(176, 64, 1, depth_min=10.0, depth_max=11.0)
+        f = geo.FrustumSpec(depth_min=10.0, depth_max=11.0)
         assert f.num_bins == 1
         rng = np.random.default_rng(11)
         cur = rng.standard_normal((64, 64, 176))
@@ -225,7 +225,7 @@ class TestCostVolume:
     def test_memory_independent_of_depth_bins(self):
         # stereo scale: 64 channels, 64x176 pixels, 59 depth bins
         k = geo.Intrinsics(fx=88, fy=88, cx=88, cy=32, width=176, height=64)
-        f = geo.FrustumSpec(176, 64, 1, depth_min=1.0, depth_max=60.0)
+        f = geo.FrustumSpec(depth_min=1.0, depth_max=60.0)
         rng = np.random.default_rng(10)
         cur = rng.standard_normal((64, 64, 176))
         prev = rng.standard_normal((64, 64, 176))
@@ -238,6 +238,14 @@ class TestCostVolume:
             tracemalloc.stop()
         # peak in units of one (C, H, W) float64 map
         assert peak <= 20 * cur.nbytes
+
+    def test_lattice_must_match_camera(self, k, frustum):
+        # 32x48 features against the camera at twice their stride
+        with pytest.raises(ValueError, match="32x48.*16x24"):
+            temporal.build_cost_volume(np.zeros((2, 32, 48)),
+                                       np.zeros((2, 32, 48)),
+                                       geo.RigidTransform.identity(),
+                                       k.scaled(2), frustum)
 
     def test_shape_mismatch(self, k, frustum):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ decide free space, and masked mIoU scores the final labels.
 
 import numpy as np
 
-from msocc import fixtures, metrics, postprocess
+from msocc import fixtures, metrics, pipeline, postprocess
 
 scene = fixtures.make_scene(seed=3, num_cameras=2, num_boxes=4)
 occ_prob, sem_prob = fixtures.oracle_predictions(scene)
@@ -23,14 +23,13 @@ for tag in tags:
     entries_a.append(postprocess.deaugment(tag, occ_aug, sem_aug))
     entries_b.append(postprocess.deaugment(tag, occ_aug, sem_aug))
 
-fused_occ, fused_sem = postprocess.ensemble(entries_a, entries_b)
+fused_occ, fused_sem = postprocess.ensemble(
+    entries_a, entries_b, pipeline.PipelineConfig().ensemble_weights)
 labels = postprocess.apply_thresholds(fused_occ, fused_sem,
                                       postprocess.DEFAULT_THRESHOLDS)
 
 gt = np.where(scene.gt_occ == 1, scene.gt_sem, 255).astype(np.uint8)
-tally = metrics.ConfusionTally(17)
-metrics.accumulate(labels, gt, scene.mask, tally)
-per_class, mean = metrics.miou(tally)
+per_class, mean = metrics.miou(metrics.accumulate(labels, gt, scene.mask, 17))
 print(f"oracle mIoU: {mean:.3f}")
 for cls, iou in per_class.items():
     print(f"  {postprocess.CLASS_NAMES[cls]}: {iou:.3f}")

@@ -144,7 +144,7 @@ def cmd_deaug(args):
 def cmd_ensemble(args):
     occ_prob, sem_label = postprocess.ensemble(
         *pipeline.load_prediction_sets(args.preds),
-        postprocess.EnsembleConfig(args.weight_a, args.weight_b))
+        (args.weight_a, args.weight_b))
     write_tensor(args.out_occ, occ_prob.astype(np.float32))
     write_tensor(args.out_sem, sem_label)
     _write_meta(args.out_occ + ".meta.json", args)

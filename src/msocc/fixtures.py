@@ -170,7 +170,6 @@ class SyntheticScene:
     rig: CameraRig
     poses: tuple              # per-frame ego -> global
     gt_depth: np.ndarray      # (N, H, W) z-depth in meters, inf = no hit
-    seed: int
 
 
 def _default_rig(num_cameras: int, width: int, height: int,
@@ -249,7 +248,7 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
         mask |= (z > 0.1) & (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
     mask = mask.reshape(grid.shape)
 
-    return SyntheticScene(grid, occ, sem, mask, rig, poses, gt_depth, seed)
+    return SyntheticScene(grid, occ, sem, mask, rig, poses, gt_depth)
 
 
 def oracle_predictions(scene: SyntheticScene, num_classes: int = 17):

@@ -72,6 +72,8 @@ def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
     """Ground-truth pyramid with `levels` scales, level 0 the input itself."""
     if not np.shape(occ) == np.shape(sem) == np.shape(mask):
         raise ValueError("shape mismatch")
+    if ((occ != 0) & (occ != 1)).any():
+        raise ValueError("occupancy must be 0 or 1")
     if ((sem == FREE) != (occ == 0)).any():
         raise ValueError("semantics must be FREE exactly where occupancy is 0")
     labels = sem[sem != FREE]

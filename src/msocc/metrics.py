@@ -1,7 +1,8 @@
 """One confusion matrix and masked per-class IoU / mIoU.
 
-`ConfusionTally.matrix` counts masked voxels with the ground-truth label on
-the rows and the predicted label on the columns. Class ids 0..K-1 keep their
+`accumulate` counts one frame's masked voxels in a (K+1, K+1) matrix with
+the ground-truth label on the rows and the predicted label on the columns;
+the matrices of several frames add with `+`. Class ids 0..K-1 keep their
 index and FREE maps to index K. FREE is not a scored class: a FREE
 prediction on an occupied ground-truth voxel counts as a false negative for
 the ground-truth class, and classes with a zero denominator are excluded
@@ -10,27 +11,11 @@ from the mean rather than scored 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .gt_multiscale import FREE
 
-__all__ = ["ConfusionTally", "LabelError", "accumulate", "miou"]
-
-
-@dataclass
-class ConfusionTally:
-    num_classes: int = 17
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        n = self.num_classes + 1
-        self.matrix = np.zeros((n, n), dtype=np.int64)
-
-    @property
-    def voxels_evaluated(self) -> int:
-        return int(self.matrix.sum())
+__all__ = ["LabelError", "accumulate", "miou"]
 
 
 class LabelError(ValueError):
@@ -56,30 +41,29 @@ def _matrix_index(labels: np.ndarray, k: int, side: str) -> np.ndarray:
 
 
 def accumulate(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray,
-               tally: ConfusionTally) -> ConfusionTally:
-    """Add one frame's masked voxels to the tally's confusion matrix."""
+               num_classes: int) -> np.ndarray:
+    """The int64 (K+1, K+1) confusion matrix of one frame's masked voxels."""
     if pred.shape != gt.shape or pred.shape != mask.shape:
         raise ValueError("shape mismatch")
     m = np.asarray(mask, dtype=bool)
-    k = tally.num_classes
-    p = _matrix_index(np.asarray(pred)[m], k, "pred")
-    g = _matrix_index(np.asarray(gt)[m], k, "gt")
-    tally.matrix += np.bincount(g * (k + 1) + p,
-                                minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
-    return tally
+    n = num_classes + 1
+    p = _matrix_index(np.asarray(pred)[m], num_classes, "pred")
+    g = _matrix_index(np.asarray(gt)[m], num_classes, "gt")
+    return np.bincount(g * n + p, minlength=n * n).reshape(n, n)
 
 
-def miou(tally: ConfusionTally, include_free: bool = False):
-    """Per-class IoU and the mean over classes with a non-zero denominator.
+def miou(matrix: np.ndarray, include_free: bool = False):
+    """Per-class IoU and the mean over classes with a non-zero denominator,
+    for the K classes of a (K+1, K+1) confusion matrix.
 
     include_free adds a FREE-vs-rest IoU, read from row and column K, as an
     extra entry in the mean.
     """
-    k = tally.num_classes
-    tp = tally.matrix.diagonal()
-    denom = tally.matrix.sum(axis=0) + tally.matrix.sum(axis=1) - tp
+    k = len(matrix) - 1
+    tp = matrix.diagonal()
+    denom = matrix.sum(axis=0) + matrix.sum(axis=1) - tp
     if not (denom[:k] > 0).any():
-        raise ValueError("no class has any support in the tally")
+        raise ValueError("no class has any support in the matrix")
     scored = [c for c in range(k + 1 if include_free else k) if denom[c] > 0]
     iou = tp[scored] / denom[scored]
     per_class = {FREE if c == k else c: float(v) for c, v in zip(scored, iou)}

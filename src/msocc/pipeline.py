@@ -35,7 +35,7 @@ import numpy as np
 from . import losses, metrics, postprocess, temporal
 from .checks import NumericalError, check_finite
 from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion, RigidTransform
-from .gt_multiscale import FREE, build_pyramid
+from .gt_multiscale import build_pyramid
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
@@ -77,9 +77,22 @@ class PipelineConfig:
         if len(cfg.ensemble_weights) != 2:
             raise ValueError(f"ensemble_weights needs 2 weights, got "
                              f"{len(cfg.ensemble_weights)}")
+        if not all(0 < w < np.inf for w in cfg.ensemble_weights):
+            raise ValueError(f"ensemble_weights must be positive and finite, got "
+                             f"{list(cfg.ensemble_weights)}")
         if len(cfg.alphas) != len(cfg.strides):
             raise ValueError(f"{len(cfg.alphas)} alphas for "
                              f"{len(cfg.strides)} strides")
+        if cfg.cost_stride < 1:
+            raise ValueError(f"cost_stride must be at least 1, got "
+                             f"{cfg.cost_stride}")
+        for s in cfg.strides:
+            if s < 1 or s % cfg.cost_stride:
+                raise ValueError(f"stride {s} is not a positive multiple of "
+                                 f"cost_stride {cfg.cost_stride}")
+        if not cfg.gamma >= 0:
+            raise ValueError(f"gamma must be non-negative, got {cfg.gamma}")
+        frustum(cfg)  # the depth bins' own checks
         return cfg
 
 
@@ -109,6 +122,12 @@ def _stage(name: str, path: str):
 def read_text(path) -> str:
     with open(path) as fh:
         return fh.read()
+
+
+def read_in(stage: str, path):
+    """read_tensor(path), a failure reported as one of `stage` on `path`."""
+    with _stage(stage, path):
+        return read_tensor(path)
 
 
 def read_input(path, parse):
@@ -233,20 +252,19 @@ def load_prediction_sets(preds_dir: str):
     def entries(model):
         for j, td in enumerate(tags[f"model_{model}"]):
             path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
-            yield postprocess.deaugment(postprocess.AugmentationTag(**td),
-                                        read_tensor(path.format("occ")),
-                                        read_tensor(path.format("sem")))
+            yield postprocess.deaugment(
+                postprocess.AugmentationTag(**td),
+                *(read_in("postprocess", path.format(k)) for k in ("occ", "sem")))
 
     return entries("a"), entries("b")
 
 
 def evaluate(pred, gt, mask, num_classes: int,
              include_free: bool = False) -> dict:
-    tally = metrics.ConfusionTally(num_classes)
-    metrics.accumulate(pred, gt, mask, tally)
-    per_class, mean = metrics.miou(tally, include_free=include_free)
+    matrix = metrics.accumulate(pred, gt, mask, num_classes)
+    per_class, mean = metrics.miou(matrix, include_free=include_free)
     return {"per_class_iou": {str(k): v for k, v in per_class.items()},
-            "miou": mean, "voxels_evaluated": tally.voxels_evaluated}
+            "miou": mean, "voxels_evaluated": int(matrix.sum())}
 
 
 def run_pipeline(input_dir: str, output_dir: str) -> dict:
@@ -280,8 +298,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     # so a bad label fails before any other output is written) ----
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
         gt_occ = read_tensor(os.path.join(inp, "gt_occ.msoc"))
-        gt_sem = read_tensor(os.path.join(inp, "gt_sem.msoc"))
-        mask = read_tensor(os.path.join(inp, "mask.msoc")).astype(bool)
+        gt_sem = read_in("gt_pyramid", os.path.join(inp, "gt_sem.msoc"))
+        mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc")).astype(bool)
         pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides),
                                 num_classes=cfg.num_classes)
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
@@ -292,9 +310,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     # ---- stage: cost volumes at stride 1/4 between adjacent frames ----
     cv_dir = os.path.join(out, "cost_volumes")
     os.makedirs(cv_dir, exist_ok=True)
-    path = frame_path("features", 0, cfg.cost_stride)
-    with _stage("cost_volume", path):
-        feats_prev = read_tensor(path)
+    feats_prev = read_in("cost_volume", frame_path("features", 0, cfg.cost_stride))
     for t in range(1, num_frames):
         path = frame_path("features", t, cfg.cost_stride)
         with _stage("cost_volume", path):
@@ -357,15 +373,15 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
-        gt_depth = read_tensor(os.path.join(inp, "gt_depth.msoc"))
+        gt_depth = read_in("loss", os.path.join(inp, "gt_depth.msoc"))
         terms = []
         for i, stride in enumerate(cfg.strides):
             # depth supervision at this scale's stride, pixel-center subsampled
             c = stride // 2
             terms.append(scale_losses(
                 cfg,
-                read_tensor(os.path.join(inp, "heads", f"occ_logits_scale{i}.msoc")),
-                read_tensor(os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc")),
+                read_in("loss", os.path.join(inp, "heads", f"occ_logits_scale{i}.msoc")),
+                read_in("loss", os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc")),
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
                 current_logits[i], gt_depth[:, c::stride, c::stride]))
         report = losses.total_loss(*zip(*terms), cfg.alphas)
@@ -376,14 +392,13 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     with _stage("postprocess", os.path.join(preds, "tags.json")):
         prediction_sets = load_prediction_sets(preds)
     with _stage("postprocess", preds):
-        occ_prob, sem_label = postprocess.ensemble(
-            *prediction_sets, postprocess.EnsembleConfig(*cfg.ensemble_weights))
+        occ_prob, sem_label = postprocess.ensemble(*prediction_sets,
+                                                   cfg.ensemble_weights)
         final = postprocess.apply_thresholds(occ_prob, sem_label, thresholds)
         write_tensor(os.path.join(out, "occ_prob.msoc"),
                      occ_prob.astype(np.float32))
         write_tensor(os.path.join(out, "final_labels.msoc"), final)
-        gt_labels = np.where(gt_occ == 1, gt_sem, FREE).astype(np.uint8)
-        eval_report = evaluate(final, gt_labels, mask, cfg.num_classes)
+        eval_report = evaluate(final, gt_sem, mask, cfg.num_classes)
         write_json(os.path.join(out, "eval_report.json"), eval_report)
 
     write_json(os.path.join(out, "metadata.json"),
@@ -409,8 +424,8 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
         fh.write(scene.rig.to_json())
     with open(os.path.join(out_dir, "grid.json"), "w") as fh:
         fh.write(scene.grid.to_json())
-    with open(os.path.join(out_dir, "poses.json"), "w") as fh:
-        json.dump([p.to_dict() for p in scene.poses], fh, indent=2)
+    write_json(os.path.join(out_dir, "poses.json"),
+               [p.to_dict() for p in scene.poses])
     write_json(os.path.join(out_dir, "config.json"), asdict(cfg))
 
     write_tensor(os.path.join(out_dir, "gt_occ.msoc"),
@@ -463,13 +478,13 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     occ_prob, sem_prob = fixtures.oracle_predictions(scene, cfg.num_classes)
     tags = postprocess.enumerate_tta()
     tag_dicts = [asdict(t) for t in tags]
-    with open(os.path.join(out_dir, "preds", "tags.json"), "w") as fh:
-        json.dump({"model_a": tag_dicts, "model_b": tag_dicts}, fh, indent=2)
+    write_json(os.path.join(out_dir, "preds", "tags.json"),
+               {"model_a": tag_dicts, "model_b": tag_dicts})
     for model in ("a", "b"):
         for j, tag in enumerate(tags):
-            write_tensor(os.path.join(out_dir, "preds",
-                                      f"model_{model}_entry{j}_occ.msoc"),
-                         postprocess.apply_flips(occ_prob, tag).astype(np.float32))
-            write_tensor(os.path.join(out_dir, "preds",
-                                      f"model_{model}_entry{j}_sem.msoc"),
-                         postprocess.apply_flips(sem_prob, tag).astype(np.float32))
+            # the flips are involutions, so deaugment also augments
+            for name, vol in zip(("occ", "sem"),
+                                 postprocess.deaugment(tag, occ_prob, sem_prob)):
+                write_tensor(os.path.join(out_dir, "preds",
+                                          f"model_{model}_entry{j}_{name}.msoc"),
+                             vol.astype(np.float32))

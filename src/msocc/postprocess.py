@@ -3,7 +3,8 @@ ensembling, and class-wise occupancy thresholding.
 
 The flip group has 8 members: image horizontal flip plus voxel-space flips
 along the two BEV axes. The image flip diversifies the network input but
-needs no volume-space inverse; only the voxel flips are undone here.
+needs no volume-space inverse; only the voxel flips are undone here. The
+flips are involutions, so `deaugment` also augments.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from .gt_multiscale import FREE
 
 __all__ = [
     "AugmentationTag",
-    "EnsembleConfig",
     "CLASS_NAMES",
     "DEFAULT_THRESHOLDS",
     "enumerate_tta",
     "deaugment",
-    "apply_flips",
     "ensemble",
     "apply_thresholds",
     "load_threshold_table",
@@ -64,30 +63,10 @@ class AugmentationTag:
     vox_flip_y: bool
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    weight_a: float = 0.45
-    weight_b: float = 0.55
-
-    def __post_init__(self):
-        if self.weight_a <= 0 or self.weight_b <= 0:
-            raise ValueError("ensemble weights must be positive")
-
-
 def enumerate_tta():
     """The 8 flip combinations, binary counting over (img, x, y)."""
     return [AugmentationTag(bool(i >> 2 & 1), bool(i >> 1 & 1), bool(i & 1))
             for i in range(8)]
-
-
-def apply_flips(volume: np.ndarray, tag: AugmentationTag) -> np.ndarray:
-    """The tag's voxel flips of a (..., nx, ny, nz) volume, as a view."""
-    out = volume
-    if tag.vox_flip_x:
-        out = np.flip(out, axis=-3)
-    if tag.vox_flip_y:
-        out = np.flip(out, axis=-2)
-    return out
 
 
 def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
@@ -98,11 +77,12 @@ def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
     involutions, so applying the tag's flips again restores the canonical
     frame; img_hflip needs no correction. Returns views of the inputs.
     """
-    return apply_flips(occ_prob, tag), apply_flips(sem_prob, tag)
+    axes = [a for a, f in ((-3, tag.vox_flip_x), (-2, tag.vox_flip_y)) if f]
+    return np.flip(occ_prob, axes), np.flip(sem_prob, axes)
 
 
-def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
-    """Weighted fusion of two models' de-augmented prediction sets.
+def ensemble(entries_a, entries_b, weights):
+    """Fusion of two models' de-augmented prediction sets by (a, b) weights.
 
     Each entry is (occ_prob, sem_prob) with sem_prob.shape[1:] ==
     occ_prob.shape; the sets may be any iterables and are consumed one
@@ -113,10 +93,11 @@ def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
     order and the memory peak. A NaN or inf in an entry raises
     NumericalError.
     """
+    if len(weights) != 2 or not all(0 < w < np.inf for w in weights):
+        raise ValueError(f"need two positive finite ensemble weights: {weights}")
     occ_sum = sem_sum = buf = None
     counts = []
-    for weight, entries in ((cfg.weight_a, entries_a),
-                            (cfg.weight_b, entries_b)):
+    for weight, entries in zip(weights, (entries_a, entries_b)):
         n = 0
         for n, (occ, sem) in enumerate(entries, 1):
             if occ_sum is None:
@@ -135,7 +116,7 @@ def ensemble(entries_a, entries_b, cfg: EnsembleConfig = EnsembleConfig()):
             raise ValueError("both prediction sets must be non-empty")
         counts.append(n)
     del occ, sem, buf  # the last entry is not needed for the argmax
-    norm = cfg.weight_a * counts[0] + cfg.weight_b * counts[1]
+    norm = weights[0] * counts[0] + weights[1] * counts[1]
     occ_sum /= norm
     sem_sum /= norm
     check_finite("ensembled occupancy", occ_sum)

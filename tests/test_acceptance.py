@@ -235,8 +235,7 @@ def test_criterion_9_postprocess_constants():
         "Vegetation": 0.92,
     }
     ok = t == table1 and len(t) == 17
-    cfg = pp.EnsembleConfig()
-    ok &= (cfg.weight_a, cfg.weight_b) == (0.45, 0.55)
+    ok &= pipeline.PipelineConfig().ensemble_weights == (0.45, 0.55)
     car = pp.CLASS_NAMES.index("Car")
     ds = pp.CLASS_NAMES.index("Driveable Surface")
     occ = np.array([[[0.95]], [[0.955]]])
@@ -260,7 +259,8 @@ def test_criterion_10_tta_group():
     entries_a = [pp.deaugment(tag, *pp.deaugment(tag, occ, sem))
                  for tag in tags]  # identical content round-tripped
     entries_b = [(occ, sem)] * 8
-    out_occ, out_sem = pp.ensemble(entries_a, entries_b)
+    out_occ, out_sem = pp.ensemble(entries_a, entries_b,
+                                   pipeline.PipelineConfig().ensemble_weights)
     ok &= np.abs(out_occ - occ).max() < 1e-12
     ok &= np.array_equal(out_sem, np.argmax(sem, axis=0))
     report("10. TTA group (8 tags, involutions, identical-content fusion)",
@@ -294,9 +294,8 @@ def test_criterion_11_oracle_end_to_end(oracle_run):
         pred = gt.copy().ravel()
         idx = order[:int(frac * gt.size)]
         pred[idx] = FREE
-        tally = metrics.ConfusionTally(17)
-        metrics.accumulate(pred.reshape(gt.shape), gt, sc.mask, tally)
-        _, mean = metrics.miou(tally)
+        _, mean = metrics.miou(
+            metrics.accumulate(pred.reshape(gt.shape), gt, sc.mask, 17))
         monotone &= mean <= prev + 1e-12
         strict_drop &= mean < prev
         prev = mean

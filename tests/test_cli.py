@@ -74,7 +74,7 @@ def test_identity_motion_stack_blocks_identical(tmp_path):
                              image_width=128, image_height=96)
     sc = fixtures.SyntheticScene(
         sc.grid, sc.gt_occ, sc.gt_sem, sc.mask, sc.rig,
-        tuple(sc.poses[:1] * 3), sc.gt_depth, sc.seed)
+        tuple(sc.poses[:1] * 3), sc.gt_depth)
     inp, out = tmp_path / "inp", tmp_path / "out"
     pipeline.emit_inputs(str(inp), sc, seed=9)
     # identical features/depths for every frame isolate the motion effect
@@ -560,6 +560,22 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
     assert not (tmp_path / "pyr").exists()
 
 
+def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
+                                                   capsys):
+    # evaluation scores gt_sem as is, which is right only for 0/1 occupancy
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    occ = read_tensor(inp / "gt_occ.msoc")
+    occ[occ == 1] = 2
+    write_tensor(inp / "gt_occ.msoc", occ)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'gt_pyramid' failed" in err and "must be 0 or 1" in err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("ensemble_weights", [0.5], "ensemble_weights needs 2 weights, got 1"),
     ("ensemble_weights", [0.4, 0.3, 0.3], "needs 2 weights, got 3"),
@@ -571,9 +587,24 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
     ("strides", [8, 16.5, 32], "'strides' has a value of the wrong type"),
     ("alphas", None, "'alphas' has a value of the wrong type"),
     ("gamma", True, "'gamma' has a value of the wrong type"),
+    ("depth_step", 0, "depth_step must be positive"),
+    ("depth_min", 0.0, "depth_min must be positive"),
+    ("depth_max", 1.0, "frustum needs at least one depth bin"),
+    ("gamma", -1, "gamma must be non-negative, got -1"),
+    ("cost_stride", 0, "cost_stride must be at least 1, got 0"),
+    ("strides", [8, 18, 32], "stride 18 is not a positive multiple of "
+                             "cost_stride 4"),
+    ("strides", [8, -16, 32], "stride -16 is not a positive multiple"),
+    ("ensemble_weights", [0.0, 1.0], "ensemble_weights must be positive "
+                                     "and finite, got [0.0, 1.0]"),
+    ("ensemble_weights", [0.45, float("nan")], "got [0.45, nan]"),
+    ("gamma", float("nan"), "gamma must be non-negative, got nan"),
 ], ids=["one_weight", "three_weights", "two_alphas", "table_number",
         "gamma_string", "depth_min_string", "num_classes_float",
-        "stride_float", "alphas_null", "gamma_bool"])
+        "stride_float", "alphas_null", "gamma_bool", "depth_step_zero",
+        "depth_min_zero", "no_depth_bin", "gamma_negative", "cost_stride_zero",
+        "stride_not_multiple", "stride_negative", "weight_zero", "weight_nan",
+        "gamma_nan"])
 def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
                                                 key, value, message):
     inp = tmp_path / "inp"
@@ -736,6 +767,26 @@ def test_truncated_input_names_stage_and_file(tmp_path, scene_dir, capsys,
     assert "stage 'inputs'" in err and name in err
 
 
+@pytest.mark.parametrize("name, stage", [
+    ("gt_sem.msoc", "gt_pyramid"),
+    ("mask.msoc", "gt_pyramid"),
+    ("gt_depth.msoc", "loss"),
+    ("heads/sem_logits_scale1.msoc", "loss"),
+    ("preds/model_b_entry3_sem.msoc", "postprocess"),
+], ids=["gt_sem", "mask", "gt_depth", "sem_logits", "pred_entry"])
+def test_truncated_tensor_names_its_own_file(tmp_path, scene_dir, capsys,
+                                             name, stage):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / name
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 4
+    assert f"stage {stage!r} failed on {path}:" in capsys.readouterr().err
+
+
 def _drop_rig_cameras(rig):
     del rig["cameras"]
 
@@ -830,11 +881,26 @@ def test_ensemble_holds_one_prediction_entry(scene_dir):
                 .nbytes for k in ("occ", "sem"))
     tracemalloc.start()
     try:
-        postprocess.ensemble(*pipeline.load_prediction_sets(preds))
+        postprocess.ensemble(*pipeline.load_prediction_sets(preds),
+                             pipeline.PipelineConfig().ensemble_weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10 * entry
+
+
+@pytest.mark.parametrize("flag, value", [("--weight-a", "0"),
+                                         ("--weight-b", "-1")],
+                         ids=["a_zero", "b_negative"])
+def test_ensemble_weights_must_be_positive(tmp_path, scene_dir, capsys, flag,
+                                           value):
+    out_occ = tmp_path / "occ.msoc"
+    capsys.readouterr()
+    assert main(["ensemble", "--preds", str(scene_dir / "preds"), flag, value,
+                 "--out-occ", str(out_occ),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 2
+    assert "two positive finite ensemble weights" in capsys.readouterr().err
+    assert not out_occ.exists()
 
 
 def _drop_model_b(tags):

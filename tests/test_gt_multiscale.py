@@ -181,6 +181,15 @@ class TestBuildPyramid:
         with pytest.raises(ValueError, match="shape mismatch"):
             build_pyramid(**args)
 
+    def test_occupancy_outside_0_1_rejected(self):
+        occ = np.ones((8, 8, 4), np.uint8)
+        sem = np.full((8, 8, 4), 4, np.uint8)
+        mask = np.ones((8, 8, 4), bool)
+        build_pyramid(occ, sem, mask)
+        occ[1, 2, 1] = 2
+        with pytest.raises(ValueError, match="occupancy must be 0 or 1"):
+            build_pyramid(occ, sem, mask)
+
     def test_label_not_below_num_classes_rejected(self):
         occ = np.ones((8, 8, 4), np.uint8)
         sem = np.full((8, 8, 4), 4, np.uint8)

@@ -7,6 +7,9 @@ import pytest
 from msocc import postprocess as pp
 from msocc.checks import NumericalError
 from msocc.gt_multiscale import FREE
+from msocc.pipeline import PipelineConfig
+
+WEIGHTS = PipelineConfig().ensemble_weights
 
 
 class TestEnumerateTta:
@@ -56,22 +59,30 @@ class TestDeaugment:
         o, s = pp.deaugment(pp.AugmentationTag(True, False, False), occ, sem)
         assert np.array_equal(o, occ) and np.array_equal(s, sem)
 
+    @pytest.mark.parametrize("tag", pp.enumerate_tta())
+    def test_returns_views(self, tag):
+        occ, sem = self.random_entry(3)
+        o, s = pp.deaugment(tag, occ, sem)
+        assert np.shares_memory(o, occ) and np.shares_memory(s, sem)
+        fx = -1 if tag.vox_flip_x else 1
+        fy = -1 if tag.vox_flip_y else 1
+        assert o.tobytes() == occ[::fx, ::fy].tobytes()
+        assert s.tobytes() == sem[:, ::fx, ::fy].tobytes()
+
 
 class TestEnsemble:
     def test_identical_single_entries(self):
         rng = np.random.default_rng(3)
         occ = rng.random((4, 4, 2))
         sem = rng.random((3, 4, 4, 2))
-        out_occ, _ = pp.ensemble([(occ, sem)], [(occ, sem)],
-                                 pp.EnsembleConfig())
+        out_occ, _ = pp.ensemble([(occ, sem)], [(occ, sem)], WEIGHTS)
         assert np.allclose(out_occ, occ, atol=1e-12)
 
     def test_default_weights_favor_model_b(self):
         sem_a = np.zeros((6, 2, 2, 1)); sem_a[2] = 1.0
         sem_b = np.zeros((6, 2, 2, 1)); sem_b[5] = 1.0
         occ = np.ones((2, 2, 1))
-        _, label = pp.ensemble([(occ, sem_a)], [(occ, sem_b)],
-                               pp.EnsembleConfig())
+        _, label = pp.ensemble([(occ, sem_a)], [(occ, sem_b)], WEIGHTS)
         assert np.all(label == 5)
 
     def test_matches_scalar_loop_oracle(self):
@@ -81,7 +92,7 @@ class TestEnsemble:
              for _ in range(8)]
         b = [(rng.random((3, 3, 2)), rng.random((4, 3, 3, 2)))
              for _ in range(8)]
-        occ, label = pp.ensemble(a, b, pp.EnsembleConfig(wa, wb))
+        occ, label = pp.ensemble(a, b, (wa, wb))
         norm = wa * 8 + wb * 8
         want_occ = (wa * sum(o for o, _ in a)
                     + wb * sum(o for o, _ in b)) / norm
@@ -96,7 +107,7 @@ class TestEnsemble:
              for _ in range(3)]
         b = [(rng.random((3, 3, 2)), rng.random((2, 3, 3, 2)))
              for _ in range(5)]
-        occ, _ = pp.ensemble(a, b, pp.EnsembleConfig())
+        occ, _ = pp.ensemble(a, b, WEIGHTS)
         assert occ.min() >= -1e-12 and occ.max() <= 1 + 1e-12
 
     def test_permutation_invariant(self):
@@ -105,8 +116,8 @@ class TestEnsemble:
              for _ in range(4)]
         b = [(rng.random((3, 3, 2)), rng.random((2, 3, 3, 2)))
              for _ in range(4)]
-        o1, l1 = pp.ensemble(a, b)
-        o2, l2 = pp.ensemble(a[::-1], b[::-1])
+        o1, l1 = pp.ensemble(a, b, WEIGHTS)
+        o2, l2 = pp.ensemble(a[::-1], b[::-1], WEIGHTS)
         assert np.allclose(o1, o2, atol=1e-12)
         assert np.array_equal(l1, l2)
 
@@ -114,10 +125,10 @@ class TestEnsemble:
         rng = np.random.default_rng(7)
         a = [(rng.random((3, 3, 2)), rng.random((2, 3, 3, 2)))]
         b = [(rng.random((3, 3, 2)), rng.random((2, 3, 3, 2)))]
-        _, l1 = pp.ensemble(a, b)
+        _, l1 = pp.ensemble(a, b, WEIGHTS)
         a9 = [(o, 9.0 * s) for o, s in a]
         b9 = [(o, 9.0 * s) for o, s in b]
-        _, l2 = pp.ensemble(a9, b9)
+        _, l2 = pp.ensemble(a9, b9, WEIGHTS)
         assert np.array_equal(l1, l2)
 
     def test_iterators_match_lists(self):
@@ -126,20 +137,33 @@ class TestEnsemble:
              for _ in range(8)]
         b = [(rng.random((3, 3, 2)), rng.random((4, 3, 3, 2)))
              for _ in range(8)]
-        o1, l1 = pp.ensemble(iter(a), iter(b))
-        o2, l2 = pp.ensemble(a, b)
+        o1, l1 = pp.ensemble(iter(a), iter(b), WEIGHTS)
+        o2, l2 = pp.ensemble(a, b, WEIGHTS)
         assert o1.tobytes() == o2.tobytes() and l1.tobytes() == l2.tobytes()
+
+    @pytest.mark.parametrize("weights", [(0.5,), (0.2, 0.3, 0.5), (0.0, 1.0),
+                                         (0.5, -1.0), (0.5, np.nan),
+                                         (np.inf, 0.5)],
+                             ids=["one", "three", "zero", "negative", "nan",
+                                  "inf"])
+    def test_weights_must_be_two_positive(self, weights):
+        def unread():
+            raise AssertionError("an entry was read")
+            yield
+
+        with pytest.raises(ValueError, match="two positive finite ensemble weights"):
+            pp.ensemble(unread(), unread(), weights)
 
     def test_empty_or_mismatched_rejected(self):
         e = (np.zeros((2, 2, 1)), np.zeros((2, 2, 2, 1)))
         bad = (np.zeros((3, 2, 1)), np.zeros((2, 3, 2, 1)))
         for wrap in (list, iter):
             with pytest.raises(ValueError):
-                pp.ensemble(wrap([]), wrap([e]))
+                pp.ensemble(wrap([]), wrap([e]), WEIGHTS)
             with pytest.raises(ValueError):
-                pp.ensemble(wrap([e]), wrap([]))
+                pp.ensemble(wrap([e]), wrap([]), WEIGHTS)
             with pytest.raises(ValueError):
-                pp.ensemble(wrap([e]), wrap([bad]))
+                pp.ensemble(wrap([e]), wrap([bad]), WEIGHTS)
 
 
 def expression_ensemble(a, b, wa, wb):
@@ -175,7 +199,7 @@ class TestEnsembleBytes:
 
         a, b = entries(5), entries(3)
         assert any(not s.flags.c_contiguous for _, s in a)
-        occ, label = pp.ensemble(a, b, pp.EnsembleConfig(*weights))
+        occ, label = pp.ensemble(a, b, weights)
         want_occ, want_label = expression_ensemble(a, b, *weights)
         assert occ.dtype == np.float64 and label.dtype == np.uint8
         assert occ.tobytes() == want_occ.tobytes()
@@ -190,7 +214,7 @@ class TestEnsembleBytes:
         one = entries[0][0].nbytes + entries[0][1].nbytes
         tracemalloc.start()
         try:
-            pp.ensemble(entries[:2], entries[2:])
+            pp.ensemble(entries[:2], entries[2:], WEIGHTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,13 +228,13 @@ class TestEnsembleBytes:
         sem[[2, 4], 2] = 0.9  # classes 2 and 4 tie above the rest
         sem[[3, 4], 3] = 0.7
         entry = (np.full((4, 1, 1), 0.5), sem)
-        _, label = pp.ensemble([entry], [entry])
+        _, label = pp.ensemble([entry], [entry], WEIGHTS)
         assert label.ravel().tolist() == [0, 0, 2, 3]
 
     def test_semantic_shape_must_match_occupancy(self):
         e = (np.zeros((2, 2, 1)), np.zeros((3, 2, 3, 1)))
         with pytest.raises(ValueError, match="shapes"):
-            pp.ensemble([e], [e])
+            pp.ensemble([e], [e], WEIGHTS)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
@@ -222,7 +246,7 @@ class TestEnsembleBytes:
         a[1][part].flat[5] = value
         with pytest.raises(NumericalError,
                            match=("occupancy", "semantics")[part]):
-            pp.ensemble(a, a[:1])
+            pp.ensemble(a, a[:1], WEIGHTS)
 
 
 class TestThresholds:

@@ -201,6 +201,10 @@ class FrustumSpec:
     depth_step: float = 1.0
 
     def __post_init__(self):
+        for name in ("depth_min", "depth_max", "depth_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.depth_min <= 0:
             raise ValueError("depth_min must be positive")
         if self.depth_step <= 0:

@@ -292,6 +292,15 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     table = cfg.threshold_table and os.path.join(inp, cfg.threshold_table)
     with _stage("inputs", table):
         thresholds = postprocess.load_threshold_table(table)
+    with _stage("inputs", os.path.join(inp, "config.json")):
+        # the rig's cameras share one image size, so one lattice
+        lattice = rig.cameras[0][0].scaled(cfg.cost_stride)
+        for s in cfg.strides:
+            factor = s // cfg.cost_stride
+            if lattice.height % factor or lattice.width % factor:
+                raise ValueError(
+                    f"stride {s} pools the {lattice.height}x{lattice.width} "
+                    f"cost-volume lattice by {factor}, which does not divide it")
     os.makedirs(out, exist_ok=True)
 
     # ---- stage: multi-scale ground truth (first: it needs no other stage,

@@ -4,7 +4,11 @@ The matching cost is the channel-mean dot product between the current
 feature and the previous feature bilinearly sampled at the reprojection of
 each depth hypothesis, one depth plane at a time. Each of the four corners
 is gathered from a channel-last copy of `prev` and dotted with `cur`, so the
-(C, H, W) sample is never built. Hypotheses reprojecting outside the
+(C, H, W) sample is never built. A pixel's four corner dots depend only
+on its corner base, which most pixels keep from one plane to the next, so
+they are kept and recomputed only where the base moved. The einsum
+computes each row's dot from that row alone, so which other rows share the
+call does not change its bytes. Hypotheses reprojecting outside the
 previous image score +0.0. `test_matches_corner_dot_formula` pins the
 cost volume's bytes and `test_matches_eight_corner_loop` the voxel warp's.
 """
@@ -40,9 +44,16 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     at depth_d, in the order (base, gx, gy), (base+1, fx, gy), (base+w, gx,
     fy), (base+w+1, fx, fy). A reprojection outside the hull of pixel
     centers, or behind the camera, scores +0.0. Memory grows with C * H * W,
-    not with the number of depth bins. `test_matches_corner_dot_formula`
-    pins this order byte for byte; `test_matches_all_planes_formula` bounds
-    it against the four-term sample.
+    not with the number of depth bins.
+
+    The four dots of a pixel are kept from the last plane that computed
+    them and recomputed only on planes where its base moved (every pixel
+    on plane 0). The weights stay per plane, and the einsum computes each
+    row's dot from that row alone, so the bytes equal those of a sweep that
+    recomputes every dot on every plane. `test_matches_corner_dot_formula`
+    pins this order byte for byte and `TestCornerDotReuse` each way of
+    recomputing; `test_matches_all_planes_formula` bounds it against the
+    four-term sample.
     """
     if cur.shape != prev.shape:
         raise ValueError(f"feature shapes differ: {cur.shape} vs {prev.shape}")
@@ -62,6 +73,10 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     cur_t = np.ascontiguousarray(cur.reshape(c, n).T, dtype=np.float64)
     prev_t = np.ascontiguousarray(prev.reshape(c, n).T, dtype=np.float64)
     g = np.empty((n, c))
+    # dots[j, p] = <cur[:, p], prev[:, corner j of p]>, kept from the last
+    # plane on which p's corner base moved
+    dots = np.empty((4, n))
+    last = np.full(n, -1)
     cost = np.zeros((f.num_bins, n))
     # pixel centers sit at integer + 0.5; eps absorbs reprojection roundoff
     eps = 1e-9
@@ -77,12 +92,22 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
         gx = 1 - fx
         gy = 1 - fy
         base = y0c * w + x0c
+        moved = np.flatnonzero(base != last)
+        last = base
+        m = len(moved)
+        if m > n // 2:  # recompute every row against cur_t itself
+            rows, cur_m, g_m, at = base, cur_t, g, slice(None)
+        else:
+            # the moved rows of cur go to g's tail, which g[:m] never reaches
+            rows, cur_m, g_m, at = base[moved], g[n - m:], g[:m], moved
+            np.take(cur_t, moved, axis=0, out=cur_m)
         # take's "clip" clamps the corners past a degenerate 1-pixel axis,
         # which carry zero weight, and lets it write into g without a copy
-        for idx, wx, wy in ((base, gx, gy), (base + 1, fx, gy),
-                            (base + w, gx, fy), (base + w + 1, fx, fy)):
-            np.take(prev_t, idx, axis=0, out=g, mode="clip")
-            acc += (wx * wy) * np.einsum("pc,pc->p", cur_t, g)
+        for j, offset in enumerate((0, 1, w, w + 1)):
+            np.take(prev_t, rows + offset, axis=0, out=g_m, mode="clip")
+            dots[j, at] = np.einsum("pc,pc->p", cur_m, g_m)
+        for dot, wx, wy in zip(dots, (gx, fx, gx, fx), (gy, gy, fy, fy)):
+            acc += (wx * wy) * dot
         np.copyto(acc, 0.0, where=~valid)
     return cost.reshape(f.num_bins, h, w) / c
 

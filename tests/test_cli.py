@@ -599,18 +599,42 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
                                      "and finite, got [0.0, 1.0]"),
     ("ensemble_weights", [0.45, float("nan")], "got [0.45, nan]"),
     ("gamma", float("nan"), "gamma must be non-negative, got nan"),
+    # the 128x96 rig's stride-4 cost volume is 32x24; stride 12 pools it by 3
+    ("strides", [12, 16, 32], "stride 12 pools the 24x32 cost-volume lattice "
+                              "by 3, which does not divide it"),
 ], ids=["one_weight", "three_weights", "two_alphas", "table_number",
         "gamma_string", "depth_min_string", "num_classes_float",
         "stride_float", "alphas_null", "gamma_bool", "depth_step_zero",
         "depth_min_zero", "no_depth_bin", "gamma_negative", "cost_stride_zero",
         "stride_not_multiple", "stride_negative", "weight_zero", "weight_nan",
-        "gamma_nan"])
+        "gamma_nan", "stride_not_dividing_lattice"])
 def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
                                                 key, value, message):
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
     config = json.loads((inp / "config.json").read_text())
     config[key] = value
+    (inp / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {inp / 'config.json'}" in err
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("key", ["depth_min", "depth_max", "depth_step"])
+def test_non_finite_depth_bins_fail_before_any_stage(tmp_path, scene_dir,
+                                                     capsys, key, value):
+    message = f"{key} must be finite, got {value}"
+    with pytest.raises(ValueError, match=message):
+        pipeline.PipelineConfig.from_dict({key: value})
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    config = json.loads((inp / "config.json").read_text())
+    config[key] = value  # written as the Infinity / NaN that json reads back
     (inp / "config.json").write_text(json.dumps(config))
     capsys.readouterr()
     out = tmp_path / "out"

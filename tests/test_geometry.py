@@ -163,6 +163,15 @@ def test_frustum_in_range_half_open():
     assert (f.bin_of(d[f.in_range(d)]) < f.num_bins).all()
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["depth_min", "depth_max", "depth_step"])
+def test_frustum_rejects_non_finite(name, value):
+    bins = {"depth_min": 1.0, "depth_max": 13.0, "depth_step": 1.0}
+    bins[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        geo.FrustumSpec(**bins)
+
+
 def test_frustum_spec_holds_only_depth_bins():
     # the pixel lattice is the stride-scaled Intrinsics', never a copy
     assert [f.name for f in dataclasses.fields(geo.FrustumSpec)] == \

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msocc import fixtures, temporal
 from msocc import geometry as geo
@@ -253,6 +255,107 @@ class TestCostVolume:
                                        np.zeros((2, 32, 47)),
                                        geo.RigidTransform.identity(),
                                        k, frustum)
+
+
+def moved(pu, pv, h, w):
+    """(D - 1, H * W) mask of the pixels whose clamped top-left corner
+    differs from the plane before: the rows a reusing sweep recomputes."""
+    x = np.clip(pu.reshape(len(pu), -1) - 0.5, 0.0, w - 1.0)
+    y = np.clip(pv.reshape(len(pv), -1) - 0.5, 0.0, h - 1.0)
+    x0c = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+    y0c = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+    base = y0c * w + x0c
+    return base[1:] != base[:-1]
+
+
+def assert_matches_corner_dot(cur, prev, rel, k, f, cam_to_ego=None):
+    want = corner_dot_volume(cur, prev, *sweep(cur.shape, rel, k, f, cam_to_ego))
+    got = temporal.build_cost_volume(cur, prev, rel, k, f, cam_to_ego=cam_to_ego)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestCornerDotReuse:
+    """build_cost_volume keeps each pixel's four corner dots until its
+    corner base moves; every regime of that reuse gives the per-plane
+    reference's bytes."""
+
+    def features(self, dtype, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((c, h, w)).astype(dtype),
+                rng.standard_normal((c, h, w)).astype(dtype))
+
+    def test_identity_motion_reuses_every_row(self, frustum, dtype):
+        # with a power-of-two focal length the identity sweep reprojects
+        # each pixel center exactly onto itself, so no base flips on
+        # roundoff
+        k = geo.Intrinsics(fx=64, fy=64, cx=24, cy=16, width=48, height=32)
+        cur, prev = self.features(dtype, 5, 32, 48, 20)
+        rel = geo.RigidTransform.identity()
+        assert not moved(*sweep(cur.shape, rel, k, frustum), 32, 48).any()
+        cv = assert_matches_corner_dot(cur, prev, rel, k, frustum)
+        assert (cv != 0).all()
+
+    def test_partial_move(self, k, frustum, dtype):
+        cur, prev = self.features(dtype, 5, 32, 48, 21)
+        rel = geo.RigidTransform.from_yaw(0.01, (0.3, 0.2, 0.0))
+        share = moved(*sweep(cur.shape, rel, k, frustum, rig_camera()),
+                      32, 48).mean()
+        assert 0.01 <= share <= 0.5
+        assert_matches_corner_dot(cur, prev, rel, k, frustum, rig_camera())
+
+    def test_most_rows_move(self, k, dtype):
+        # fine bins and a 3 m baseline: more than half the bases move on
+        # some planes and fewer on others, so both ways of recomputing run
+        cur, prev = self.features(dtype, 5, 32, 48, 22)
+        f = geo.FrustumSpec(depth_min=4.0, depth_max=9.0, depth_step=0.25)
+        rel = geo.RigidTransform.from_yaw(0.02, (3.0, 0.0, 0.0))
+        share = moved(*sweep(cur.shape, rel, k, f, rig_camera()),
+                      32, 48).mean(axis=1)
+        assert share.max() > 0.5 > share.min()
+        assert_matches_corner_dot(cur, prev, rel, k, f, rig_camera())
+
+    @pytest.mark.parametrize("hw", [(1, 13), (9, 1), (1, 1), (32, 48)])
+    def test_degenerate_lattices_and_behind_camera(self, dtype, hw):
+        h, w = hw
+        cur, prev = self.features(dtype, 6, h, w, h * 100 + w)
+        k = geo.Intrinsics(fx=50, fy=50, cx=w / 2, cy=h / 2, width=w, height=h)
+        f = geo.FrustumSpec(depth_min=6.5, depth_max=14.5)
+        # the previous camera sits 9.5 m ahead, so the planes at 7-9 m lie
+        # behind it; the sideways part keeps a 1-pixel axis's center line
+        t = {(1, 13): (0.7, 0.0, 9.5), (9, 1): (0.0, 0.7, 9.5),
+             (1, 1): (0.0, 0.0, 9.5), (32, 48): (0.7, 0.3, 9.5)}[hw]
+        rel = geo.RigidTransform.from_translation(t)
+        behind = f.bin_centers() < 9.5
+        assert 0 < behind.sum() < f.num_bins
+        cv = assert_matches_corner_dot(cur, prev, rel, k, f)
+        assert np.all(cv[behind] == 0.0) and (cv[~behind] != 0).any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hw=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+       channels=st.integers(1, 6),
+       yaw=st.floats(-0.2, 0.2),
+       t=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       depth_min=st.floats(0.5, 8.0),
+       depth_step=st.floats(0.05, 2.0),
+       bins=st.integers(1, 12),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2 ** 16))
+def test_reuse_matches_corner_dot_property(hw, channels, yaw, t, depth_min,
+                                           depth_step, bins, dtype, seed):
+    h, w = hw
+    rng = np.random.default_rng(seed)
+    cur = rng.standard_normal((channels, h, w)).astype(dtype)
+    prev = rng.standard_normal((channels, h, w)).astype(dtype)
+    k = geo.Intrinsics(fx=8.0 * w, fy=8.0 * w, cx=w / 2, cy=h / 2,
+                       width=w, height=h)
+    f = geo.FrustumSpec(depth_min=depth_min,
+                        depth_max=depth_min + (bins - 0.5) * depth_step,
+                        depth_step=depth_step)
+    assert_matches_corner_dot(cur, prev, geo.RigidTransform.from_yaw(yaw, t),
+                              k, f, rig_camera())
 
 
 class TestRescaleCostVolume:

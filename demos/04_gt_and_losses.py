@@ -8,7 +8,7 @@ per-scale terms are combined with weights 1, 0.5, 0.25.
 import numpy as np
 
 from msocc import fixtures, losses
-from msocc.gt_multiscale import build_pyramid
+from msocc.gt_multiscale import CLASS_NAMES, build_pyramid
 
 scene = fixtures.make_scene(seed=0, num_cameras=2, num_boxes=4)
 pyramid = build_pyramid(scene.gt_occ, scene.gt_sem, scene.mask)
@@ -16,17 +16,17 @@ for i, occ in enumerate(pyramid.occ):
     print(f"scale {i}: grid {occ.shape}, occupied {int(occ.sum())}")
 
 freq_w = losses.class_frequency_weights(scene.gt_sem, scene.gt_occ,
-                                        scene.mask, num_classes=17)
+                                        scene.mask)
 print(f"occupancy weights (inverse frequency): {freq_w.w_occ.round(3)}")
 # absent classes dominate inverse-frequency normalisation on a toy scene,
 # so score the random logits with uniform weights for a readable demo
-weights = losses.ClassWeights.uniform(17)
+weights = losses.ClassWeights.uniform(len(CLASS_NAMES))
 
 per_scale = []
 rng = np.random.default_rng(1)
 for occ, sem, mask in zip(pyramid.occ, pyramid.sem, pyramid.mask):
     occ_logits = rng.standard_normal(occ.shape)
-    sem_logits = rng.standard_normal((17, *occ.shape))
+    sem_logits = rng.standard_normal((len(CLASS_NAMES), *occ.shape))
     l_occ, g_occ = losses.bce_occ_loss(occ_logits, occ, mask, weights)
     l_sem, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, weights,
                                      gamma=2.0)

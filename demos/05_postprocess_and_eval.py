@@ -9,6 +9,7 @@ decide free space, and masked mIoU scores the final labels.
 import numpy as np
 
 from msocc import fixtures, metrics, pipeline, postprocess
+from msocc.gt_multiscale import CLASS_NAMES, FREE
 
 scene = fixtures.make_scene(seed=3, num_cameras=2, num_boxes=4)
 occ_prob, sem_prob = fixtures.oracle_predictions(scene)
@@ -28,8 +29,9 @@ fused_occ, fused_sem = postprocess.ensemble(
 labels = postprocess.apply_thresholds(fused_occ, fused_sem,
                                       postprocess.DEFAULT_THRESHOLDS)
 
-gt = np.where(scene.gt_occ == 1, scene.gt_sem, 255).astype(np.uint8)
-per_class, mean = metrics.miou(metrics.accumulate(labels, gt, scene.mask, 17))
+gt = np.where(scene.gt_occ == 1, scene.gt_sem, FREE).astype(np.uint8)
+per_class, mean = metrics.miou(metrics.accumulate(labels, gt, scene.mask,
+                                                  len(CLASS_NAMES)))
 print(f"oracle mIoU: {mean:.3f}")
 for cls, iou in per_class.items():
-    print(f"  {postprocess.CLASS_NAMES[cls]}: {iou:.3f}")
+    print(f"  {CLASS_NAMES[cls]}: {iou:.3f}")

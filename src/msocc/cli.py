@@ -97,19 +97,22 @@ def cmd_warp(args):
 
 def cmd_gt_downsample(args):
     pyr = build_pyramid(read_tensor(args.occ), read_tensor(args.sem),
-                        read_tensor(args.mask).astype(bool),
-                        levels=args.levels, num_classes=args.num_classes)
+                        read_tensor(args.mask).astype(bool), levels=args.levels)
     pipeline.write_pyramid(args.out, pyr)
     _write_meta(os.path.join(args.out, "metadata.json"), args)
     return EXIT_OK
 
 
 def cmd_loss(args):
+    if bool(args.depth_logits) != bool(args.gt_depth):
+        raise ValueError("the depth term needs --"
+                         + ("gt-depth" if args.depth_logits else "depth-logits"))
     cfg = _depth_config(args, gamma=args.gamma, weight_mode=args.weight_mode)
     depth = ((read_tensor(args.depth_logits), read_tensor(args.gt_depth))
-             if args.depth_logits and args.gt_depth else ())
+             if args.depth_logits else ())
     lo, ls, ld = pipeline.scale_losses(
-        cfg, read_tensor(args.occ_logits), read_tensor(args.sem_logits),
+        cfg, read_tensor(args.occ_logits),
+        pipeline.read_in("loss", args.sem_logits, classes=True),
         read_tensor(args.gt_occ), read_tensor(args.gt_sem),
         read_tensor(args.mask).astype(bool), *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld,
@@ -163,7 +166,7 @@ def cmd_eval(args):
     try:
         report = pipeline.evaluate(read_tensor(args.pred), read_tensor(args.gt),
                                    read_tensor(args.mask).astype(bool),
-                                   args.num_classes, args.include_free)
+                                   args.include_free)
     except metrics.LabelError as e:  # name the --pred or --gt file
         raise PipelineStageError("eval", getattr(args, e.side), e) from e
     pipeline.write_json(args.out, report)
@@ -228,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sem", required=True)
     s.add_argument("--mask", required=True)
     s.add_argument("--levels", type=int, default=len(DEFAULTS.strides))
-    s.add_argument("--num-classes", type=int, default=DEFAULTS.num_classes)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_gt_downsample)
 
@@ -286,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pred", required=True)
     s.add_argument("--gt", required=True)
     s.add_argument("--mask", required=True)
-    s.add_argument("--num-classes", type=int, default=DEFAULTS.num_classes)
     s.add_argument("--include-free", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_eval)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gt_multiscale import FREE
+from .gt_multiscale import CLASS_NAMES, FREE
 from .geometry import (CameraRig, Intrinsics, RigidTransform, VoxelGridSpec,
-                       project, unproject)
+                       project)
 
 __all__ = [
     "SyntheticScene",
@@ -27,7 +27,7 @@ __all__ = [
     "oracle_logits",
 ]
 
-_GROUND_CLASS = 11  # Driveable Surface
+_GROUND_CLASS = CLASS_NAMES.index("Driveable Surface")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -191,7 +191,7 @@ def _default_rig(num_cameras: int, width: int, height: int,
 def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
                num_frames: int = 9, num_boxes: int = 8, seed: int = 0,
                image_width: int = 64, image_height: int = 48,
-               focal: float = 40.0, num_classes: int = 17) -> SyntheticScene:
+               focal: float = 40.0) -> SyntheticScene:
     """Boxes on a ground plane, a surround-view rig, smooth ego motion, and
     ray-marched per-camera depth. Identical arguments give byte-identical
     output."""
@@ -210,7 +210,7 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
         lo = np.array([rng.integers(0, grid.nx - size[0]),
                        rng.integers(0, grid.ny - size[1]),
                        1 + rng.integers(0, max(grid.nz - 1 - size[2], 1))])
-        label = int(rng.integers(0, num_classes))
+        label = int(rng.integers(0, len(CLASS_NAMES)))
         sem[lo[0]:lo[0] + size[0], lo[1]:lo[1] + size[1],
             lo[2]:lo[2] + size[2]] = label
     occ = (sem != FREE).astype(np.uint8)
@@ -251,21 +251,20 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
     return SyntheticScene(grid, occ, sem, mask, rig, poses, gt_depth)
 
 
-def oracle_predictions(scene: SyntheticScene, num_classes: int = 17):
+def oracle_predictions(scene: SyntheticScene):
     """Probability volumes that reproduce the ground truth exactly:
     occ_prob = occupancy, sem_prob = one-hot semantics (class 0 on FREE
     voxels, which thresholding removes via occ_prob = 0)."""
     occ_prob = scene.gt_occ.astype(np.float64)
     labels = np.where(scene.gt_sem == FREE, 0, scene.gt_sem).astype(np.int64)
-    sem_prob = np.moveaxis(np.eye(num_classes)[labels], -1, 0)
+    sem_prob = np.moveaxis(np.eye(len(CLASS_NAMES))[labels], -1, 0)
     return occ_prob, sem_prob
 
 
-def oracle_logits(occ: np.ndarray, sem: np.ndarray, num_classes: int = 17,
-                  magnitude: float = 10.0):
+def oracle_logits(occ: np.ndarray, sem: np.ndarray, magnitude: float = 10.0):
     """Saturated head logits matching an occupancy grid and its semantics
     (FREE where unoccupied), for loss-stack runs."""
     occ_logits = np.where(occ == 1, magnitude, -magnitude)
     labels = np.where(sem == FREE, 0, sem).astype(np.int64)
-    sem_logits = np.moveaxis(np.eye(num_classes)[labels], -1, 0) * 2 - 1
+    sem_logits = np.moveaxis(np.eye(len(CLASS_NAMES))[labels], -1, 0) * 2 - 1
     return occ_logits.astype(np.float64), sem_logits * magnitude

@@ -40,6 +40,21 @@ __all__ = [
 _APPLY_BLOCK_ROWS = 16384
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first value holding a NaN or an inf."""
+    for name, v in values.items():
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _require_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not an int (a bool
+    or a float such as JSON's 40.0 is not)."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     fx: float
@@ -50,6 +65,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        _require_finite(fx=self.fx, fy=self.fy, cx=self.cx, cy=self.cy)
+        _require_ints(width=self.width, height=self.height)
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -57,6 +74,8 @@ class Intrinsics:
 
     def scaled(self, stride: int) -> "Intrinsics":
         """Intrinsics for a feature map downsampled by `stride`."""
+        if stride < 1:
+            raise ValueError(f"stride must be at least 1, got {stride}")
         return Intrinsics(
             fx=self.fx / stride,
             fy=self.fy / stride,
@@ -84,6 +103,7 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        _require_finite(translation=t)
         if not np.allclose(r.T @ r, np.eye(3), atol=1e-8):
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-8:
@@ -201,10 +221,8 @@ class FrustumSpec:
     depth_step: float = 1.0
 
     def __post_init__(self):
-        for name in ("depth_min", "depth_max", "depth_step"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(depth_min=self.depth_min, depth_max=self.depth_max,
+                        depth_step=self.depth_step)
         if self.depth_min <= 0:
             raise ValueError("depth_min must be positive")
         if self.depth_step <= 0:
@@ -238,10 +256,12 @@ class VoxelGridSpec:
     voxel_size: np.ndarray = field(default_factory=lambda: np.array([0.4, 0.4, 0.4]))
 
     def __post_init__(self):
+        _require_ints(nx=self.nx, ny=self.ny, nz=self.nz)
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("grid dims must be >= 1")
         o = np.asarray(self.origin, dtype=np.float64).reshape(3)
         v = np.asarray(self.voxel_size, dtype=np.float64).reshape(3)
+        _require_finite(origin=o, voxel_size=v)
         if np.any(v <= 0):
             raise ValueError("voxel_size must be positive")
         object.__setattr__(self, "origin", o)

@@ -2,7 +2,8 @@
 OR-reduced visibility masks.
 
 Scale 0 is the finest grid (200x200x16 in the full pipeline); each level
-halves every axis. FREE is encoded as 255 in uint8 label grids.
+halves every axis. FREE is encoded as 255 in uint8 label grids. Label k
+names CLASS_NAMES[k], one of the K = len(CLASS_NAMES) classes of the run.
 """
 
 from __future__ import annotations
@@ -13,8 +14,16 @@ import numpy as np
 
 FREE = 255
 
+CLASS_NAMES = (
+    "Others", "Barrier", "Bicycle", "Bus", "Car", "Construction Vehicle",
+    "Motorcycle", "Pedestrian", "Traffic Cone", "Trailer", "Truck",
+    "Driveable Surface", "Other Flat", "Sidewalk", "Terrain", "Manmade",
+    "Vegetation",
+)
+
 __all__ = [
     "FREE",
+    "CLASS_NAMES",
     "MultiScaleGT",
     "downsample_occ",
     "downsample_sem",
@@ -45,7 +54,7 @@ def downsample_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def downsample_sem(sem: np.ndarray, occ_coarse: np.ndarray,
-                   num_classes: int = 17) -> np.ndarray:
+                   num_classes: int = len(CLASS_NAMES)) -> np.ndarray:
     """Majority vote over 2x2x2 blocks, counting only non-FREE labels.
 
     Cells unoccupied at the coarse scale become FREE; occupied cells take the
@@ -68,8 +77,11 @@ class MultiScaleGT:
 
 
 def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
-                  levels: int = 3, num_classes: int = 17) -> MultiScaleGT:
+                  levels: int = 3,
+                  num_classes: int = len(CLASS_NAMES)) -> MultiScaleGT:
     """Ground-truth pyramid with `levels` scales, level 0 the input itself."""
+    if levels < 1:
+        raise ValueError(f"need at least 1 pyramid level, got {levels}")
     if not np.shape(occ) == np.shape(sem) == np.shape(mask):
         raise ValueError("shape mismatch")
     if ((occ != 0) & (occ != 1)).any():

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gt_multiscale import CLASS_NAMES
 
 __all__ = [
     "ClassWeights",
@@ -45,7 +46,7 @@ def _inverse_freq(counts: np.ndarray) -> np.ndarray:
 
 def class_frequency_weights(sem: np.ndarray, occ: np.ndarray,
                             mask: np.ndarray,
-                            num_classes: int = 17) -> ClassWeights:
+                            num_classes: int = len(CLASS_NAMES)) -> ClassWeights:
     """Inverse class-frequency weights over masked voxels, normalized to
     mean 1. Semantic frequencies are taken over masked occupied voxels;
     absent classes get the 1/eps ceiling before normalization."""
@@ -102,6 +103,8 @@ def focal_sem_loss(sem_logits: np.ndarray, gt: np.ndarray,
     k = z.shape[0]
     if len({z.shape[1:], np.shape(gt), np.shape(occ_gt), np.shape(mask)}) > 1:
         raise ValueError("shape mismatch")
+    if len(w.w_sem) != k:
+        raise ValueError(f"{len(w.w_sem)} class weights for {k} logit rows")
     contrib = np.asarray(mask, dtype=bool) & (np.asarray(occ_gt) == 1)
     if not contrib.any():
         raise ValueError("no masked occupied voxels")
@@ -165,13 +168,14 @@ def total_loss(occ_losses, sem_losses, depth_losses,
                alphas=(1.0, 0.5, 0.25)) -> dict:
     """Total = sum_i alpha_i * (L_occ,i + L_sem,i + L_depth,i) with
     alpha_i = 1 / 2^i by default, scale 0 the finest; returns the report
-    with one row of components per scale and the total."""
+    with one row per scale (its components, their unweighted sum `total`
+    and its alpha) and the total."""
     if not (len(occ_losses) == len(sem_losses) == len(depth_losses) == len(alphas)):
         raise ValueError("per-scale component counts differ")
     per = [o + s + d for o, s, d in zip(occ_losses, sem_losses, depth_losses)]
     return {
         "scales": [
-            {"occ": o, "sem": s, "depth": d, "weighted_total": t, "alpha": a}
+            {"occ": o, "sem": s, "depth": d, "total": t, "alpha": a}
             for o, s, d, t, a in zip(occ_losses, sem_losses, depth_losses,
                                      per, alphas)
         ],

@@ -15,10 +15,10 @@ Input directory layout (as emitted by `msocc synth`):
     heads/occ_logits_scale{i}.msoc                f64 (nx, ny, nz)
     heads/sem_logits_scale{i}.msoc                f64 (K, nx, ny, nz)
     preds/tags.json                               TTA tags per model
-    preds/model_{a,b}_entry{j}_{occ,sem}.msoc     augmented probability volumes
+    preds/model_{a,b}_entry{j}_{occ,sem}.msoc     augmented (nx, ny, nz), (K, ...)
 
-N is the rig's camera count and H x W their shared image size. Frames are
-ordered oldest to newest; the last frame is the current one.
+N is the rig's camera count, H x W their shared image size and K =
+len(CLASS_NAMES). Frames are oldest to newest; the last is the current one.
 The 3D fusion network between stacking and the heads is out of scope and
 replaced by identity.
 """
@@ -35,7 +35,7 @@ import numpy as np
 from . import losses, metrics, postprocess, temporal
 from .checks import NumericalError, check_finite
 from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion, RigidTransform
-from .gt_multiscale import build_pyramid
+from .gt_multiscale import CLASS_NAMES, build_pyramid
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
@@ -60,7 +60,6 @@ class PipelineConfig:
     weight_mode: str = "inverse_frequency"
     ensemble_weights: tuple = (0.45, 0.55)
     threshold_table: str | None = None  # path; None = built-in defaults
-    num_classes: int = 17
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -80,6 +79,8 @@ class PipelineConfig:
         if not all(0 < w < np.inf for w in cfg.ensemble_weights):
             raise ValueError(f"ensemble_weights must be positive and finite, got "
                              f"{list(cfg.ensemble_weights)}")
+        if not cfg.strides:
+            raise ValueError("strides must name at least one scale")
         if len(cfg.alphas) != len(cfg.strides):
             raise ValueError(f"{len(cfg.alphas)} alphas for "
                              f"{len(cfg.strides)} strides")
@@ -124,10 +125,15 @@ def read_text(path) -> str:
         return fh.read()
 
 
-def read_in(stage: str, path):
-    """read_tensor(path), a failure reported as one of `stage` on `path`."""
+def read_in(stage: str, path, classes: bool = False):
+    """read_tensor(path), a failure reported as one of `stage` on `path`;
+    with `classes`, the tensor must have one row per class of CLASS_NAMES."""
     with _stage(stage, path):
-        return read_tensor(path)
+        a = read_tensor(path)
+        if classes and a.shape[:1] != (len(CLASS_NAMES),):
+            raise ValueError(f"shape {a.shape} does not lead with the "
+                             f"{len(CLASS_NAMES)} classes of CLASS_NAMES")
+        return a
 
 
 def read_input(path, parse):
@@ -207,16 +213,15 @@ def write_pyramid(out_dir: str, pyramid) -> None:
 def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
                  depth_logits=None, gt_depth=None):
     """Occupancy BCE, semantic focal loss and depth cross-entropy of one
-    scale, with class weights over the K classes of `sem_logits`.
+    scale, with class weights over the K classes of CLASS_NAMES.
     `depth_logits` is a (..., D, h, w) stack of camera maps and `gt_depth`
     the (..., h, w) depth at their pixels; the depth term is the mean over
     cameras, a camera with no in-range depth counting 0, and is 0.0 when
     no depth is given. A NaN or inf term raises NumericalError."""
-    k = sem_logits.shape[0]
     if cfg.weight_mode == "inverse_frequency":
-        w = losses.class_frequency_weights(sem, occ, mask, k)
+        w = losses.class_frequency_weights(sem, occ, mask)
     else:
-        w = losses.ClassWeights.uniform(k)
+        w = losses.ClassWeights.uniform(len(CLASS_NAMES))
     lo, _ = losses.bce_occ_loss(occ_logits, occ, mask, w)
     ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, cfg.gamma)
     ld = 0.0
@@ -254,14 +259,14 @@ def load_prediction_sets(preds_dir: str):
             path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
             yield postprocess.deaugment(
                 postprocess.AugmentationTag(**td),
-                *(read_in("postprocess", path.format(k)) for k in ("occ", "sem")))
+                read_in("postprocess", path.format("occ")),
+                read_in("postprocess", path.format("sem"), classes=True))
 
     return entries("a"), entries("b")
 
 
-def evaluate(pred, gt, mask, num_classes: int,
-             include_free: bool = False) -> dict:
-    matrix = metrics.accumulate(pred, gt, mask, num_classes)
+def evaluate(pred, gt, mask, include_free: bool = False) -> dict:
+    matrix = metrics.accumulate(pred, gt, mask, len(CLASS_NAMES))
     per_class, mean = metrics.miou(matrix, include_free=include_free)
     return {"per_class_iou": {str(k): v for k, v in per_class.items()},
             "miou": mean, "voxels_evaluated": int(matrix.sum())}
@@ -307,10 +312,12 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     # so a bad label fails before any other output is written) ----
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
         gt_occ = read_tensor(os.path.join(inp, "gt_occ.msoc"))
+        if gt_occ.shape != grid.shape:
+            raise ValueError(f"ground truth {gt_occ.shape} on the "
+                             f"{grid.shape} grid of grid.json")
         gt_sem = read_in("gt_pyramid", os.path.join(inp, "gt_sem.msoc"))
         mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc")).astype(bool)
-        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides),
-                                num_classes=cfg.num_classes)
+        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides))
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
 
     def frame_path(kind, t, stride):
@@ -390,7 +397,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             terms.append(scale_losses(
                 cfg,
                 read_in("loss", os.path.join(inp, "heads", f"occ_logits_scale{i}.msoc")),
-                read_in("loss", os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc")),
+                read_in("loss", os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc"),
+                        classes=True),
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
                 current_logits[i], gt_depth[:, c::stride, c::stride]))
         report = losses.total_loss(*zip(*terms), cfg.alphas)
@@ -407,7 +415,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         write_tensor(os.path.join(out, "occ_prob.msoc"),
                      occ_prob.astype(np.float32))
         write_tensor(os.path.join(out, "final_labels.msoc"), final)
-        eval_report = evaluate(final, gt_sem, mask, cfg.num_classes)
+        eval_report = evaluate(final, gt_sem, mask)
         write_json(os.path.join(out, "eval_report.json"), eval_report)
 
     write_json(os.path.join(out, "metadata.json"),
@@ -473,18 +481,17 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
 
     os.makedirs(os.path.join(out_dir, "heads"), exist_ok=True)
     pyramid = build_pyramid(scene.gt_occ, scene.gt_sem, scene.mask,
-                            levels=len(cfg.strides),
-                            num_classes=cfg.num_classes)
+                            levels=len(cfg.strides))
     for i in range(len(cfg.strides)):
-        occ_logits, sem_logits = fixtures.oracle_logits(
-            pyramid.occ[i], pyramid.sem[i], cfg.num_classes)
+        occ_logits, sem_logits = fixtures.oracle_logits(pyramid.occ[i],
+                                                        pyramid.sem[i])
         write_tensor(os.path.join(out_dir, "heads",
                                   f"occ_logits_scale{i}.msoc"), occ_logits)
         write_tensor(os.path.join(out_dir, "heads",
                                   f"sem_logits_scale{i}.msoc"), sem_logits)
 
     os.makedirs(os.path.join(out_dir, "preds"), exist_ok=True)
-    occ_prob, sem_prob = fixtures.oracle_predictions(scene, cfg.num_classes)
+    occ_prob, sem_prob = fixtures.oracle_predictions(scene)
     tags = postprocess.enumerate_tta()
     tag_dicts = [asdict(t) for t in tags]
     write_json(os.path.join(out_dir, "preds", "tags.json"),

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check_finite
-from .gt_multiscale import FREE
+from .gt_multiscale import CLASS_NAMES, FREE
 
 __all__ = [
     "AugmentationTag",
-    "CLASS_NAMES",
     "DEFAULT_THRESHOLDS",
     "enumerate_tta",
     "deaugment",
@@ -28,32 +27,11 @@ __all__ = [
     "load_threshold_table",
 ]
 
-CLASS_NAMES = (
-    "Others", "Barrier", "Bicycle", "Bus", "Car", "Construction Vehicle",
-    "Motorcycle", "Pedestrian", "Traffic Cone", "Trailer", "Truck",
-    "Driveable Surface", "Other Flat", "Sidewalk", "Terrain", "Manmade",
-    "Vegetation",
-)
-
-DEFAULT_THRESHOLDS = {
-    "Others": 0.92,
-    "Barrier": 0.94,
-    "Bicycle": 0.94,
-    "Bus": 0.94,
-    "Car": 0.93,
-    "Construction Vehicle": 0.93,
-    "Motorcycle": 0.91,
-    "Pedestrian": 0.91,
-    "Traffic Cone": 0.91,
-    "Trailer": 0.93,
-    "Truck": 0.93,
-    "Driveable Surface": 0.96,
-    "Other Flat": 0.95,
-    "Sidewalk": 0.95,
-    "Terrain": 0.95,
-    "Manmade": 0.93,
-    "Vegetation": 0.92,
-}
+# per-class occupancy thresholds in CLASS_NAMES order, so the class names
+# have one home; test_criterion_9_postprocess_constants pins each pair
+DEFAULT_THRESHOLDS = dict(zip(CLASS_NAMES, (
+    0.92, 0.94, 0.94, 0.94, 0.93, 0.93, 0.91, 0.91, 0.91, 0.93, 0.93, 0.96,
+    0.95, 0.95, 0.95, 0.93, 0.92), strict=True))
 
 
 @dataclass(frozen=True)

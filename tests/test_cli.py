@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -539,24 +540,26 @@ def test_run_without_in_range_depth_fails_in_loss_stage(tmp_path, scene_dir,
 
 def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
                                                          capsys):
+    # the class count is len(CLASS_NAMES) = 17, so label 17 is no class id
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
-    config = json.loads((inp / "config.json").read_text())
-    config["num_classes"] = 5
-    (inp / "config.json").write_text(json.dumps(config))
+    sem = read_tensor(inp / "gt_sem.msoc")
+    sem[tuple(np.argwhere(sem != FREE)[0])] = 17
+    write_tensor(inp / "gt_sem.msoc", sem)
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "stage 'gt_pyramid' failed" in err and "num_classes 5" in err
+    assert "stage 'gt_pyramid' failed" in err
+    assert "label 17 is not below num_classes 17" in err
     # the ground truth is checked before any other stage writes
     assert os.listdir(out) == []
     rc = main(["gt-downsample", "--occ", str(inp / "gt_occ.msoc"),
                "--sem", str(inp / "gt_sem.msoc"),
-               "--mask", str(inp / "mask.msoc"), "--num-classes", "5",
+               "--mask", str(inp / "mask.msoc"),
                "--out", str(tmp_path / "pyr")])
     assert rc == 2
-    assert "num_classes 5" in capsys.readouterr().err
+    assert "label 17 is not below num_classes 17" in capsys.readouterr().err
     assert not (tmp_path / "pyr").exists()
 
 
@@ -583,7 +586,7 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
     ("threshold_table", 5, "'threshold_table' has a value of the wrong type"),
     ("gamma", "2", "'gamma' has a value of the wrong type"),
     ("depth_min", "1", "'depth_min' has a value of the wrong type"),
-    ("num_classes", 17.0, "'num_classes' has a value of the wrong type"),
+    ("num_classes", 17, "unknown config key 'num_classes'"),
     ("strides", [8, 16.5, 32], "'strides' has a value of the wrong type"),
     ("alphas", None, "'alphas' has a value of the wrong type"),
     ("gamma", True, "'gamma' has a value of the wrong type"),
@@ -603,7 +606,7 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
     ("strides", [12, 16, 32], "stride 12 pools the 24x32 cost-volume lattice "
                               "by 3, which does not divide it"),
 ], ids=["one_weight", "three_weights", "two_alphas", "table_number",
-        "gamma_string", "depth_min_string", "num_classes_float",
+        "gamma_string", "depth_min_string", "num_classes_unknown",
         "stride_float", "alphas_null", "gamma_bool", "depth_step_zero",
         "depth_min_zero", "no_depth_bin", "gamma_negative", "cost_stride_zero",
         "stride_not_multiple", "stride_negative", "weight_zero", "weight_nan",
@@ -665,11 +668,12 @@ def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):
         write_tensor(tmp_path / f"{name}.msoc", labels + (name == "mask"))
     rc = main(["eval", "--pred", str(tmp_path / "pred.msoc"),
                "--gt", str(tmp_path / "gt.msoc"),
-               "--mask", str(tmp_path / "mask.msoc"), "--num-classes", "5",
+               "--mask", str(tmp_path / "mask.msoc"), "--include-free",
                "--out", str(tmp_path / "report.json")])
     assert rc == 0
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
-    assert meta["num_classes"] == 5
+    # the class count comes from CLASS_NAMES, not from a flag
+    assert meta["include_free"] is True and "num_classes" not in meta
 
 
 def test_gt_downsample_mask_shape_mismatch_is_validation_error(
@@ -1037,3 +1041,235 @@ def test_float32_overflow_is_numerical_error(tmp_path, scene_dir, capsys):
                  "--rig", str(inp / "rig.json"), "--grid", str(inp / "grid.json"),
                  "--stride", "8", "--out", str(tmp_path / "lifted.msoc")]) == 3
     assert "lifted grid" in capsys.readouterr().err
+
+
+def test_config_and_metadata_hold_no_class_count(tmp_path, scene_dir,
+                                                 run_dir, capsys):
+    # the class count is len(CLASS_NAMES); no config field or flag sets it
+    names = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
+    assert len(names) == 10 and "num_classes" not in names
+    assert sorted(json.loads((scene_dir / "config.json").read_text())) == \
+        sorted(names)
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    assert sorted(meta["config"]) == sorted(names)
+    files = ["--mask", str(scene_dir / "mask.msoc"),
+             "--out", str(tmp_path / "out")]
+    for argv in (["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
+                  "--sem", str(scene_dir / "gt_sem.msoc"), *files],
+                 ["eval", "--pred", str(scene_dir / "gt_sem.msoc"),
+                  "--gt", str(scene_dir / "gt_sem.msoc"), *files]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([*argv, "--num-classes", "17"])
+        assert "unrecognized arguments: --num-classes" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _class_rows(a, rows):
+    """`a` with its leading class axis cut or repeated to `rows` rows."""
+    return np.resize(a, (rows, *a.shape[1:]))
+
+
+@pytest.mark.parametrize("rows", [5, 20])
+def test_head_with_wrong_class_rows_fails_in_loss(tmp_path, scene_dir,
+                                                  run_dir, capsys, rows):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "heads" / "sem_logits_scale1.msoc"
+    write_tensor(path, _class_rows(read_tensor(path), rows))
+    message = "does not lead with the 17 classes of CLASS_NAMES"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'loss' failed on {path}" in err and message in err
+    assert not (out / "loss_report.json").exists()
+    assert not (out / "occ_prob.msoc").exists()
+    pyr = run_dir / "gt_pyramid"
+    assert main(["loss", "--occ-logits",
+                 str(inp / "heads" / "occ_logits_scale1.msoc"),
+                 "--sem-logits", str(path),
+                 "--gt-occ", str(pyr / "occ_scale1.msoc"),
+                 "--gt-sem", str(pyr / "sem_scale1.msoc"),
+                 "--mask", str(pyr / "mask_scale1.msoc"),
+                 "--out", str(tmp_path / "loss.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'loss' failed on {path}" in err and message in err
+    assert not (tmp_path / "loss.json").exists()
+
+
+@pytest.mark.parametrize("rows", [5, 20])
+def test_prediction_entry_with_wrong_class_rows_fails_in_postprocess(
+        tmp_path, scene_dir, capsys, rows):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "preds" / "model_b_entry2_sem.msoc"
+    write_tensor(path, _class_rows(read_tensor(path), rows))
+    message = "does not lead with the 17 classes of CLASS_NAMES"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'postprocess' failed on {path}" in err and message in err
+    assert (out / "loss_report.json").exists()
+    assert not (out / "occ_prob.msoc").exists()
+    assert not (out / "eval_report.json").exists()
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'postprocess' failed on {path}" in err and message in err
+    assert not (tmp_path / "occ.msoc").exists()
+    assert not (tmp_path / "sem.msoc").exists()
+
+
+def _set(*keys_and_value):
+    """An edit of a JSON document that sets the item at `keys` to `value`."""
+    *keys, last, value = keys_and_value
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("poses.json", _set(-1, "translation", 0, float("nan")),
+     "translation must be finite"),
+    ("poses.json", _set(0, "translation", 1, float("nan")),
+     "translation must be finite"),
+    ("rig.json", _set("cameras", 1, "cam_to_ego", "translation", 2,
+                      float("inf")), "translation must be finite"),
+    ("rig.json", _set("cameras", 0, "intrinsics", "cx", float("nan")),
+     "cx must be finite, got nan"),
+    ("rig.json", _set("cameras", 1, "intrinsics", "fy", float("inf")),
+     "fy must be finite, got inf"),
+    ("rig.json", _set("cameras", 0, "intrinsics", "width", 128.0),
+     "width must be an int, got 128.0"),
+    ("rig.json", _set("cameras", 1, "intrinsics", "height", True),
+     "height must be an int, got True"),
+    ("grid.json", _set("origin", 0, float("nan")), "origin must be finite"),
+    ("grid.json", _set("voxel_size", 2, float("inf")),
+     "voxel_size must be finite"),
+    ("grid.json", _set("nx", 40.0), "nx must be an int, got 40.0"),
+    ("grid.json", _set("nz", True), "nz must be an int, got True"),
+], ids=["last_pose_nan", "first_pose_nan", "camera_translation_inf",
+        "cx_nan", "fy_inf", "width_float", "height_bool", "origin_nan",
+        "voxel_size_inf", "nx_float", "nz_bool"])
+def test_bad_geometry_fails_in_inputs(tmp_path, scene_dir, capsys, name, edit,
+                                      message):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))  # NaN and inf as json writes them
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {path}" in err and message in err
+    assert not out.exists()
+
+
+def test_warp_nan_transform_fails_in_inputs(tmp_path, scene_dir, run_dir,
+                                            capsys):
+    bad = tmp_path / "motion.json"
+    motion = RigidTransform.identity().to_dict()
+    motion["translation"][0] = float("nan")
+    bad.write_text(json.dumps(motion))
+    capsys.readouterr()
+    out = tmp_path / "warped.msoc"
+    assert main(["warp", "--input",
+                 str(run_dir / "voxel" / "frame01_scale0.msoc"),
+                 "--grid", str(scene_dir / "grid.json"),
+                 "--transform", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {bad}" in err
+    assert "translation must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", [(20, 20, 4), (80, 80, 16)],
+                         ids=["coarser", "finer"])
+def test_grid_must_match_ground_truth(tmp_path, scene_dir, capsys, dims):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    grid = json.loads((inp / "grid.json").read_text())
+    grid.update(zip(("nx", "ny", "nz"), dims))
+    (inp / "grid.json").write_text(json.dumps(grid))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'gt_pyramid' failed on {inp / 'gt_occ.msoc'}" in err
+    assert f"ground truth (40, 40, 8) on the {dims} grid of grid.json" in err
+    assert os.listdir(out) == []
+
+
+def test_no_scales_fails_in_inputs(tmp_path, scene_dir, capsys):
+    with pytest.raises(ValueError, match="strides must name at least one"):
+        pipeline.PipelineConfig.from_dict({"strides": [], "alphas": []})
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    config = json.loads((inp / "config.json").read_text())
+    config.update(strides=[], alphas=[])
+    (inp / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'inputs' failed on {inp / 'config.json'}" in err
+    assert "strides must name at least one scale" in err
+    assert not out.exists()
+
+
+def test_gt_downsample_zero_levels_is_validation_error(tmp_path, scene_dir,
+                                                       capsys):
+    capsys.readouterr()
+    assert main(["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
+                 "--sem", str(scene_dir / "gt_sem.msoc"),
+                 "--mask", str(scene_dir / "mask.msoc"), "--levels", "0",
+                 "--out", str(tmp_path / "pyr")]) == 2
+    assert "at least 1 pyramid level, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "pyr").exists()
+
+
+@pytest.mark.parametrize("command", ["cost-volume", "lift"])
+def test_stride_zero_is_validation_error(tmp_path, scene_dir, capsys, command):
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps(
+        json.loads((scene_dir / "poses.json").read_text())[0]))
+    feats = str(scene_dir / "features" / "frame01_stride4.msoc")
+    argv = {"cost-volume": ["--current", feats, "--previous", feats,
+                            "--pose-current", str(pose),
+                            "--pose-previous", str(pose)],
+            "lift": ["--features", feats, "--depth-logits",
+                     str(scene_dir / "depth_logits" / "frame01_stride8.msoc"),
+                     "--grid", str(scene_dir / "grid.json")]}[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--rig", str(scene_dir / "rig.json"),
+                 "--stride", "0", "--out", str(tmp_path / "out.msoc")]) == 2
+    assert "stride must be at least 1, got 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pose.json"]
+
+
+@pytest.mark.parametrize("given, missing", [("--depth-logits", "--gt-depth"),
+                                            ("--gt-depth", "--depth-logits")])
+def test_loss_needs_both_depth_flags(tmp_path, scene_dir, capsys, given,
+                                     missing):
+    files = {"--depth-logits": scene_dir / "depth_logits" / "frame03_stride8.msoc",
+             "--gt-depth": scene_dir / "gt_depth.msoc"}
+    capsys.readouterr()
+    assert main(["loss",
+                 "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+                 "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+                 "--gt-occ", str(scene_dir / "gt_occ.msoc"),
+                 "--gt-sem", str(scene_dir / "gt_sem.msoc"),
+                 "--mask", str(scene_dir / "mask.msoc"),
+                 given, str(files[given]),
+                 "--out", str(tmp_path / "loss.json")]) == 2
+    assert f"the depth term needs {missing}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

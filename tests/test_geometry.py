@@ -172,6 +172,66 @@ def test_frustum_rejects_non_finite(name, value):
         geo.FrustumSpec(**bins)
 
 
+INTRINSICS = dict(fx=400.0, fy=410.0, cx=320.0, cy=240.0, width=640,
+                  height=480)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy"])
+def test_intrinsics_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        geo.Intrinsics(**{**INTRINSICS, name: value})
+
+
+@pytest.mark.parametrize("value", [640.0, True, "640"])
+@pytest.mark.parametrize("name", ["width", "height"])
+def test_intrinsics_reject_non_int_image_size(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
+        geo.Intrinsics(**{**INTRINSICS, name: value})
+
+
+def test_intrinsics_accept_numpy_int_image_size():
+    k = geo.Intrinsics(**{**INTRINSICS, "width": np.int64(640)})
+    assert k.scaled(4).width == 160
+
+
+@pytest.mark.parametrize("stride", [0, -4])
+def test_intrinsics_scaled_rejects_stride_below_one(k, stride):
+    with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
+        k.scaled(stride)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("axis", [0, 2])
+def test_rigid_transform_rejects_non_finite_translation(axis, value):
+    t = np.zeros(3)
+    t[axis] = value
+    with pytest.raises(ValueError, match="translation must be finite"):
+        geo.RigidTransform(np.eye(3), t)
+    d = geo.RigidTransform.identity().to_dict()
+    d["translation"][axis] = value
+    with pytest.raises(ValueError, match="translation must be finite"):
+        geo.RigidTransform.from_dict(d)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["origin", "voxel_size"])
+def test_grid_rejects_non_finite(name, value):
+    vec = np.array([0.4, 0.4, 0.4])
+    vec[1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        geo.VoxelGridSpec(4, 4, 2, **{name: vec})
+
+
+@pytest.mark.parametrize("value", [40.0, True, np.float64(40)],
+                         ids=["float", "bool", "numpy_float"])
+@pytest.mark.parametrize("name", ["nx", "ny", "nz"])
+def test_grid_rejects_non_int_dims(name, value):
+    dims = {"nx": 40, "ny": 40, "nz": 8, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        geo.VoxelGridSpec(**dims)
+
+
 def test_frustum_spec_holds_only_depth_bins():
     # the pixel lattice is the stride-scaled Intrinsics', never a copy
     assert [f.name for f in dataclasses.fields(geo.FrustumSpec)] == \

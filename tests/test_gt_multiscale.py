@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from msocc.gt_multiscale import (FREE, build_pyramid, downsample_mask,
-                                 downsample_occ, downsample_sem)
+from msocc import fixtures, losses, postprocess
+from msocc.gt_multiscale import (CLASS_NAMES, FREE, build_pyramid,
+                                 downsample_mask, downsample_occ,
+                                 downsample_sem)
 
 
 def block_oracle(a, reduce_fn):
@@ -199,3 +203,23 @@ class TestBuildPyramid:
         with pytest.raises(ValueError, match="label 5 is not below "
                                              "num_classes 5"):
             build_pyramid(occ, sem, mask, num_classes=5)
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_fewer_than_one_level_rejected(self, levels):
+        occ = np.ones((8, 8, 4), np.uint8)
+        sem = np.full((8, 8, 4), 4, np.uint8)
+        with pytest.raises(ValueError, match=f"at least 1 pyramid level, "
+                                             f"got {levels}"):
+            build_pyramid(occ, sem, np.ones((8, 8, 4), bool), levels=levels)
+
+
+def test_class_names_are_the_one_label_space():
+    # every class-count default reads CLASS_NAMES: 17 classes plus FREE
+    assert len(CLASS_NAMES) == 17 and FREE >= len(CLASS_NAMES)
+    assert postprocess.CLASS_NAMES is CLASS_NAMES
+    assert fixtures._GROUND_CLASS == CLASS_NAMES.index("Driveable Surface")
+    sem_prob = fixtures.oracle_predictions(fixtures.make_scene(num_cameras=1))[1]
+    assert len(sem_prob) == len(CLASS_NAMES)
+    for fn in (downsample_sem, build_pyramid, losses.class_frequency_weights):
+        default = inspect.signature(fn).parameters["num_classes"].default
+        assert default == len(CLASS_NAMES), fn.__name__

@@ -212,6 +212,16 @@ class TestFocalSemLoss:
         with pytest.raises(ValueError, match="shape mismatch"):
             losses.focal_sem_loss(**args)
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_weight_count_must_match_logit_rows(self, rows):
+        occ = np.ones((4, 4, 2), np.uint8)
+        with pytest.raises(ValueError, match=f"3 class weights for {rows} "
+                                             f"logit rows"):
+            losses.focal_sem_loss(np.zeros((rows, 4, 4, 2)),
+                                  np.zeros((4, 4, 2), np.uint8), occ,
+                                  np.ones_like(occ, bool),
+                                  losses.ClassWeights.uniform(3))
+
 
 class TestDepthLoss:
     def frustum(self):
@@ -286,7 +296,7 @@ class TestTotalLoss:
                    in zip((1, 0.5, 0.25), o, s, d))
         assert abs(r["total"] - want) < 1e-12
         for i in range(3):
-            assert r["scales"][i]["weighted_total"] == o[i] + s[i] + d[i]
+            assert r["scales"][i]["total"] == o[i] + s[i] + d[i]
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fixtures, metrics, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
-from .gt_multiscale import build_pyramid
+from .gt_multiscale import CLASS_NAMES, build_pyramid
 from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
@@ -33,9 +33,9 @@ def _add_depth_flags(p):
     p.add_argument("--depth-step", type=float, default=DEFAULTS.depth_step)
 
 
-def _depth_config(args, **fields) -> PipelineConfig:
+def _depth_config(args) -> PipelineConfig:
     return PipelineConfig(depth_min=args.depth_min, depth_max=args.depth_max,
-                          depth_step=args.depth_step, **fields)
+                          depth_step=args.depth_step)
 
 
 def _parse_transform(text) -> RigidTransform:
@@ -107,16 +107,15 @@ def cmd_loss(args):
     if bool(args.depth_logits) != bool(args.gt_depth):
         raise ValueError("the depth term needs --"
                          + ("gt-depth" if args.depth_logits else "depth-logits"))
-    cfg = _depth_config(args, gamma=args.gamma, weight_mode=args.weight_mode)
     depth = ((read_tensor(args.depth_logits), read_tensor(args.gt_depth))
              if args.depth_logits else ())
+    occ = read_tensor(args.gt_occ)
     lo, ls, ld = pipeline.scale_losses(
-        cfg, read_tensor(args.occ_logits),
-        pipeline.read_in("loss", args.sem_logits, classes=True),
-        read_tensor(args.gt_occ), read_tensor(args.gt_sem),
-        read_tensor(args.mask).astype(bool), *depth)
-    report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld,
-              "gamma": args.gamma, "weight_mode": args.weight_mode}
+        _depth_config(args), pipeline.read_in("loss", args.occ_logits, occ.shape),
+        pipeline.read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)),
+        occ, read_tensor(args.gt_sem), read_tensor(args.mask).astype(bool),
+        *depth)
+    report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--camera", type=int, default=0)
     s.add_argument("--pose-current", required=True)
     s.add_argument("--pose-previous", required=True)
-    s.add_argument("--stride", type=int, default=DEFAULTS.cost_stride)
+    s.add_argument("--stride", type=int, default=temporal.COST_STRIDE)
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_cost_volume)
@@ -244,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "camera stack")
     s.add_argument("--gt-depth", help="depth at the logits' pixels, "
                                       "(h, w) or (N, h, w)")
-    s.add_argument("--gamma", type=float, default=DEFAULTS.gamma)
-    s.add_argument("--weight-mode", choices=("inverse_frequency", "uniform"),
-                   default=DEFAULTS.weight_mode)
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_loss)

@@ -164,14 +164,14 @@ def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
     return float(loss), grad
 
 
-def total_loss(occ_losses, sem_losses, depth_losses,
-               alphas=(1.0, 0.5, 0.25)) -> dict:
+def total_loss(occ_losses, sem_losses, depth_losses) -> dict:
     """Total = sum_i alpha_i * (L_occ,i + L_sem,i + L_depth,i) with
-    alpha_i = 1 / 2^i by default, scale 0 the finest; returns the report
-    with one row per scale (its components, their unweighted sum `total`
-    and its alpha) and the total."""
-    if not (len(occ_losses) == len(sem_losses) == len(depth_losses) == len(alphas)):
+    alpha_i = 1 / 2^i, scale 0 the finest; returns the report with one row
+    per scale (its components, their unweighted sum `total` and its alpha)
+    and the total."""
+    if not len(occ_losses) == len(sem_losses) == len(depth_losses):
         raise ValueError("per-scale component counts differ")
+    alphas = [2.0 ** -i for i in range(len(occ_losses))]
     per = [o + s + d for o, s, d in zip(occ_losses, sem_losses, depth_losses)]
     return {
         "scales": [

@@ -37,6 +37,7 @@ from .checks import NumericalError, check_finite
 from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion, RigidTransform
 from .gt_multiscale import CLASS_NAMES, build_pyramid
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
+from .temporal import COST_STRIDE
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
 
@@ -51,13 +52,9 @@ class PipelineStageError(Exception):
 @dataclass
 class PipelineConfig:
     strides: tuple = (8, 16, 32)
-    cost_stride: int = 4
     depth_min: float = 1.0
     depth_max: float = 13.0
     depth_step: float = 1.0
-    gamma: float = 2.0
-    alphas: tuple = (1.0, 0.5, 0.25)
-    weight_mode: str = "inverse_frequency"
     ensemble_weights: tuple = (0.45, 0.55)
     threshold_table: str | None = None  # path; None = built-in defaults
 
@@ -71,8 +68,6 @@ class PipelineConfig:
                 raise ValueError(f"config key {k!r} has a value of the wrong "
                                  f"type: {v!r}")
             setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
-        if cfg.weight_mode not in ("inverse_frequency", "uniform"):
-            raise ValueError(f"unknown weight_mode {cfg.weight_mode!r}")
         if len(cfg.ensemble_weights) != 2:
             raise ValueError(f"ensemble_weights needs 2 weights, got "
                              f"{len(cfg.ensemble_weights)}")
@@ -81,18 +76,10 @@ class PipelineConfig:
                              f"{list(cfg.ensemble_weights)}")
         if not cfg.strides:
             raise ValueError("strides must name at least one scale")
-        if len(cfg.alphas) != len(cfg.strides):
-            raise ValueError(f"{len(cfg.alphas)} alphas for "
-                             f"{len(cfg.strides)} strides")
-        if cfg.cost_stride < 1:
-            raise ValueError(f"cost_stride must be at least 1, got "
-                             f"{cfg.cost_stride}")
         for s in cfg.strides:
-            if s < 1 or s % cfg.cost_stride:
+            if s < 1 or s % COST_STRIDE:
                 raise ValueError(f"stride {s} is not a positive multiple of "
-                                 f"cost_stride {cfg.cost_stride}")
-        if not cfg.gamma >= 0:
-            raise ValueError(f"gamma must be non-negative, got {cfg.gamma}")
+                                 f"the cost-volume stride {COST_STRIDE}")
         frustum(cfg)  # the depth bins' own checks
         return cfg
 
@@ -125,14 +112,13 @@ def read_text(path) -> str:
         return fh.read()
 
 
-def read_in(stage: str, path, classes: bool = False):
+def read_in(stage: str, path, shape: tuple | None = None):
     """read_tensor(path), a failure reported as one of `stage` on `path`;
-    with `classes`, the tensor must have one row per class of CLASS_NAMES."""
+    with `shape`, the tensor must have that shape."""
     with _stage(stage, path):
         a = read_tensor(path)
-        if classes and a.shape[:1] != (len(CLASS_NAMES),):
-            raise ValueError(f"shape {a.shape} does not lead with the "
-                             f"{len(CLASS_NAMES)} classes of CLASS_NAMES")
+        if shape is not None and a.shape != tuple(shape):
+            raise ValueError(f"shape {a.shape}, expected {tuple(shape)}")
         return a
 
 
@@ -212,18 +198,15 @@ def write_pyramid(out_dir: str, pyramid) -> None:
 
 def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
                  depth_logits=None, gt_depth=None):
-    """Occupancy BCE, semantic focal loss and depth cross-entropy of one
-    scale, with class weights over the K classes of CLASS_NAMES.
-    `depth_logits` is a (..., D, h, w) stack of camera maps and `gt_depth`
-    the (..., h, w) depth at their pixels; the depth term is the mean over
-    cameras, a camera with no in-range depth counting 0, and is 0.0 when
-    no depth is given. A NaN or inf term raises NumericalError."""
-    if cfg.weight_mode == "inverse_frequency":
-        w = losses.class_frequency_weights(sem, occ, mask)
-    else:
-        w = losses.ClassWeights.uniform(len(CLASS_NAMES))
+    """Occupancy BCE, semantic focal loss (gamma 2) and depth cross-entropy
+    of one scale, with inverse class-frequency weights over the K classes of
+    CLASS_NAMES. `depth_logits` is a (..., D, h, w) stack of camera maps and
+    `gt_depth` the (..., h, w) depth at their pixels; the depth term is the
+    mean over cameras, a camera with no in-range depth counting 0, and is
+    0.0 when no depth is given. A NaN or inf term raises NumericalError."""
+    w = losses.class_frequency_weights(sem, occ, mask)
     lo, _ = losses.bce_occ_loss(occ_logits, occ, mask, w)
-    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, cfg.gamma)
+    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w)
     ld = 0.0
     if depth_logits is not None:
         if gt_depth.shape != depth_logits.shape[:-3] + depth_logits.shape[-2:]:
@@ -257,10 +240,11 @@ def load_prediction_sets(preds_dir: str):
     def entries(model):
         for j, td in enumerate(tags[f"model_{model}"]):
             path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
+            occ = read_in("postprocess", path.format("occ"))
             yield postprocess.deaugment(
-                postprocess.AugmentationTag(**td),
-                read_in("postprocess", path.format("occ")),
-                read_in("postprocess", path.format("sem"), classes=True))
+                postprocess.AugmentationTag(**td), occ,
+                read_in("postprocess", path.format("sem"),
+                        (len(CLASS_NAMES), *occ.shape)))
 
     return entries("a"), entries("b")
 
@@ -299,9 +283,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         thresholds = postprocess.load_threshold_table(table)
     with _stage("inputs", os.path.join(inp, "config.json")):
         # the rig's cameras share one image size, so one lattice
-        lattice = rig.cameras[0][0].scaled(cfg.cost_stride)
+        lattice = rig.cameras[0][0].scaled(COST_STRIDE)
         for s in cfg.strides:
-            factor = s // cfg.cost_stride
+            factor = s // COST_STRIDE
             if lattice.height % factor or lattice.width % factor:
                 raise ValueError(
                     f"stride {s} pools the {lattice.height}x{lattice.width} "
@@ -310,36 +294,34 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: multi-scale ground truth (first: it needs no other stage,
     # so a bad label fails before any other output is written) ----
+    gt_occ, gt_sem, mask = (
+        read_in("gt_pyramid", os.path.join(inp, f"{name}.msoc"), grid.shape)
+        for name in ("gt_occ", "gt_sem", "mask"))
+    mask = mask.astype(bool)
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
-        gt_occ = read_tensor(os.path.join(inp, "gt_occ.msoc"))
-        if gt_occ.shape != grid.shape:
-            raise ValueError(f"ground truth {gt_occ.shape} on the "
-                             f"{grid.shape} grid of grid.json")
-        gt_sem = read_in("gt_pyramid", os.path.join(inp, "gt_sem.msoc"))
-        mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc")).astype(bool)
         pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides))
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
 
     def frame_path(kind, t, stride):
         return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
 
-    # ---- stage: cost volumes at stride 1/4 between adjacent frames ----
+    # ---- stage: cost volumes at COST_STRIDE between adjacent frames ----
     cv_dir = os.path.join(out, "cost_volumes")
     os.makedirs(cv_dir, exist_ok=True)
-    feats_prev = read_in("cost_volume", frame_path("features", 0, cfg.cost_stride))
+    feats_prev = read_in("cost_volume", frame_path("features", 0, COST_STRIDE))
     for t in range(1, num_frames):
-        path = frame_path("features", t, cfg.cost_stride)
+        path = frame_path("features", t, COST_STRIDE)
         with _stage("cost_volume", path):
             feats_cur = read_tensor(path)
             rel = relative_ego_motion(poses[t - 1], poses[t])
             for cam in range(len(rig)):
-                cv, written = cost_volume(cfg, cfg.cost_stride, rig, cam,
+                cv, written = cost_volume(cfg, COST_STRIDE, rig, cam,
                                           feats_cur, feats_prev, rel)
                 write_tensor(os.path.join(
-                    cv_dir, f"frame{t:02d}_cam{cam}_stride{cfg.cost_stride}.msoc"),
+                    cv_dir, f"frame{t:02d}_cam{cam}_stride{COST_STRIDE}.msoc"),
                     written)
                 for s in cfg.strides:
-                    cv_s = temporal.rescale_cost_volume(cv, s, cfg.cost_stride)
+                    cv_s = temporal.rescale_cost_volume(cv, s)
                     write_tensor(os.path.join(
                         cv_dir, f"frame{t:02d}_cam{cam}_stride{s}.msoc"),
                         cv_s.astype(np.float32))
@@ -394,14 +376,14 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         for i, stride in enumerate(cfg.strides):
             # depth supervision at this scale's stride, pixel-center subsampled
             c = stride // 2
+            level = pyramid.occ[i].shape
+            head = os.path.join(inp, "heads", f"{{}}_logits_scale{i}.msoc")
             terms.append(scale_losses(
-                cfg,
-                read_in("loss", os.path.join(inp, "heads", f"occ_logits_scale{i}.msoc")),
-                read_in("loss", os.path.join(inp, "heads", f"sem_logits_scale{i}.msoc"),
-                        classes=True),
+                cfg, read_in("loss", head.format("occ"), level),
+                read_in("loss", head.format("sem"), (len(CLASS_NAMES), *level)),
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
                 current_logits[i], gt_depth[:, c::stride, c::stride]))
-        report = losses.total_loss(*zip(*terms), cfg.alphas)
+        report = losses.total_loss(*zip(*terms))
         write_json(os.path.join(out, "loss_report.json"), report)
 
     # ---- stage: de-augment, ensemble, threshold, evaluate ----
@@ -461,13 +443,13 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "depth_logits"), exist_ok=True)
     for t in range(num_frames):
-        for s in (cfg.cost_stride, *cfg.strides):
+        for s in (COST_STRIDE, *cfg.strides):
             h, w = k0.height // s, k0.width // s
             feats = rng.standard_normal((n_cams, channels, h, w))
             write_tensor(os.path.join(out_dir, "features",
                                       f"frame{t:02d}_stride{s}.msoc"),
                          feats.astype(np.float32))
-            if s == cfg.cost_stride:
+            if s == COST_STRIDE:
                 continue
             sub = scene.gt_depth[:, s // 2::s, s // 2::s]
             logits = rng.standard_normal((n_cams, f.num_bins, h, w)) * 0.1

@@ -23,11 +23,14 @@ from .geometry import (FrustumSpec, Intrinsics, RigidTransform, compose,
                        frustum_points, invert, project)
 
 __all__ = [
+    "COST_STRIDE",
     "build_cost_volume",
     "rescale_cost_volume",
     "warp_voxel_grid",
     "stack_temporal",
 ]
+
+COST_STRIDE = 4  # the image stride of the cost volumes; coarser ones pool it
 
 
 def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
@@ -113,7 +116,7 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
 
 
 def rescale_cost_volume(cv: np.ndarray, target_stride: int,
-                        source_stride: int = 4) -> np.ndarray:
+                        source_stride: int = COST_STRIDE) -> np.ndarray:
     """Average-pool the spatial axes of (D, H, W) down to target_stride."""
     if target_stride % source_stride != 0:
         raise ValueError("target stride must be a multiple of the source stride")

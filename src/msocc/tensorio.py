@@ -14,6 +14,7 @@ A 2x3 u8 tensor file is therefore 4 + 2 + 1 + 1 + 16 + 6 = 30 bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -87,12 +88,16 @@ def read_tensor(path) -> np.ndarray:
             raise TruncatedPayloadError(f"{path}: truncated dims")
         dims = struct.unpack(f"<{ndim}Q", raw_dims)
         dtype = _CODE_DTYPES[code]
-        expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        # Python ints: a product of u64 dims would overflow int64
+        expected = math.prod(dims) * dtype.itemsize
         payload = size - 8 - 8 * ndim
         if payload != expected:
             raise TruncatedPayloadError(
                 f"{path}: payload {payload} bytes, expected {expected}")
-        arr = np.empty(dims, dtype=dtype)
+        try:
+            arr = np.empty(dims, dtype=dtype)
+        except ValueError as e:  # too many dims, or a zero-sized giant
+            raise TensorIOError(f"{path}: dims {dims}: {e}") from e
         got = fh.readinto(arr)
         if got != expected:
             raise TruncatedPayloadError(

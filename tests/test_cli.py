@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -501,29 +502,6 @@ def test_loss_subcommand_matches_run_on_every_desk_scale(tmp_path, desk_run):
                 == (rows[i]["occ"], rows[i]["sem"], rows[i]["depth"]))
 
 
-def test_loss_subcommand_uniform_weights(tmp_path, scene_dir, run_dir):
-    pyr = run_dir / "gt_pyramid"
-    rc = main(["loss",
-               "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale1.msoc"),
-               "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale1.msoc"),
-               "--gt-occ", str(pyr / "occ_scale1.msoc"),
-               "--gt-sem", str(pyr / "sem_scale1.msoc"),
-               "--mask", str(pyr / "mask_scale1.msoc"),
-               "--weight-mode", "uniform", "--out", str(tmp_path / "loss.json")])
-    assert rc == 0
-    got = json.loads((tmp_path / "loss.json").read_text())
-    occ, sem = read_tensor(pyr / "occ_scale1.msoc"), read_tensor(pyr / "sem_scale1.msoc")
-    mask = read_tensor(pyr / "mask_scale1.msoc").astype(bool)
-    sem_logits = read_tensor(scene_dir / "heads" / "sem_logits_scale1.msoc")
-    w = losses.ClassWeights.uniform(sem_logits.shape[0])
-    lo, _ = losses.bce_occ_loss(
-        read_tensor(scene_dir / "heads" / "occ_logits_scale1.msoc"), occ, mask, w)
-    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w, 2.0)
-    assert (got["occ"], got["sem"], got["weight_mode"]) == (lo, ls, "uniform")
-    inverse = json.loads((run_dir / "loss_report.json").read_text())["scales"][1]
-    assert (got["occ"], got["sem"]) != (inverse["occ"], inverse["sem"])
-
-
 def test_run_without_in_range_depth_fails_in_loss_stage(tmp_path, scene_dir,
                                                         capsys):
     inp = tmp_path / "inp"
@@ -582,35 +560,36 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
 @pytest.mark.parametrize("key, value, message", [
     ("ensemble_weights", [0.5], "ensemble_weights needs 2 weights, got 1"),
     ("ensemble_weights", [0.4, 0.3, 0.3], "needs 2 weights, got 3"),
-    ("alphas", [1.0, 0.5], "2 alphas for 3 strides"),
     ("threshold_table", 5, "'threshold_table' has a value of the wrong type"),
-    ("gamma", "2", "'gamma' has a value of the wrong type"),
     ("depth_min", "1", "'depth_min' has a value of the wrong type"),
+    # keys that once were config fields and now have one home in the code
     ("num_classes", 17, "unknown config key 'num_classes'"),
+    ("cost_stride", 4, "unknown config key 'cost_stride'"),
+    ("gamma", 2.0, "unknown config key 'gamma'"),
+    ("alphas", [1.0, 0.5, 0.25], "unknown config key 'alphas'"),
+    ("weight_mode", "uniform", "unknown config key 'weight_mode'"),
     ("strides", [8, 16.5, 32], "'strides' has a value of the wrong type"),
-    ("alphas", None, "'alphas' has a value of the wrong type"),
-    ("gamma", True, "'gamma' has a value of the wrong type"),
+    ("strides", None, "'strides' has a value of the wrong type"),
+    ("depth_step", True, "'depth_step' has a value of the wrong type"),
     ("depth_step", 0, "depth_step must be positive"),
     ("depth_min", 0.0, "depth_min must be positive"),
     ("depth_max", 1.0, "frustum needs at least one depth bin"),
-    ("gamma", -1, "gamma must be non-negative, got -1"),
-    ("cost_stride", 0, "cost_stride must be at least 1, got 0"),
     ("strides", [8, 18, 32], "stride 18 is not a positive multiple of "
-                             "cost_stride 4"),
+                             "the cost-volume stride 4"),
     ("strides", [8, -16, 32], "stride -16 is not a positive multiple"),
     ("ensemble_weights", [0.0, 1.0], "ensemble_weights must be positive "
                                      "and finite, got [0.0, 1.0]"),
     ("ensemble_weights", [0.45, float("nan")], "got [0.45, nan]"),
-    ("gamma", float("nan"), "gamma must be non-negative, got nan"),
     # the 128x96 rig's stride-4 cost volume is 32x24; stride 12 pools it by 3
     ("strides", [12, 16, 32], "stride 12 pools the 24x32 cost-volume lattice "
                               "by 3, which does not divide it"),
-], ids=["one_weight", "three_weights", "two_alphas", "table_number",
-        "gamma_string", "depth_min_string", "num_classes_unknown",
-        "stride_float", "alphas_null", "gamma_bool", "depth_step_zero",
-        "depth_min_zero", "no_depth_bin", "gamma_negative", "cost_stride_zero",
-        "stride_not_multiple", "stride_negative", "weight_zero", "weight_nan",
-        "gamma_nan", "stride_not_dividing_lattice"])
+], ids=["one_weight", "three_weights", "table_number", "depth_min_string",
+        "num_classes_unknown", "cost_stride_unknown", "gamma_unknown",
+        "alphas_unknown", "weight_mode_unknown", "stride_float",
+        "strides_null", "depth_step_bool", "depth_step_zero",
+        "depth_min_zero", "no_depth_bin", "stride_not_multiple",
+        "stride_negative", "weight_zero", "weight_nan",
+        "stride_not_dividing_lattice"])
 def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
                                                 key, value, message):
     inp = tmp_path / "inp"
@@ -656,12 +635,12 @@ def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):
                "--gt-sem", str(scene_dir / "gt_sem.msoc"),
                "--mask", str(scene_dir / "mask.msoc"),
                "--depth-min", "2.0", "--depth-max", "10.0",
-               "--depth-step", "0.5", "--gamma", "1.5",
+               "--depth-step", "0.5",
                "--out", str(tmp_path / "loss.json")])
     assert rc == 0
     meta = json.loads((tmp_path / "loss.json.meta.json").read_text())
-    assert (meta["depth_min"], meta["depth_max"], meta["depth_step"],
-            meta["gamma"]) == (2.0, 10.0, 0.5, 1.5)
+    assert (meta["depth_min"], meta["depth_max"], meta["depth_step"]) == \
+        (2.0, 10.0, 0.5)
 
     labels = np.zeros((4, 4, 2), np.uint8)
     for name in ("pred", "gt", "mask"):
@@ -674,6 +653,24 @@ def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):
     meta = json.loads((tmp_path / "report.json.meta.json").read_text())
     # the class count comes from CLASS_NAMES, not from a flag
     assert meta["include_free"] is True and "num_classes" not in meta
+
+
+@pytest.mark.parametrize("flag, value", [("--gamma", "1.5"),
+                                         ("--weight-mode", "uniform")])
+def test_loss_has_no_loss_weight_flags(tmp_path, scene_dir, capsys, flag,
+                                       value):
+    # the focal gamma and the class-frequency weights have one home each
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["loss",
+              "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+              "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+              "--gt-occ", str(scene_dir / "gt_occ.msoc"),
+              "--gt-sem", str(scene_dir / "gt_sem.msoc"),
+              "--mask", str(scene_dir / "mask.msoc"), flag, value,
+              "--out", str(tmp_path / "loss.json")])
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_gt_downsample_mask_shape_mismatch_is_validation_error(
@@ -691,14 +688,18 @@ def test_gt_downsample_mask_shape_mismatch_is_validation_error(
 
 def test_run_mask_shape_mismatch_fails_in_gt_pyramid(tmp_path, scene_dir,
                                                      capsys):
-    inp = tmp_path / "inp"
-    shutil.copytree(scene_dir, inp)
-    write_tensor(inp / "mask.msoc", np.ones((12, 12, 16), np.uint8))
-    capsys.readouterr()
-    assert main(["run", "--input", str(inp), "--output",
-                 str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "stage 'gt_pyramid' failed" in err and "shape mismatch" in err
+    # each ground-truth file is checked against grid.json under its own path
+    for name in ("mask", "gt_sem"):
+        inp = tmp_path / name / "inp"
+        shutil.copytree(scene_dir, inp)
+        write_tensor(inp / f"{name}.msoc", np.ones((12, 12, 16), np.uint8))
+        capsys.readouterr()
+        out = tmp_path / name / "out"
+        assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"stage 'gt_pyramid' failed on {inp / name}.msoc" in err
+        assert "shape (12, 12, 16), expected (40, 40, 8)" in err
+        assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("mode,atol", [("nearest", 0.0), ("trilinear", 1e-6)])
@@ -729,6 +730,28 @@ def test_corrupt_input_names_stage(tmp_path, scene_dir, capsys):
     capsys.readouterr()
     assert main(["run", "--input", str(inp), "--output", str(tmp_path / "o2")]) == 4
     assert "stage 'cost_volume'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 63, 2),
+                                  (0, 2 ** 63)],
+                         ids=["product_wraps", "int64_overflow", "unallocatable"])
+def test_corrupt_tensor_header_is_io_error(tmp_path, scene_dir, capsys, dims):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    bad = inp / "mask.msoc"
+    bad.write_bytes(b"MSOC" + struct.pack("<HBB", 1, 2, len(dims))
+                    + struct.pack(f"<{len(dims)}Q", *dims))
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps(RigidTransform.identity().to_dict()))
+    capsys.readouterr()
+    assert main(["warp", "--input", str(bad),
+                 "--grid", str(inp / "grid.json"), "--transform", str(identity),
+                 "--out", str(tmp_path / "warped.msoc")]) == 4
+    assert str(bad) in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 4
+    assert f"stage 'gt_pyramid' failed on {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "warped.msoc").exists() and os.listdir(out) == []
 
 
 def test_inf_prediction_is_numerical_error(tmp_path, scene_dir, capsys):
@@ -1047,7 +1070,8 @@ def test_config_and_metadata_hold_no_class_count(tmp_path, scene_dir,
                                                  run_dir, capsys):
     # the class count is len(CLASS_NAMES); no config field or flag sets it
     names = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
-    assert len(names) == 10 and "num_classes" not in names
+    assert names == ["strides", "depth_min", "depth_max", "depth_step",
+                     "ensemble_weights", "threshold_table"]
     assert sorted(json.loads((scene_dir / "config.json").read_text())) == \
         sorted(names)
     meta = json.loads((run_dir / "metadata.json").read_text())
@@ -1077,8 +1101,9 @@ def test_head_with_wrong_class_rows_fails_in_loss(tmp_path, scene_dir,
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
     path = inp / "heads" / "sem_logits_scale1.msoc"
-    write_tensor(path, _class_rows(read_tensor(path), rows))
-    message = "does not lead with the 17 classes of CLASS_NAMES"
+    sem = read_tensor(path)
+    write_tensor(path, _class_rows(sem, rows))
+    message = f"shape {(rows, *sem.shape[1:])}, expected {sem.shape}"
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
@@ -1099,14 +1124,44 @@ def test_head_with_wrong_class_rows_fails_in_loss(tmp_path, scene_dir,
     assert not (tmp_path / "loss.json").exists()
 
 
+@pytest.mark.parametrize("name", ["occ", "sem"])
+def test_head_off_its_pyramid_level_names_its_file(tmp_path, scene_dir,
+                                                   run_dir, capsys, name):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "heads" / f"{name}_logits_scale1.msoc"
+    head = read_tensor(path)
+    write_tensor(path, head[..., :-2, :, :])  # two rows cut off the x axis
+    cut = (*head.shape[:-3], head.shape[-3] - 2, *head.shape[-2:])
+    message = f"shape {cut}, expected {head.shape}"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'loss' failed on {path}: {message}" in err
+    assert not (out / "loss_report.json").exists()
+    pyr = run_dir / "gt_pyramid"
+    heads = {f"--{n}-logits": str(inp / "heads" / f"{n}_logits_scale1.msoc")
+             for n in ("occ", "sem")}
+    assert main(["loss", *(a for kv in heads.items() for a in kv),
+                 "--gt-occ", str(pyr / "occ_scale1.msoc"),
+                 "--gt-sem", str(pyr / "sem_scale1.msoc"),
+                 "--mask", str(pyr / "mask_scale1.msoc"),
+                 "--out", str(tmp_path / "loss.json")]) == 2
+    assert f"stage 'loss' failed on {path}: {message}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "loss.json").exists()
+
+
 @pytest.mark.parametrize("rows", [5, 20])
 def test_prediction_entry_with_wrong_class_rows_fails_in_postprocess(
         tmp_path, scene_dir, capsys, rows):
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
     path = inp / "preds" / "model_b_entry2_sem.msoc"
-    write_tensor(path, _class_rows(read_tensor(path), rows))
-    message = "does not lead with the 17 classes of CLASS_NAMES"
+    sem = read_tensor(path)
+    write_tensor(path, _class_rows(sem, rows))
+    message = f"shape {(rows, *sem.shape[1:])}, expected {sem.shape}"
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
@@ -1205,17 +1260,17 @@ def test_grid_must_match_ground_truth(tmp_path, scene_dir, capsys, dims):
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"stage 'gt_pyramid' failed on {inp / 'gt_occ.msoc'}" in err
-    assert f"ground truth (40, 40, 8) on the {dims} grid of grid.json" in err
+    assert f"shape (40, 40, 8), expected {dims}" in err
     assert os.listdir(out) == []
 
 
 def test_no_scales_fails_in_inputs(tmp_path, scene_dir, capsys):
     with pytest.raises(ValueError, match="strides must name at least one"):
-        pipeline.PipelineConfig.from_dict({"strides": [], "alphas": []})
+        pipeline.PipelineConfig.from_dict({"strides": []})
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
     config = json.loads((inp / "config.json").read_text())
-    config.update(strides=[], alphas=[])
+    config.update(strides=[])
     (inp / "config.json").write_text(json.dumps(config))
     capsys.readouterr()
     out = tmp_path / "out"

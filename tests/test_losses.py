@@ -288,6 +288,13 @@ class TestTotalLoss:
         assert r["total"] == 1.75
         assert [row["alpha"] for row in r["scales"]] == [1.0, 0.5, 0.25]
 
+    @pytest.mark.parametrize("scales", [1, 2, 4])
+    def test_alphas_halve_per_scale(self, scales):
+        r = losses.total_loss([1.0] * scales, [0.0] * scales, [0.0] * scales)
+        alphas = [row["alpha"] for row in r["scales"]]
+        assert alphas == [1.0, 0.5, 0.25, 0.125][:scales]
+        assert r["total"] == sum(alphas)
+
     def test_random_components_match_hand_sum(self):
         rng = np.random.default_rng(9)
         o, s, d = (rng.random(3) for _ in range(3))

@@ -1,8 +1,11 @@
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msocc import tensorio
 
@@ -151,3 +154,34 @@ def test_read_holds_one_payload(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(a, b)
     assert peak <= 1.2 * a.nbytes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(version=st.integers(0, 2 ** 16 - 1), code=st.integers(0, 255),
+       dims=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 64 - 1)),
+                     max_size=70),
+       ndim_offset=st.integers(-1, 1),
+       payload=st.one_of(st.none(), st.integers(0, 64)))
+# dims whose int64 product wraps to 0 bytes, or overflows with a warning
+@example(version=1, code=0, dims=[2 ** 32, 2 ** 32], ndim_offset=0,
+         payload=0)
+@example(version=1, code=1, dims=[2 ** 63, 2], ndim_offset=0, payload=0)
+@example(version=1, code=2, dims=[0, 2 ** 63], ndim_offset=0, payload=0)
+@example(version=1, code=2, dims=[1] * 65, ndim_offset=0, payload=None)
+def test_any_header_reads_or_raises_tensor_io_error(
+        tmp_path_factory, version, code, dims, ndim_offset, payload):
+    """Any header after a valid magic reads or raises a TensorIOError.
+    `payload` None writes the payload the dims ask for, when it is small."""
+    ndim = min(max(len(dims) + ndim_offset, 0), 255)
+    if payload is None:
+        itemsize = {0: 4, 1: 8, 2: 1, 3: 4}.get(code, 1)
+        size = math.prod(dims) * itemsize
+        payload = size if size <= 4096 else 0
+    p = tmp_path_factory.getbasetemp() / "fuzzed.msoc"
+    p.write_bytes(b"MSOC" + struct.pack("<HBB", version, code, ndim)
+                  + struct.pack(f"<{len(dims)}Q", *dims) + b"\x07" * payload)
+    try:
+        a = tensorio.read_tensor(p)
+    except tensorio.TensorIOError:
+        return
+    assert a.ndim == ndim and 8 + 8 * ndim + a.nbytes == p.stat().st_size

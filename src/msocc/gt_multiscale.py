@@ -28,6 +28,7 @@ __all__ = [
     "downsample_occ",
     "downsample_sem",
     "downsample_mask",
+    "check_labels",
     "build_pyramid",
 ]
 
@@ -69,6 +70,14 @@ def downsample_sem(sem: np.ndarray, occ_coarse: np.ndarray,
     return np.where(occupied, out, np.array(FREE, dtype=sem.dtype))
 
 
+def check_labels(sem: np.ndarray, num_classes: int = len(CLASS_NAMES)) -> None:
+    """Raise ValueError if a label of `sem` is neither FREE nor a class id."""
+    top = sem[sem != FREE].max(initial=0)
+    if top >= num_classes:
+        raise ValueError(f"semantic label {top} is neither a class id below "
+                         f"{num_classes} nor FREE ({FREE})")
+
+
 @dataclass(frozen=True)
 class MultiScaleGT:
     occ: tuple    # level i grids, i = 0 finest
@@ -88,10 +97,7 @@ def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
         raise ValueError("occupancy must be 0 or 1")
     if ((sem == FREE) != (occ == 0)).any():
         raise ValueError("semantics must be FREE exactly where occupancy is 0")
-    labels = sem[sem != FREE]
-    if labels.size and labels.max() >= num_classes:
-        raise ValueError(f"semantic label {labels.max()} is not below "
-                         f"num_classes {num_classes}")
+    check_labels(sem, num_classes)
     occs, sems, masks = [occ], [sem], [mask]
     for _ in range(levels - 1):
         occ = downsample_occ(occs[-1])

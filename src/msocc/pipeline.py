@@ -35,10 +35,11 @@ import numpy as np
 from . import losses, metrics, postprocess, temporal
 from .checks import NumericalError, check_finite
 from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion, RigidTransform
-from .gt_multiscale import CLASS_NAMES, build_pyramid
+from .gt_multiscale import CLASS_NAMES, build_pyramid, check_labels
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
 from .temporal import COST_STRIDE
-from .tensorio import TensorIOError, read_tensor, write_tensor
+from .tensorio import (TensorIOError, TruncatedPayloadError, read_header,
+                       read_tensor, write_tensor)
 
 
 class PipelineStageError(Exception):
@@ -224,9 +225,37 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
     return lo, ls, ld
 
 
+class _PredictionFile:
+    """An entry file of `load_prediction_sets`, its header checked up front
+    and its payload read, de-augmented, on use: whole by `np.asarray`, or
+    class row k by `[k]` into the one row buffer per dtype in `rows`."""
+
+    def __init__(self, path, tag, rows, shape=None):
+        self.path, self.tag, self.rows = path, tag, rows
+        with _stage("postprocess", path), open(path, "rb", buffering=0) as fh:
+            self.dtype, self.shape = read_header(fh, path)
+            self.offset = fh.tell()
+            if shape is not None and self.shape != shape:
+                raise ValueError(f"shape {self.shape}, expected {shape}")
+
+    def __array__(self, dtype=None, copy=None):
+        whole = read_in("postprocess", self.path, self.shape)
+        return np.asarray(postprocess.deaugment(self.tag, whole)[0], dtype)
+
+    def __getitem__(self, k):
+        if self.dtype not in self.rows:
+            self.rows[self.dtype] = np.empty(self.shape[1:], self.dtype)
+        row = self.rows[self.dtype]
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(self.offset + k * row.nbytes)
+            if fh.readinto(row) != row.nbytes:
+                raise TruncatedPayloadError(f"{self.path}: short class row {k}")
+        return postprocess.deaugment(self.tag, row)[0]
+
+
 def load_prediction_sets(preds_dir: str):
-    """Read and check tags.json; return one iterator per model that reads
-    and de-augments that model's entries one at a time."""
+    """Read and check tags.json and every entry file's header; return each
+    model's entries as (occ, sem) pairs of `_PredictionFile`s."""
     tags = json.loads(read_text(os.path.join(preds_dir, "tags.json")))
     names = {f.name for f in fields(postprocess.AugmentationTag)}
     for key in ("model_a", "model_b"):
@@ -236,17 +265,17 @@ def load_prediction_sets(preds_dir: str):
             if not isinstance(td, dict) or set(td) != names:
                 raise ValueError(f"{key} tag {td!r} does not have exactly "
                                  f"the fields {sorted(names)}")
+    rows = {}
 
-    def entries(model):
-        for j, td in enumerate(tags[f"model_{model}"]):
-            path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
-            occ = read_in("postprocess", path.format("occ"))
-            yield postprocess.deaugment(
-                postprocess.AugmentationTag(**td), occ,
-                read_in("postprocess", path.format("sem"),
-                        (len(CLASS_NAMES), *occ.shape)))
+    def entry(model, j, td):
+        tag = postprocess.AugmentationTag(**td)
+        path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
+        occ = _PredictionFile(path.format("occ"), tag, rows)
+        return occ, _PredictionFile(path.format("sem"), tag, rows,
+                                    (len(CLASS_NAMES), *occ.shape))
 
-    return entries("a"), entries("b")
+    return tuple([entry(m, j, td) for j, td in enumerate(tags[f"model_{m}"])]
+                 for m in "ab")
 
 
 def evaluate(pred, gt, mask, include_free: bool = False) -> dict:
@@ -298,6 +327,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         read_in("gt_pyramid", os.path.join(inp, f"{name}.msoc"), grid.shape)
         for name in ("gt_occ", "gt_sem", "mask"))
     mask = mask.astype(bool)
+    with _stage("gt_pyramid", os.path.join(inp, "gt_sem.msoc")):
+        check_labels(gt_sem)
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
         pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides))
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
@@ -362,7 +393,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                 if past:
                     rel = relative_ego_motion(poses[t], poses[-1])
                     block = temporal.warp_voxel_grid(
-                        lifted, rel, g, mode="trilinear").astype(np.float32)
+                        lifted, rel, g, mode="trilinear", dtype=np.float32)
                 aligned.append(block)
         current_logits.append(logits)
         stack = temporal.stack_temporal(aligned)

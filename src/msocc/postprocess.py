@@ -47,67 +47,62 @@ def enumerate_tta():
             for i in range(8)]
 
 
-def deaugment(tag: AugmentationTag, occ_prob: np.ndarray,
-              sem_prob: np.ndarray):
+def deaugment(tag: AugmentationTag, *volumes: np.ndarray):
     """Undo the voxel-space flips of one TTA entry.
 
-    occ_prob: (nx, ny, nz); sem_prob: (K, nx, ny, nz). Flips are
-    involutions, so applying the tag's flips again restores the canonical
-    frame; img_hflip needs no correction. Returns views of the inputs.
+    Each volume is an (nx, ny, nz) occupancy, a (K, nx, ny, nz) class stack
+    or one class row of it. Flips are involutions, so applying the tag's
+    flips again restores the canonical frame; img_hflip needs no
+    correction. Returns views of the volumes, in order.
     """
     axes = [a for a, f in ((-3, tag.vox_flip_x), (-2, tag.vox_flip_y)) if f]
-    return np.flip(occ_prob, axes), np.flip(sem_prob, axes)
+    return tuple(np.flip(v, axes) for v in volumes)
 
 
 def ensemble(entries_a, entries_b, weights):
     """Fusion of two models' de-augmented prediction sets by (a, b) weights.
 
-    Each entry is (occ_prob, sem_prob) with sem_prob.shape[1:] ==
-    occ_prob.shape; the sets may be any iterables and are consumed one
-    entry at a time. The weighted sums are normalized by the weighted entry
-    count so occ stays a probability (the paper-style raw sums rescaled to
-    [0, 1]); sem is the argmax of the identically normalized semantic sum,
-    ties to the smallest class id. `TestEnsembleBytes` pins the operation
-    order and the memory peak. A NaN or inf in an entry raises
-    NumericalError.
+    The sets may be any iterables of entries (occ, sem): np.asarray(occ) is
+    (nx, ny, nz), and sem has a (K, nx, ny, nz) `.shape` and class row k at
+    [k]. Arrays qualify, as do `pipeline.load_prediction_sets`'s file-backed
+    entries. occ is the weighted sum over the weighted entry count, so it
+    stays a probability; sem is the argmax of the same normalized semantic
+    sum, ties to the smallest class id, fused class-major: row k of every
+    entry (model a's in order, then b's) is summed from zero in float64,
+    normalized, checked and folded into a running argmax, so no (K, ...)
+    sum is held.
+    `TestEnsembleBytes` and `test_file_backed_entries_match_expression` pin
+    bytes and peak. A NaN or inf in an entry raises NumericalError.
     """
     if len(weights) != 2 or not all(0 < w < np.inf for w in weights):
         raise ValueError(f"need two positive finite ensemble weights: {weights}")
-    occ_sum = sem_sum = buf = None
-    counts = []
-    for weight, entries in zip(weights, (entries_a, entries_b)):
-        n = 0
-        for n, (occ, sem) in enumerate(entries, 1):
-            if occ_sum is None:
-                if sem.shape[1:] != occ.shape:
-                    raise ValueError("mismatched prediction shapes")
-                occ_sum = np.zeros(occ.shape, dtype=np.float64)
-                sem_sum = np.zeros(sem.shape, dtype=np.float64)
-                buf = np.empty(occ.shape, dtype=np.float64)
-            elif occ.shape != occ_sum.shape or sem.shape != sem_sum.shape:
-                raise ValueError("mismatched prediction shapes")
-            occ_sum += np.multiply(occ, weight, out=buf, dtype=np.float64)
-            for k in range(len(sem)):
-                sem_sum[k] += np.multiply(sem[k], weight, out=buf,
-                                          dtype=np.float64)
-        if n == 0:
-            raise ValueError("both prediction sets must be non-empty")
-        counts.append(n)
-    del occ, sem, buf  # the last entry is not needed for the argmax
-    norm = weights[0] * counts[0] + weights[1] * counts[1]
+    sets = [list(entries_a), list(entries_b)]
+    if not (sets[0] and sets[1]):
+        raise ValueError("both prediction sets must be non-empty")
+    weighted = [(w, e) for w, entries in zip(weights, sets) for e in entries]
+    sem_shape = sets[0][0][1].shape
+    shape = sem_shape[1:]
+    if any(o.shape != shape or s.shape != sem_shape for _, (o, s) in weighted):
+        raise ValueError("mismatched prediction shapes")
+    norm = weights[0] * len(sets[0]) + weights[1] * len(sets[1])
+    occ_sum, buf = np.zeros(shape), np.empty(shape)
+    for w, (occ, _) in weighted:
+        occ_sum += np.multiply(np.asarray(occ), w, out=buf, dtype=np.float64)
     occ_sum /= norm
-    sem_sum /= norm
     check_finite("ensembled occupancy", occ_sum)
-    check_finite("ensembled semantics", sem_sum)
-    # a running max over class rows, in place of argmax over axis 0, which
-    # copies sem_sum; strict > keeps ties on the smallest class id
-    best = sem_sum[0]
-    label = np.zeros(occ_sum.shape, dtype=np.uint8)
-    m = np.empty(occ_sum.shape, dtype=bool)
-    for k in range(1, len(sem_sum)):
-        np.greater(sem_sum[k], best, out=m)
+    # a running max over the (finite) class rows; strict > keeps ties on
+    # the smallest class id
+    row, best = np.empty(shape), np.full(shape, -np.inf)
+    label, m = np.zeros(shape, dtype=np.uint8), np.empty(shape, dtype=bool)
+    for k in range(sem_shape[0]):
+        row.fill(0.0)
+        for w, (_, sem) in weighted:
+            row += np.multiply(sem[k], w, out=buf, dtype=np.float64)
+        row /= norm
+        check_finite("ensembled semantics", row)
+        np.greater(row, best, out=m)
         np.copyto(label, k, where=m)
-        np.maximum(best, sem_sum[k], out=best)
+        np.maximum(best, row, out=best)
     return occ_sum, label
 
 

@@ -128,7 +128,7 @@ def rescale_cost_volume(cv: np.ndarray, target_stride: int,
 
 
 def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
-                    mode: str = "trilinear") -> np.ndarray:
+                    mode: str = "trilinear", dtype=None) -> np.ndarray:
     """Resample a (C, nx, ny, nz) or (nx, ny, nz) grid from the previous ego
     frame into the current one.
 
@@ -136,7 +136,8 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     continuous cell coordinates of `prev`; out-of-grid samples are zero.
     mode: "nearest" (exact copy under identity motion, suitable for labels)
     or "trilinear" (feature grids). The corner order and weight grouping
-    are fixed; `test_matches_eight_corner_loop` pins them.
+    are fixed; `test_matches_eight_corner_loop` pins them. The sums run in
+    float64, and the result is cast to `dtype` (None: the input's).
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -144,10 +145,17 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     squeeze = prev.ndim == 3
     if squeeze:
         prev = prev[None]
-    c = prev.shape[0]
     if prev.shape[1:] != grid.shape:
         raise ValueError("grid spec does not match array shape")
+    # the sums come back with every corner array freed, so the cast to a
+    # narrower dtype allocates on top of the sums alone
+    out = _corner_sums(prev, rel, grid, mode)
+    out = out.reshape(prev.shape).astype(dtype or prev.dtype, copy=False)
+    return out[0] if squeeze else out
 
+
+def _corner_sums(prev, rel, grid, mode):
+    """The float64 (C, nx * ny * nz) sums of `warp_voxel_grid`."""
     src = invert(rel).apply(grid.cell_centers().reshape(-1, 3))
     # continuous cell coords: cell i's center sits at i + 0.5
     cc = (src - grid.origin) / grid.voxel_size - 0.5
@@ -166,7 +174,7 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     del cc
 
     _, ny, nz = grid.shape
-    flat_prev = prev.reshape(c, -1).astype(np.float64, copy=False)
+    flat_prev = prev.reshape(len(prev), -1).astype(np.float64, copy=False)
     out = np.zeros(flat_prev.shape)
     buf = np.empty(flat_prev.shape[1])
     # corners in x-major order, z fastest
@@ -178,9 +186,7 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
             np.take(row, idx, out=buf, mode="clip")
             buf *= w
             acc += buf
-    del idx, w, buf  # before the cast to a narrower dtype allocates
-    out = out.reshape(c, *grid.shape).astype(prev.dtype, copy=False)
-    return out[0] if squeeze else out
+    return out
 
 
 def stack_temporal(grids: list) -> np.ndarray:

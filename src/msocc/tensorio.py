@@ -68,38 +68,45 @@ def write_tensor(path, array: np.ndarray) -> None:
         fh.write(a.data)
 
 
+def read_header(fh, path):
+    """(dtype, dims) of the tensor file open as `fh`, its header checked
+    against the file size; `fh` is left at the payload, none of it read."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(8)
+    if len(head) < 8:
+        raise TruncatedPayloadError(f"{path}: file shorter than header")
+    if head[:4] != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+    version, code, ndim = struct.unpack("<HBB", head[4:8])
+    if version > VERSION:
+        raise UnsupportedVersionError(
+            f"{path}: file version {version} is newer than supported {VERSION}")
+    if code not in _CODE_DTYPES:
+        raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
+    raw_dims = fh.read(8 * ndim)
+    if len(raw_dims) < 8 * ndim:
+        raise TruncatedPayloadError(f"{path}: truncated dims")
+    dims = struct.unpack(f"<{ndim}Q", raw_dims)
+    dtype = _CODE_DTYPES[code]
+    # Python ints: a product of u64 dims would overflow int64
+    expected = math.prod(dims) * dtype.itemsize
+    payload = size - 8 - 8 * ndim
+    if payload != expected:
+        raise TruncatedPayloadError(
+            f"{path}: payload {payload} bytes, expected {expected}")
+    try:  # a zero-stride view allocates nothing
+        np.broadcast_to(np.empty((), dtype), dims)
+    except ValueError as e:  # too many dims, or a zero-sized giant
+        raise TensorIOError(f"{path}: dims {dims}: {e}") from e
+    return dtype, dims
+
+
 def read_tensor(path) -> np.ndarray:
     """Read a tensor file; the payload is read straight into the result."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(8)
-        if len(head) < 8:
-            raise TruncatedPayloadError(f"{path}: file shorter than header")
-        if head[:4] != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
-        version, code, ndim = struct.unpack("<HBB", head[4:8])
-        if version > VERSION:
-            raise UnsupportedVersionError(
-                f"{path}: file version {version} is newer than supported {VERSION}")
-        if code not in _CODE_DTYPES:
-            raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
-        raw_dims = fh.read(8 * ndim)
-        if len(raw_dims) < 8 * ndim:
-            raise TruncatedPayloadError(f"{path}: truncated dims")
-        dims = struct.unpack(f"<{ndim}Q", raw_dims)
-        dtype = _CODE_DTYPES[code]
-        # Python ints: a product of u64 dims would overflow int64
-        expected = math.prod(dims) * dtype.itemsize
-        payload = size - 8 - 8 * ndim
-        if payload != expected:
+        dtype, dims = read_header(fh, path)
+        arr = np.empty(dims, dtype)
+        if (got := fh.readinto(arr)) != arr.nbytes:
             raise TruncatedPayloadError(
-                f"{path}: payload {payload} bytes, expected {expected}")
-        try:
-            arr = np.empty(dims, dtype=dtype)
-        except ValueError as e:  # too many dims, or a zero-sized giant
-            raise TensorIOError(f"{path}: dims {dims}: {e}") from e
-        got = fh.readinto(arr)
-        if got != expected:
-            raise TruncatedPayloadError(
-                f"{path}: payload {got} bytes, expected {expected}")
+                f"{path}: payload {got} bytes, expected {arr.nbytes}")
     return arr

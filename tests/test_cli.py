@@ -529,7 +529,7 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "stage 'gt_pyramid' failed" in err
-    assert "label 17 is not below num_classes 17" in err
+    assert "label 17 is neither a class id below 17" in err
     # the ground truth is checked before any other stage writes
     assert os.listdir(out) == []
     rc = main(["gt-downsample", "--occ", str(inp / "gt_occ.msoc"),
@@ -537,8 +537,29 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
                "--mask", str(inp / "mask.msoc"),
                "--out", str(tmp_path / "pyr")])
     assert rc == 2
-    assert "label 17 is not below num_classes 17" in capsys.readouterr().err
+    assert "label 17 is neither a class id below 17" in capsys.readouterr().err
     assert not (tmp_path / "pyr").exists()
+
+
+@pytest.mark.parametrize("where", ["occupied", "free"])
+def test_label_outside_classes_names_gt_sem(tmp_path, scene_dir, capsys,
+                                            where):
+    # the label sits in gt_sem.msoc, so the error names that file; at a free
+    # voxel the label is also inconsistent with gt_occ, and still the label
+    # is reported
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    sem = read_tensor(inp / "gt_sem.msoc")
+    pick = (sem != FREE) if where == "occupied" else (sem == FREE)
+    sem[tuple(np.argwhere(pick)[0])] = 17
+    write_tensor(inp / "gt_sem.msoc", sem)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'gt_pyramid' failed on {inp / 'gt_sem.msoc'}" in err
+    assert "gt_occ.msoc" not in err and "num_classes" not in err
+    assert os.listdir(out) == []
 
 
 def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
@@ -928,8 +949,8 @@ def test_eval_label_outside_classes_is_validation_error(tmp_path, capsys, side):
 
 def test_ensemble_holds_one_prediction_entry(scene_dir):
     preds = str(scene_dir / "preds")
-    entry = sum(read_tensor(os.path.join(preds, f"model_a_entry0_{k}.msoc"))
-                .nbytes for k in ("occ", "sem"))
+    # one occupancy-sized float64 row; a float32 entry is 9 of them
+    row = read_tensor(os.path.join(preds, "model_a_entry0_occ.msoc")).size * 8
     tracemalloc.start()
     try:
         postprocess.ensemble(*pipeline.load_prediction_sets(preds),
@@ -937,7 +958,38 @@ def test_ensemble_holds_one_prediction_entry(scene_dir):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * entry
+    # the 4.25 rows of TestEnsembleBytes.test_memory, plus the float32 row
+    # that every sem file's class rows are read into; on top, a fixed 128 KiB
+    # that does not scale with the grid: numpy's 64 KiB buffer for the
+    # float32 -> float64 cast, and the handles of the 32 entry files
+    assert peak <= 5 * row + 2 ** 17
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs Linux per-process fd listing")
+@pytest.mark.parametrize("damage", ["truncated", "bad_magic"])
+def test_damaged_prediction_file_fails_before_any_write(tmp_path, scene_dir,
+                                                        capsys, damage):
+    # every entry header is checked before the ensemble reads a payload
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    bad = inp / "preds" / "model_b_entry4_sem.msoc"  # mid model b, of 8
+    data = bad.read_bytes()
+    bad.write_bytes(data[:-1] if damage == "truncated" else b"MSOX" + data[4:])
+    fds = len(os.listdir("/proc/self/fd"))
+    capsys.readouterr()
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 4
+    assert f"stage 'postprocess' failed on {bad}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["inp"]
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 4
+    assert f"stage 'postprocess' failed on {bad}" in capsys.readouterr().err
+    assert (out / "loss_report.json").exists()
+    for name in ("occ_prob.msoc", "final_labels.msoc", "eval_report.json"):
+        assert not (out / name).exists()
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.mark.parametrize("flag, value", [("--weight-a", "0"),

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msocc import geometry as geo
 
@@ -327,3 +329,46 @@ class TestSerialization:
         assert g2.shape == (200, 200, 16)
         assert np.allclose(g2.origin, [-40, -40, -1])
         assert np.allclose(g2.voxel_size, 0.4)
+
+
+def quaternion_rotation(q):
+    """The rotation of quaternion (w, x, y, z), normalized."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+transforms = st.builds(
+    lambda q, t: geo.RigidTransform(quaternion_rotation(q), np.array(t)),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    st.tuples(*[st.floats(-100.0, 100.0)] * 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t=transforms)
+def test_compose_with_inverse_is_identity_property(t):
+    # a few float64 roundings per entry: 1e-12 on the rotation, and on the
+    # translation relative to its size
+    atol = 1e-12 * (1.0 + np.abs(t.translation).max())
+    for out in (geo.compose(t, geo.invert(t)), geo.compose(geo.invert(t), t)):
+        assert np.allclose(out.rotation, np.eye(3), rtol=0, atol=1e-12)
+        assert np.allclose(out.translation, 0.0, rtol=0, atol=atol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=st.tuples(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0)),
+       c=st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
+       u=st.floats(-5000.0, 5000.0), v=st.floats(-5000.0, 5000.0),
+       d=st.floats(1e-3, 1e3))
+def test_project_of_unproject_is_identity_property(f, c, u, v, d):
+    k = geo.Intrinsics(fx=f[0], fy=f[1], cx=c[0], cy=c[1], width=640,
+                       height=480)
+    uu, vv, dd = geo.project(geo.unproject(u, v, d, k), k)
+    # the depth passes through untouched; a pixel coordinate takes a few
+    # roundings, each relative to the larger of it and the principal point
+    assert dd == d
+    assert abs(uu - u) <= 1e-12 * (abs(u) + abs(k.cx) + 1.0)
+    assert abs(vv - v) <= 1e-12 * (abs(v) + abs(k.cy) + 1.0)

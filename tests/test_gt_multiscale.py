@@ -200,8 +200,8 @@ class TestBuildPyramid:
         mask = np.ones((8, 8, 4), bool)
         build_pyramid(occ, sem, mask, num_classes=5)
         sem[1, 2, 1] = 5
-        with pytest.raises(ValueError, match="label 5 is not below "
-                                             "num_classes 5"):
+        with pytest.raises(ValueError, match=r"label 5 is neither a class id "
+                                             r"below 5 nor FREE \(255\)"):
             build_pyramid(occ, sem, mask, num_classes=5)
 
     @pytest.mark.parametrize("levels", [0, -1])

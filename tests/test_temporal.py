@@ -509,6 +509,16 @@ class TestWarpVoxelGrid:
                               temporal.warp_voxel_grid(a, rel, g, mode=mode)[0])
 
     @pytest.mark.parametrize("mode", ["nearest", "trilinear"])
+    def test_dtype_is_the_cast_of_the_float64_result(self, mode):
+        g = small_grid()
+        a = np.random.default_rng(12).standard_normal((3, *g.shape))
+        rel = geo.RigidTransform.from_yaw(0.15, (0.2, -0.1, 0.1))
+        out = temporal.warp_voxel_grid(a, rel, g, mode=mode, dtype=np.float32)
+        want = temporal.warp_voxel_grid(a, rel, g, mode=mode)
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("mode", ["nearest", "trilinear"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
     @pytest.mark.parametrize("channels", [None, 3], ids=["3d", "4d"])
     def test_matches_eight_corner_loop(self, mode, dtype, channels):
@@ -572,3 +582,28 @@ class TestStackTemporal:
         with pytest.raises(ValueError):
             temporal.stack_temporal([np.zeros((2, 3, 3, 2)),
                                      np.zeros((2, 3, 3, 3))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3),
+       channels=st.integers(1, 3),
+       origin=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+       voxel=st.tuples(*[st.floats(0.05, 2.0)] * 3),
+       mode=st.sampled_from(["nearest", "trilinear"]),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2 ** 16))
+def test_identity_warp_returns_input_property(dims, channels, origin, voxel,
+                                              mode, dtype, seed):
+    g = geo.VoxelGridSpec(*dims, origin=np.array(origin),
+                          voxel_size=np.array(voxel))
+    a = np.random.default_rng(seed).standard_normal((channels, *dims))
+    a = a.astype(dtype)
+    out = temporal.warp_voxel_grid(a, geo.RigidTransform.identity(), g,
+                                   mode=mode)
+    assert out.dtype == a.dtype and out.shape == a.shape
+    if mode == "nearest":
+        assert np.array_equal(out, a)
+    else:
+        # a sample lands within |origin| / voxel * 1e-15 cells of its
+        # center, so each of the 8 corner weights is off by less than that
+        assert np.allclose(out, a, rtol=0, atol=1e-10 * np.abs(a).max())

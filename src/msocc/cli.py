@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fixtures, metrics, pipeline, postprocess, temporal
+from . import fixtures, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import CLASS_NAMES, build_pyramid
 from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
@@ -96,7 +96,8 @@ def cmd_warp(args):
 
 
 def cmd_gt_downsample(args):
-    pyr = build_pyramid(read_tensor(args.occ), read_tensor(args.sem),
+    pyr = build_pyramid(read_tensor(args.occ),
+                        pipeline.read_labels("gt_pyramid", args.sem),
                         read_tensor(args.mask).astype(bool), levels=args.levels)
     pipeline.write_pyramid(args.out, pyr)
     _write_meta(os.path.join(args.out, "metadata.json"), args)
@@ -162,12 +163,10 @@ def cmd_threshold(args):
 
 
 def cmd_eval(args):
-    try:
-        report = pipeline.evaluate(read_tensor(args.pred), read_tensor(args.gt),
-                                   read_tensor(args.mask).astype(bool),
-                                   args.include_free)
-    except metrics.LabelError as e:  # name the --pred or --gt file
-        raise PipelineStageError("eval", getattr(args, e.side), e) from e
+    report = pipeline.evaluate(pipeline.read_labels("eval", args.pred),
+                               pipeline.read_labels("eval", args.gt),
+                               read_tensor(args.mask).astype(bool),
+                               args.include_free)
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -300,19 +299,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as e:
+    except (PipelineStageError, NumericalError, TensorIOError, OSError,
+            ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PipelineStageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if isinstance(e.cause, (TensorIOError, OSError)):
+        cause = e.cause if isinstance(e, PipelineStageError) else e
+        if isinstance(cause, NumericalError):
+            return EXIT_NUMERICAL
+        if isinstance(cause, (TensorIOError, OSError)):
             return EXIT_IO
-        return EXIT_VALIDATION
-    except (TensorIOError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -71,11 +71,13 @@ def downsample_sem(sem: np.ndarray, occ_coarse: np.ndarray,
 
 
 def check_labels(sem: np.ndarray, num_classes: int = len(CLASS_NAMES)) -> None:
-    """Raise ValueError if a label of `sem` is neither FREE nor a class id."""
-    top = sem[sem != FREE].max(initial=0)
-    if top >= num_classes:
-        raise ValueError(f"semantic label {top} is neither a class id below "
-                         f"{num_classes} nor FREE ({FREE})")
+    """Raise ValueError if a label of `sem` is neither FREE nor a class id
+    in [0, num_classes)."""
+    labels = sem[sem != FREE]
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        raise ValueError(f"semantic label {labels[bad][0]} is neither a class "
+                         f"id below {num_classes} nor FREE ({FREE})")
 
 
 @dataclass(frozen=True)

@@ -13,30 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gt_multiscale import FREE
+from .gt_multiscale import FREE, check_labels
 
-__all__ = ["LabelError", "accumulate", "miou"]
-
-
-class LabelError(ValueError):
-    """A label that is neither a class id nor FREE; `side` names the
-    argument of `accumulate` that holds it ("pred" or "gt")."""
-
-    def __init__(self, side: str, message: str):
-        super().__init__(f"{side} {message}")
-        self.side = side
+__all__ = ["accumulate", "miou"]
 
 
-def _matrix_index(labels: np.ndarray, k: int, side: str) -> np.ndarray:
-    """Labels as matrix indices; raises LabelError on a label that is
-    neither a class id below k nor FREE."""
+def _matrix_index(labels: np.ndarray, k: int) -> np.ndarray:
+    """Labels as matrix indices, FREE at index k; `check_labels` decides
+    which labels are valid."""
+    check_labels(labels, k)
     idx = labels.astype(np.int64)
-    free = idx == FREE
-    bad = ~free & ((idx < 0) | (idx >= k))
-    if bad.any():
-        raise LabelError(side, f"label {idx[bad][0]} is neither a class id "
-                         f"below {k} nor FREE ({FREE})")
-    idx[free] = k
+    idx[idx == FREE] = k
     return idx
 
 
@@ -47,8 +34,8 @@ def accumulate(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray,
         raise ValueError("shape mismatch")
     m = np.asarray(mask, dtype=bool)
     n = num_classes + 1
-    p = _matrix_index(np.asarray(pred)[m], num_classes, "pred")
-    g = _matrix_index(np.asarray(gt)[m], num_classes, "gt")
+    p = _matrix_index(np.asarray(pred)[m], num_classes)
+    g = _matrix_index(np.asarray(gt)[m], num_classes)
     return np.bincount(g * n + p, minlength=n * n).reshape(n, n)
 
 

@@ -38,8 +38,7 @@ from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import CLASS_NAMES, build_pyramid, check_labels
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
 from .temporal import COST_STRIDE
-from .tensorio import (TensorIOError, TruncatedPayloadError, read_header,
-                       read_tensor, write_tensor)
+from .tensorio import TensorIOError, read_header, read_tensor, write_tensor
 
 
 class PipelineStageError(Exception):
@@ -102,9 +101,7 @@ def _stage(name: str, path: str):
     """Report a failure inside the block as one of stage `name` on `path`."""
     try:
         yield
-    except NumericalError as e:
-        raise NumericalError(f"stage {name!r} on {path}: {e}")
-    except (OSError, ValueError, TensorIOError) as e:
+    except (OSError, ValueError, TensorIOError, NumericalError) as e:
         raise PipelineStageError(name, path, e)
 
 
@@ -121,6 +118,15 @@ def read_in(stage: str, path, shape: tuple | None = None):
         if shape is not None and a.shape != tuple(shape):
             raise ValueError(f"shape {a.shape}, expected {tuple(shape)}")
         return a
+
+
+def read_labels(stage: str, path, shape: tuple | None = None):
+    """read_in(stage, path, shape), its labels passing `check_labels`
+    under the same stage and path."""
+    labels = read_in(stage, path, shape)
+    with _stage(stage, path):
+        check_labels(labels)
+    return labels
 
 
 def read_input(path, parse):
@@ -249,28 +255,33 @@ class _PredictionFile:
         with open(self.path, "rb", buffering=0) as fh:
             fh.seek(self.offset + k * row.nbytes)
             if fh.readinto(row) != row.nbytes:
-                raise TruncatedPayloadError(f"{self.path}: short class row {k}")
+                raise TensorIOError(f"{self.path}: short class row {k}")
         return postprocess.deaugment(self.tag, row)[0]
 
 
-def load_prediction_sets(preds_dir: str):
-    """Read and check tags.json and every entry file's header; return each
-    model's entries as (occ, sem) pairs of `_PredictionFile`s."""
-    tags = json.loads(read_text(os.path.join(preds_dir, "tags.json")))
+def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
+    """Read and check tags.json and every entry file's header, the occ
+    entries against `shape` when given; return each model's entries as
+    (occ, sem) pairs of `_PredictionFile`s. A failure is one of stage
+    `postprocess` on the file at fault."""
+    path = os.path.join(preds_dir, "tags.json")
     names = {f.name for f in fields(postprocess.AugmentationTag)}
-    for key in ("model_a", "model_b"):
-        if not isinstance(tags, dict) or not isinstance(tags.get(key), list):
-            raise ValueError(f"tags.json has no {key!r} list")
-        for td in tags[key]:
-            if not isinstance(td, dict) or set(td) != names:
-                raise ValueError(f"{key} tag {td!r} does not have exactly "
-                                 f"the fields {sorted(names)}")
+    with _stage("postprocess", path):
+        tags = json.loads(read_text(path))
+        for key in ("model_a", "model_b"):
+            if not isinstance(tags, dict) or not isinstance(tags.get(key), list):
+                raise ValueError(f"tags.json has no {key!r} list")
+            for td in tags[key]:
+                if not (isinstance(td, dict) and set(td) == names and
+                        all(isinstance(v, bool) for v in td.values())):
+                    raise ValueError(f"{key} tag {td!r} does not have exactly "
+                                     f"the boolean fields {sorted(names)}")
     rows = {}
 
     def entry(model, j, td):
         tag = postprocess.AugmentationTag(**td)
         path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
-        occ = _PredictionFile(path.format("occ"), tag, rows)
+        occ = _PredictionFile(path.format("occ"), tag, rows, shape)
         return occ, _PredictionFile(path.format("sem"), tag, rows,
                                     (len(CLASS_NAMES), *occ.shape))
 
@@ -323,12 +334,15 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: multi-scale ground truth (first: it needs no other stage,
     # so a bad label fails before any other output is written) ----
-    gt_occ, gt_sem, mask = (
-        read_in("gt_pyramid", os.path.join(inp, f"{name}.msoc"), grid.shape)
-        for name in ("gt_occ", "gt_sem", "mask"))
-    mask = mask.astype(bool)
-    with _stage("gt_pyramid", os.path.join(inp, "gt_sem.msoc")):
-        check_labels(gt_sem)
+    gt_occ = read_in("gt_pyramid", os.path.join(inp, "gt_occ.msoc"), grid.shape)
+    gt_sem = read_labels("gt_pyramid", os.path.join(inp, "gt_sem.msoc"),
+                         grid.shape)
+    mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc"),
+                   grid.shape).astype(bool)
+    # the prediction entries are checked before the first write too; only
+    # their headers are read here, and `ensemble` reads the payloads
+    preds = os.path.join(inp, "preds")
+    prediction_sets = load_prediction_sets(preds, grid.shape)
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
         pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides))
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
@@ -402,7 +416,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
-        gt_depth = read_in("loss", os.path.join(inp, "gt_depth.msoc"))
+        cam = rig.cameras[0][0]  # the cameras share one image size
+        gt_depth = read_in("loss", os.path.join(inp, "gt_depth.msoc"),
+                           (len(rig), cam.height, cam.width))
         terms = []
         for i, stride in enumerate(cfg.strides):
             # depth supervision at this scale's stride, pixel-center subsampled
@@ -418,9 +434,6 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         write_json(os.path.join(out, "loss_report.json"), report)
 
     # ---- stage: de-augment, ensemble, threshold, evaluate ----
-    preds = os.path.join(inp, "preds")
-    with _stage("postprocess", os.path.join(preds, "tags.json")):
-        prediction_sets = load_prediction_sets(preds)
     with _stage("postprocess", preds):
         occ_prob, sem_label = postprocess.ensemble(*prediction_sets,
                                                    cfg.ensemble_weights)

@@ -1,4 +1,4 @@
-"""Binary tensor file format and its error taxonomy.
+"""Binary tensor file format.
 
 Layout (all multi-byte fields little-endian):
 
@@ -33,23 +33,8 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 class TensorIOError(Exception):
-    """Base for tensor-file failures (exit code 4 at the CLI)."""
-
-
-class BadMagicError(TensorIOError):
-    pass
-
-
-class UnsupportedVersionError(TensorIOError):
-    pass
-
-
-class DtypeMismatchError(TensorIOError):
-    pass
-
-
-class TruncatedPayloadError(TensorIOError):
-    pass
+    """A tensor file that cannot be read or written (exit code 4 at the
+    CLI); the message names the fault."""
 
 
 def write_tensor(path, array: np.ndarray) -> None:
@@ -60,7 +45,7 @@ def write_tensor(path, array: np.ndarray) -> None:
     dt = a.dtype.newbyteorder("<") if a.dtype.byteorder == ">" else a.dtype
     a = a.astype(dt, copy=False)
     if a.dtype not in _DTYPE_CODES:
-        raise DtypeMismatchError(f"unsupported dtype {a.dtype}")
+        raise TensorIOError(f"unsupported dtype {a.dtype}")
     header = MAGIC + struct.pack("<HBB", VERSION, _DTYPE_CODES[a.dtype], a.ndim)
     header += struct.pack(f"<{a.ndim}Q", *a.shape)
     with open(path, "wb") as fh:
@@ -74,25 +59,25 @@ def read_header(fh, path):
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(8)
     if len(head) < 8:
-        raise TruncatedPayloadError(f"{path}: file shorter than header")
+        raise TensorIOError(f"{path}: file shorter than header")
     if head[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        raise TensorIOError(f"{path}: bad magic {head[:4]!r}")
     version, code, ndim = struct.unpack("<HBB", head[4:8])
     if version > VERSION:
-        raise UnsupportedVersionError(
+        raise TensorIOError(
             f"{path}: file version {version} is newer than supported {VERSION}")
     if code not in _CODE_DTYPES:
-        raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
+        raise TensorIOError(f"{path}: unknown dtype code {code}")
     raw_dims = fh.read(8 * ndim)
     if len(raw_dims) < 8 * ndim:
-        raise TruncatedPayloadError(f"{path}: truncated dims")
+        raise TensorIOError(f"{path}: truncated dims")
     dims = struct.unpack(f"<{ndim}Q", raw_dims)
     dtype = _CODE_DTYPES[code]
     # Python ints: a product of u64 dims would overflow int64
     expected = math.prod(dims) * dtype.itemsize
     payload = size - 8 - 8 * ndim
     if payload != expected:
-        raise TruncatedPayloadError(
+        raise TensorIOError(
             f"{path}: payload {payload} bytes, expected {expected}")
     try:  # a zero-stride view allocates nothing
         np.broadcast_to(np.empty((), dtype), dims)
@@ -107,6 +92,6 @@ def read_tensor(path) -> np.ndarray:
         dtype, dims = read_header(fh, path)
         arr = np.empty(dims, dtype)
         if (got := fh.readinto(arr)) != arr.nbytes:
-            raise TruncatedPayloadError(
+            raise TensorIOError(
                 f"{path}: payload {got} bytes, expected {arr.nbytes}")
     return arr

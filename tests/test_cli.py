@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from msocc import fixtures, losses, pipeline, postprocess
+from msocc.checks import NumericalError
 from msocc.cli import main
 from msocc.geometry import RigidTransform
 from msocc.gt_multiscale import FREE
@@ -986,9 +987,7 @@ def test_damaged_prediction_file_fails_before_any_write(tmp_path, scene_dir,
     out = tmp_path / "out"
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 4
     assert f"stage 'postprocess' failed on {bad}" in capsys.readouterr().err
-    assert (out / "loss_report.json").exists()
-    for name in ("occ_prob.msoc", "final_labels.msoc", "eval_report.json"):
-        assert not (out / name).exists()
+    assert not out.exists() or os.listdir(out) == []
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
@@ -1029,6 +1028,104 @@ def test_bad_tags_json_names_stage_and_file(tmp_path, scene_dir, capsys, edit):
     assert f"stage 'postprocess' failed on {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "int",
+                                                           "null"])
+def test_tag_flip_values_must_be_booleans(tmp_path, scene_dir, capsys, value):
+    # deaugment flips on truthiness, so a "false" string would flip
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "preds" / "tags.json"
+    tags = json.loads(path.read_text())
+    for td in tags["model_a"] + tags["model_b"]:
+        if td["vox_flip_x"] is False:
+            td["vox_flip_x"] = value
+    path.write_text(json.dumps(tags))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    assert f"stage 'postprocess' failed on {path}" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 2
+    assert f"stage 'postprocess' failed on {path}" in capsys.readouterr().err
+    assert not (tmp_path / "occ.msoc").exists()
+
+
+def test_prediction_entries_off_the_grid_name_the_first_entry(
+        tmp_path, scene_dir, capsys):
+    # entries that agree with each other but not with grid.json
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    for path in sorted((inp / "preds").glob("*.msoc")):
+        write_tensor(path, read_tensor(path)[..., :-2, :, :])
+    first = inp / "preds" / "model_a_entry0_occ.msoc"
+    grid = read_tensor(inp / "gt_occ.msoc").shape
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"stage 'postprocess' failed on {first}: shape "
+            f"{(grid[0] - 2, *grid[1:])}, expected {grid}") in err
+    assert not out.exists() or os.listdir(out) == []
+    # `ensemble` has no grid: the entries only have to agree
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 0
+    assert read_tensor(tmp_path / "sem.msoc").shape == (grid[0] - 2, *grid[1:])
+
+
+def test_gt_depth_off_the_rig_names_its_file(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "gt_depth.msoc"
+    depth = read_tensor(path)
+    write_tensor(path, depth[:, :-8])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    short = (depth.shape[0], depth.shape[1] - 8, depth.shape[2])
+    assert (f"stage 'loss' failed on {path}: shape {short}, "
+            f"expected {depth.shape}") in err
+    assert not (out / "loss_report.json").exists()
+
+
+def test_numerical_failure_is_a_stage_error(tmp_path, scene_dir, capsys):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "heads" / "occ_logits_scale0.msoc"
+    logits = read_tensor(path)
+    logits[1, 2, 3] = np.nan
+    write_tensor(path, logits)
+    with pytest.raises(pipeline.PipelineStageError) as err:
+        pipeline.run_pipeline(str(inp), str(tmp_path / "out"))
+    assert err.value.stage == "loss"
+    assert err.value.path == str(inp / "heads")
+    assert isinstance(err.value.cause, NumericalError)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "o2")]) == 3
+    assert (f"stage 'loss' failed on {inp / 'heads'}: losses: 1 NaN"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("label", [17, -1])
+def test_gt_downsample_bad_label_names_sem_file(tmp_path, scene_dir, capsys,
+                                                label):
+    sem = read_tensor(scene_dir / "gt_sem.msoc").astype(np.int32)
+    sem[tuple(np.argwhere(sem != FREE)[0])] = label
+    path = tmp_path / "sem.msoc"
+    write_tensor(path, sem)
+    capsys.readouterr()
+    assert main(["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
+                 "--sem", str(path), "--mask", str(scene_dir / "mask.msoc"),
+                 "--out", str(tmp_path / "pyr")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'gt_pyramid' failed on {path}: semantic label {label} " in err
+    assert not (tmp_path / "pyr").exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_nonfinite_depth_logits_is_numerical_error(tmp_path, scene_dir, capsys,
                                                    value):
@@ -1042,7 +1139,7 @@ def test_nonfinite_depth_logits_is_numerical_error(tmp_path, scene_dir, capsys,
     assert main(["run", "--input", str(inp), "--output",
                  str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert f"stage 'lift_stack' on {path}: depth logits" in err
+    assert f"stage 'lift_stack' failed on {path}: depth logits" in err
     assert str(inp / "features") not in err
     assert main(["lift", "--features",
                  str(inp / "features" / "frame02_stride8.msoc"),
@@ -1061,7 +1158,8 @@ def test_nan_lift_features_names_features_file(tmp_path, scene_dir, capsys):
     capsys.readouterr()
     assert main(["run", "--input", str(inp), "--output",
                  str(tmp_path / "out")]) == 3
-    assert f"stage 'lift_stack' on {path}: features" in capsys.readouterr().err
+    assert (f"stage 'lift_stack' failed on {path}: features"
+            in capsys.readouterr().err)
 
 
 def test_module_entry_point_warns_nothing():
@@ -1219,9 +1317,7 @@ def test_prediction_entry_with_wrong_class_rows_fails_in_postprocess(
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"stage 'postprocess' failed on {path}" in err and message in err
-    assert (out / "loss_report.json").exists()
-    assert not (out / "occ_prob.msoc").exists()
-    assert not (out / "eval_report.json").exists()
+    assert not out.exists() or os.listdir(out) == []
     assert main(["ensemble", "--preds", str(inp / "preds"),
                  "--out-occ", str(tmp_path / "occ.msoc"),
                  "--out-sem", str(tmp_path / "sem.msoc")]) == 2

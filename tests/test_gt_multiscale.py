@@ -5,8 +5,8 @@ import pytest
 
 from msocc import fixtures, losses, postprocess
 from msocc.gt_multiscale import (CLASS_NAMES, FREE, build_pyramid,
-                                 downsample_mask, downsample_occ,
-                                 downsample_sem)
+                                 check_labels, downsample_mask,
+                                 downsample_occ, downsample_sem)
 
 
 def block_oracle(a, reduce_fn):
@@ -203,6 +203,14 @@ class TestBuildPyramid:
         with pytest.raises(ValueError, match=r"label 5 is neither a class id "
                                              r"below 5 nor FREE \(255\)"):
             build_pyramid(occ, sem, mask, num_classes=5)
+
+    def test_negative_label_rejected(self):
+        sem = np.full((8, 8, 4), FREE, np.int64)
+        sem[0, 0, 0], sem[1, 2, 1] = 4, -1
+        check_labels(sem[0], num_classes=5)  # FREE and class ids pass
+        with pytest.raises(ValueError, match=r"label -1 is neither a class "
+                                             r"id below 5 nor FREE \(255\)"):
+            check_labels(sem, num_classes=5)
 
     @pytest.mark.parametrize("levels", [0, -1])
     def test_fewer_than_one_level_rejected(self, levels):

@@ -66,8 +66,8 @@ def cmd_cost_volume(args):
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
-    _, cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
-                                 args.camera, cur, prev, rel)
+    cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
+                              args.camera, cur, prev, rel)
     write_tensor(args.out, cv)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -79,7 +79,7 @@ def cmd_lift(args):
     idx = pipeline.pooling_index(_depth_config(args), args.stride,
                                  read_input(args.rig, CameraRig.from_json),
                                  read_input(args.grid, VoxelGridSpec.from_json))
-    _, out = pipeline.lift_frame(feats, logits, idx)
+    out = pipeline.lift_frame(feats, logits, idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK

@@ -158,10 +158,10 @@ def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
                 cur: np.ndarray, prev: np.ndarray,
                 rel: RigidTransform):
     """Plane-sweep cost volume of camera `cam` from the (N, C, H, W) feature
-    stacks at `stride` of the current and previous frame; returns the
-    float64 (D, H, W) volume and the float32 copy it is written as. The
-    check runs on the copy, since a finite float64 value can overflow
-    float32."""
+    stacks at `stride` of the current and previous frame, as the float32
+    (D, H, W) volume that is written and pooled to coarser strides. The
+    sweep runs in float64; the check runs on the float32 volume, since a
+    finite float64 value can overflow float32."""
     if not (cur.shape[:1] == prev.shape[:1] == (len(rig),) and
             0 <= cam < len(rig)):
         raise ValueError(f"camera {cam} of features {cur.shape} and "
@@ -169,9 +169,9 @@ def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
     k, cam_to_ego = rig.cameras[cam]
     cv = temporal.build_cost_volume(cur[cam], prev[cam], rel, k.scaled(stride),
                                     frustum(cfg), cam_to_ego=cam_to_ego)
-    written = cv.astype(np.float32)
-    check_finite(f"cost volume camera {cam}", written)
-    return cv, written
+    cv = cv.astype(np.float32)
+    check_finite(f"cost volume camera {cam}", cv)
+    return cv
 
 
 def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
@@ -180,19 +180,17 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
     return build_pooling_index(scaled, frustum(cfg), grid)
 
 
-def lift_frame(feats: np.ndarray, logits: np.ndarray, idx,
-               dtype=np.float32):
+def lift_frame(feats: np.ndarray, logits: np.ndarray, idx):
     """Lift one frame's (N, C, H, W) features through the softmax of its
-    (N, D, H, W) depth logits; returns the (C, nx, ny, nz) grid in `dtype`
-    (float64 for a grid that is warped on) and the float32 grid it is
-    written as, the same array when `dtype` is float32. The check runs on
-    the float32 grid, since a finite float64 sum can overflow float32."""
+    (N, D, H, W) depth logits into the float32 (C, nx, ny, nz) grid that is
+    written, and for a past frame warped and stacked. Each channel row is
+    summed in float64 and stored as float32; the check runs on the float32
+    grid, since a finite float64 sum can overflow float32."""
     check_finite("depth logits", logits)
     lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx,
-                           dtype=dtype)
-    written = lifted.astype(np.float32, copy=False)
-    check_finite("lifted grid", written)
-    return lifted, written
+                           dtype=np.float32)
+    check_finite("lifted grid", lifted)
+    return lifted
 
 
 def write_pyramid(out_dir: str, pyramid) -> None:
@@ -360,18 +358,14 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             feats_cur = read_tensor(path)
             rel = relative_ego_motion(poses[t - 1], poses[t])
             for cam in range(len(rig)):
-                cv, written = cost_volume(cfg, COST_STRIDE, rig, cam,
-                                          feats_cur, feats_prev, rel)
-                write_tensor(os.path.join(
-                    cv_dir, f"frame{t:02d}_cam{cam}_stride{COST_STRIDE}.msoc"),
-                    written)
+                cv = cost_volume(cfg, COST_STRIDE, rig, cam, feats_cur,
+                                 feats_prev, rel)
+                name = os.path.join(cv_dir, f"frame{t:02d}_cam{cam}_stride{{}}.msoc")
+                write_tensor(name.format(COST_STRIDE), cv)
                 for s in cfg.strides:
-                    cv_s = temporal.rescale_cost_volume(cv, s)
-                    write_tensor(os.path.join(
-                        cv_dir, f"frame{t:02d}_cam{cam}_stride{s}.msoc"),
-                        cv_s.astype(np.float32))
-                # so the next camera's volume is built without them alive
-                del cv, written
+                    write_tensor(name.format(s),
+                                 temporal.rescale_cost_volume(cv, s))
+                del cv  # so the next camera's volume is built without it
         feats_prev = feats_cur  # each frame is read once
 
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
@@ -396,18 +390,13 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             path = frame_path("depth_logits", t, stride)
             with _stage("lift_stack", path):
                 logits = read_tensor(path)
-                # blocks are kept in float32, the dtype the stack is written
-                # in; the current frame is already in the current ego frame,
-                # so only past frames are lifted in float64 and warped
-                past = t < num_frames - 1
-                lifted, block = lift_frame(
-                    feats, logits, idx, np.float64 if past else np.float32)
+                block = lift_frame(feats, logits, idx)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"), block)
-                if past:
-                    rel = relative_ego_motion(poses[t], poses[-1])
+                # past frames warp their written grid, as `msocc warp` does
+                if t < num_frames - 1:
                     block = temporal.warp_voxel_grid(
-                        lifted, rel, g, mode="trilinear", dtype=np.float32)
+                        block, relative_ego_motion(poses[t], poses[-1]), g)
                 aligned.append(block)
         current_logits.append(logits)
         stack = temporal.stack_temporal(aligned)

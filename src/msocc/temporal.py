@@ -128,7 +128,7 @@ def rescale_cost_volume(cv: np.ndarray, target_stride: int,
 
 
 def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
-                    mode: str = "trilinear", dtype=None) -> np.ndarray:
+                    mode: str = "trilinear") -> np.ndarray:
     """Resample a (C, nx, ny, nz) or (nx, ny, nz) grid from the previous ego
     frame into the current one.
 
@@ -137,7 +137,7 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     mode: "nearest" (exact copy under identity motion, suitable for labels)
     or "trilinear" (feature grids). The corner order and weight grouping
     are fixed; `test_matches_eight_corner_loop` pins them. The sums run in
-    float64, and the result is cast to `dtype` (None: the input's).
+    float64, and the result takes the input's dtype.
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -150,7 +150,7 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     # the sums come back with every corner array freed, so the cast to a
     # narrower dtype allocates on top of the sums alone
     out = _corner_sums(prev, rel, grid, mode)
-    out = out.reshape(prev.shape).astype(dtype or prev.dtype, copy=False)
+    out = out.reshape(prev.shape).astype(prev.dtype, copy=False)
     return out[0] if squeeze else out
 
 
@@ -174,18 +174,19 @@ def _corner_sums(prev, rel, grid, mode):
     del cc
 
     _, ny, nz = grid.shape
-    flat_prev = prev.reshape(len(prev), -1).astype(np.float64, copy=False)
+    flat_prev = prev.reshape(len(prev), -1)
     out = np.zeros(flat_prev.shape)
+    got = np.empty(flat_prev.shape[1], flat_prev.dtype)
     buf = np.empty(flat_prev.shape[1])
     # corners in x-major order, z fastest
     for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
         idx = (ix * ny + iy) * nz + iz
         w = wx * wy * wz
         for row, acc in zip(flat_prev, out):
-            # "clip" lets take write into buf without a temporary
-            np.take(row, idx, out=buf, mode="clip")
-            buf *= w
-            acc += buf
+            # "clip" lets take write into got without a temporary; the
+            # multiply widens got, so the grid is never widened whole
+            np.take(row, idx, out=got, mode="clip")
+            acc += np.multiply(got, w, out=buf)
     return out
 
 

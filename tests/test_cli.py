@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msocc import fixtures, losses, pipeline, postprocess
+from msocc import fixtures, losses, pipeline, postprocess, temporal
 from msocc.checks import NumericalError
 from msocc.cli import main
-from msocc.geometry import RigidTransform
+from msocc.geometry import RigidTransform, VoxelGridSpec, relative_ego_motion
 from msocc.gt_multiscale import FREE
 from msocc.tensorio import read_tensor, write_tensor
 
@@ -239,6 +239,44 @@ def test_lift_subcommand_matches_run(tmp_path, scene_dir, run_dir):
     want = (run_dir / "voxel" / "frame01_scale0.msoc").read_bytes()
     assert out.read_bytes() == want
     assert (tmp_path / "lifted.msoc.meta.json").exists()
+
+
+def test_warp_subcommand_matches_run_stacks(tmp_path, scene_dir, run_dir):
+    # a past frame's slice of each stack is `msocc warp` of its written grid
+    poses = [RigidTransform.from_dict(d)
+             for d in json.loads((scene_dir / "poses.json").read_text())]
+    grid = VoxelGridSpec.from_json((scene_dir / "grid.json").read_text())
+    for level in range(3):
+        f = 2 ** level
+        (tmp_path / "grid.json").write_text(VoxelGridSpec(
+            grid.nx // f, grid.ny // f, grid.nz // f, origin=grid.origin,
+            voxel_size=grid.voxel_size * f).to_json())
+        stack = read_tensor(run_dir / "voxel" / f"stack_scale{level}.msoc")
+        for t in range(1, len(poses) - 1):
+            (tmp_path / "rel.json").write_text(json.dumps(
+                relative_ego_motion(poses[t], poses[-1]).to_dict()))
+            out = tmp_path / f"frame{t}_scale{level}.msoc"
+            assert main(["warp", "--input", str(
+                run_dir / "voxel" / f"frame{t:02d}_scale{level}.msoc"),
+                "--grid", str(tmp_path / "grid.json"),
+                "--transform", str(tmp_path / "rel.json"),
+                "--out", str(out)]) == 0
+            warped = read_tensor(out)
+            c = warped.shape[0]
+            assert warped.dtype == stack.dtype == np.float32
+            assert warped.tobytes() == stack[(t - 1) * c:t * c].tobytes()
+
+
+def test_rescaled_cost_volumes_pool_the_written_volume(run_dir):
+    written = sorted((run_dir / "cost_volumes").glob("*_stride4.msoc"))
+    assert len(written) == 6  # 3 frame pairs, 2 cameras
+    for path in written:
+        cv = read_tensor(path)
+        for s in (8, 16, 32):
+            want = read_tensor(str(path).replace("stride4", f"stride{s}"))
+            got = temporal.rescale_cost_volume(cv, s)
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
 
 def test_cost_volume_subcommand_matches_run(tmp_path, scene_dir, run_dir):

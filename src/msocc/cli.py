@@ -155,9 +155,11 @@ def cmd_ensemble(args):
 
 
 def cmd_threshold(args):
-    out = postprocess.apply_thresholds(read_tensor(args.occ_prob),
-                                       read_tensor(args.sem_labels),
-                                       postprocess.load_threshold_table(args.table))
+    occ_prob = read_tensor(args.occ_prob)
+    table = postprocess.load_threshold_table(args.table)
+    with pipeline._stage("threshold", args.sem_labels):
+        out = postprocess.apply_thresholds(
+            occ_prob, read_tensor(args.sem_labels), table)
     write_tensor(args.out, out)
     return EXIT_OK
 

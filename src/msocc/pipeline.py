@@ -110,14 +110,21 @@ def read_text(path) -> str:
         return fh.read()
 
 
+def read_header_in(stage: str, path, shape: tuple | None = None):
+    """(dtype, dims, payload offset) of tensor file `path`, payload unread;
+    a failure, or dims other than `shape`, is one of `stage` on `path`."""
+    with _stage(stage, path), open(path, "rb", buffering=0) as fh:
+        dtype, dims = read_header(fh, path)
+        if shape is not None and dims != tuple(shape):
+            raise ValueError(f"shape {dims}, expected {tuple(shape)}")
+        return dtype, dims, fh.tell()
+
+
 def read_in(stage: str, path, shape: tuple | None = None):
-    """read_tensor(path), a failure reported as one of `stage` on `path`;
-    with `shape`, the tensor must have that shape."""
+    """read_tensor(path), its header first checked by `read_header_in`."""
+    read_header_in(stage, path, shape)
     with _stage(stage, path):
-        a = read_tensor(path)
-        if shape is not None and a.shape != tuple(shape):
-            raise ValueError(f"shape {a.shape}, expected {tuple(shape)}")
-        return a
+        return read_tensor(path)
 
 
 def read_labels(stage: str, path, shape: tuple | None = None):
@@ -236,11 +243,8 @@ class _PredictionFile:
 
     def __init__(self, path, tag, rows, shape=None):
         self.path, self.tag, self.rows = path, tag, rows
-        with _stage("postprocess", path), open(path, "rb", buffering=0) as fh:
-            self.dtype, self.shape = read_header(fh, path)
-            self.offset = fh.tell()
-            if shape is not None and self.shape != shape:
-                raise ValueError(f"shape {self.shape}, expected {shape}")
+        self.dtype, self.shape, self.offset = read_header_in("postprocess",
+                                                             path, shape)
 
     def __array__(self, dtype=None, copy=None):
         whole = read_in("postprocess", self.path, self.shape)
@@ -328,17 +332,24 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                 raise ValueError(
                     f"stride {s} pools the {lattice.height}x{lattice.width} "
                     f"cost-volume lattice by {factor}, which does not divide it")
-    os.makedirs(out, exist_ok=True)
 
     # ---- stage: multi-scale ground truth (first: it needs no other stage,
-    # so a bad label fails before any other output is written) ----
+    # so a bad label fails before any output is written) ----
     gt_occ = read_in("gt_pyramid", os.path.join(inp, "gt_occ.msoc"), grid.shape)
     gt_sem = read_labels("gt_pyramid", os.path.join(inp, "gt_sem.msoc"),
                          grid.shape)
     mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc"),
                    grid.shape).astype(bool)
-    # the prediction entries are checked before the first write too; only
-    # their headers are read here, and `ensemble` reads the payloads
+    # later stages' inputs are checked before the first write too; of the
+    # heads and prediction entries only the headers, as payloads are big
+    cam = rig.cameras[0][0]  # the cameras share one image size
+    gt_depth = read_in("loss", os.path.join(inp, "gt_depth.msoc"),
+                       (len(rig), cam.height, cam.width))
+    head = os.path.join(inp, "heads", "{}_logits_scale{}.msoc")
+    for i in range(len(cfg.strides)):
+        level = _grid_level(grid, i).shape
+        read_header_in("loss", head.format("occ", i), level)
+        read_header_in("loss", head.format("sem", i), (len(CLASS_NAMES), *level))
     preds = os.path.join(inp, "preds")
     prediction_sets = load_prediction_sets(preds, grid.shape)
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
@@ -405,18 +416,12 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
-        cam = rig.cameras[0][0]  # the cameras share one image size
-        gt_depth = read_in("loss", os.path.join(inp, "gt_depth.msoc"),
-                           (len(rig), cam.height, cam.width))
         terms = []
         for i, stride in enumerate(cfg.strides):
             # depth supervision at this scale's stride, pixel-center subsampled
             c = stride // 2
-            level = pyramid.occ[i].shape
-            head = os.path.join(inp, "heads", f"{{}}_logits_scale{i}.msoc")
             terms.append(scale_losses(
-                cfg, read_in("loss", head.format("occ"), level),
-                read_in("loss", head.format("sem"), (len(CLASS_NAMES), *level)),
+                cfg, *(read_in("loss", head.format(n, i)) for n in ("occ", "sem")),
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
                 current_logits[i], gt_depth[:, c::stride, c::stride]))
         report = losses.total_loss(*zip(*terms))

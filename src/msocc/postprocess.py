@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check_finite
-from .gt_multiscale import CLASS_NAMES, FREE
+from .gt_multiscale import CLASS_NAMES, FREE, check_labels
 
 __all__ = [
     "AugmentationTag",
@@ -109,11 +109,13 @@ def ensemble(entries_a, entries_b, weights):
 def apply_thresholds(occ_prob: np.ndarray, sem_label: np.ndarray,
                      table: dict) -> np.ndarray:
     """Voxels whose occupancy probability falls below their class threshold
-    become FREE; the rest keep their semantic label."""
+    become FREE; the rest keep their semantic label, which must be a class
+    id (FREE is none)."""
     if occ_prob.shape != sem_label.shape:
         raise ValueError("shape mismatch")
-    if sem_label.max(initial=0) >= len(CLASS_NAMES):
-        raise ValueError("semantic label outside the class set")
+    check_labels(sem_label)
+    if (sem_label == FREE).any():
+        raise ValueError(f"semantic label {FREE} (FREE) is not a class id")
     thresh = np.array([table[name] for name in CLASS_NAMES])
     out = np.where(occ_prob < thresh[sem_label], FREE, sem_label)
     return out.astype(np.uint8)

@@ -149,6 +149,22 @@ def test_threshold_subcommand(tmp_path):
     assert out[0, 0, 0] == 4 and out[1, 0, 0] == FREE
 
 
+@pytest.mark.parametrize("label", [-1, 17, FREE])
+def test_threshold_label_that_is_no_class_id_names_its_file(tmp_path, capsys,
+                                                            label):
+    # int32 labels, so -1 stays -1; at 0.99 every class keeps its voxels
+    write_tensor(tmp_path / "occ.msoc", np.full((2, 2, 2), 0.99))
+    write_tensor(tmp_path / "sem.msoc", np.full((2, 2, 2), label, np.int32))
+    capsys.readouterr()
+    rc = main(["threshold", "--occ-prob", str(tmp_path / "occ.msoc"),
+               "--sem-labels", str(tmp_path / "sem.msoc"),
+               "--out", str(tmp_path / "final.msoc")])
+    assert rc == 2
+    assert (f"stage 'threshold' failed on {tmp_path / 'sem.msoc'}: "
+            f"semantic label {label}") in capsys.readouterr().err
+    assert not (tmp_path / "final.msoc").exists()
+
+
 def test_deaug_subcommand(tmp_path):
     occ = np.zeros((4, 4, 2)); occ[1, 0, 0] = 1.0
     sem = np.zeros((3, 4, 4, 2)); sem[0, 1, 0, 0] = 1.0
@@ -570,7 +586,7 @@ def test_label_not_below_num_classes_is_validation_error(tmp_path, scene_dir,
     assert "stage 'gt_pyramid' failed" in err
     assert "label 17 is neither a class id below 17" in err
     # the ground truth is checked before any other stage writes
-    assert os.listdir(out) == []
+    assert not out.exists()
     rc = main(["gt-downsample", "--occ", str(inp / "gt_occ.msoc"),
                "--sem", str(inp / "gt_sem.msoc"),
                "--mask", str(inp / "mask.msoc"),
@@ -598,7 +614,7 @@ def test_label_outside_classes_names_gt_sem(tmp_path, scene_dir, capsys,
     err = capsys.readouterr().err
     assert f"stage 'gt_pyramid' failed on {inp / 'gt_sem.msoc'}" in err
     assert "gt_occ.msoc" not in err and "num_classes" not in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
@@ -614,7 +630,7 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "stage 'gt_pyramid' failed" in err and "must be 0 or 1" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -759,7 +775,7 @@ def test_run_mask_shape_mismatch_fails_in_gt_pyramid(tmp_path, scene_dir,
         err = capsys.readouterr().err
         assert f"stage 'gt_pyramid' failed on {inp / name}.msoc" in err
         assert "shape (12, 12, 16), expected (40, 40, 8)" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("mode,atol", [("nearest", 0.0), ("trilinear", 1e-6)])
@@ -811,7 +827,7 @@ def test_corrupt_tensor_header_is_io_error(tmp_path, scene_dir, capsys, dims):
     out = tmp_path / "out"
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 4
     assert f"stage 'gt_pyramid' failed on {bad}" in capsys.readouterr().err
-    assert not (tmp_path / "warped.msoc").exists() and os.listdir(out) == []
+    assert not (tmp_path / "warped.msoc").exists() and not out.exists()
 
 
 def test_inf_prediction_is_numerical_error(tmp_path, scene_dir, capsys):
@@ -1126,7 +1142,25 @@ def test_gt_depth_off_the_rig_names_its_file(tmp_path, scene_dir, capsys):
     short = (depth.shape[0], depth.shape[1] - 8, depth.shape[2])
     assert (f"stage 'loss' failed on {path}: shape {short}, "
             f"expected {depth.shape}") in err
-    assert not (out / "loss_report.json").exists()
+    assert not out.exists()  # checked before the first write
+
+
+@pytest.mark.parametrize("name", ["occ", "sem"])
+def test_head_off_the_grid_fails_before_any_write(tmp_path, scene_dir, capsys,
+                                                  name):
+    # a head's header is checked against its level of grid.json before the
+    # first write; its payload is read only in stage `loss`
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "heads" / f"{name}_logits_scale2.msoc"
+    head = read_tensor(path)
+    write_tensor(path, head[..., :-1])  # one z row cut
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    assert (f"stage 'loss' failed on {path}: shape {head[..., :-1].shape}, "
+            f"expected {head.shape}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_is_a_stage_error(tmp_path, scene_dir, capsys):
@@ -1252,6 +1286,24 @@ def test_float32_overflow_is_numerical_error(tmp_path, scene_dir, capsys):
                  "--rig", str(inp / "rig.json"), "--grid", str(inp / "grid.json"),
                  "--stride", "8", "--out", str(tmp_path / "lifted.msoc")]) == 3
     assert "lifted grid" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_past_frame_float32_overflow_fails_in_lift_stack(tmp_path, scene_dir,
+                                                         capsys):
+    # finite float32 features of one past frame whose float64 sums overflow
+    # the float32 grid that is written and warped
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "features" / "frame01_stride8.msoc"
+    write_tensor(path, np.full_like(read_tensor(path), 3.0e38))
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    logits = inp / "depth_logits" / "frame01_stride8.msoc"
+    assert (f"stage 'lift_stack' failed on {logits}: lifted grid"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "voxel" / "stack_scale0.msoc").exists()
 
 
 def test_config_and_metadata_hold_no_class_count(tmp_path, scene_dir,
@@ -1447,7 +1499,7 @@ def test_grid_must_match_ground_truth(tmp_path, scene_dir, capsys, dims):
     err = capsys.readouterr().err
     assert f"stage 'gt_pyramid' failed on {inp / 'gt_occ.msoc'}" in err
     assert f"shape (40, 40, 8), expected {dims}" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_no_scales_fails_in_inputs(tmp_path, scene_dir, capsys):

@@ -323,9 +323,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     table = cfg.threshold_table and os.path.join(inp, cfg.threshold_table)
     with _stage("inputs", table):
         thresholds = postprocess.load_threshold_table(table)
+    k0 = rig.cameras[0][0]  # the rig's cameras share one image size
     with _stage("inputs", os.path.join(inp, "config.json")):
-        # the rig's cameras share one image size, so one lattice
-        lattice = rig.cameras[0][0].scaled(COST_STRIDE)
+        lattice = k0.scaled(COST_STRIDE)
         for s in cfg.strides:
             factor = s // COST_STRIDE
             if lattice.height % factor or lattice.width % factor:
@@ -340,11 +340,10 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                          grid.shape)
     mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc"),
                    grid.shape).astype(bool)
-    # later stages' inputs are checked before the first write too; of the
-    # heads and prediction entries only the headers, as payloads are big
-    cam = rig.cameras[0][0]  # the cameras share one image size
-    gt_depth = read_in("loss", os.path.join(inp, "gt_depth.msoc"),
-                       (len(rig), cam.height, cam.width))
+    # later stages' inputs are checked before the first write too, only
+    # their headers, so no payload is held before the stage that reads it
+    depth_path = os.path.join(inp, "gt_depth.msoc")
+    read_header_in("loss", depth_path, (len(rig), k0.height, k0.width))
     head = os.path.join(inp, "heads", "{}_logits_scale{}.msoc")
     for i in range(len(cfg.strides)):
         level = _grid_level(grid, i).shape
@@ -416,6 +415,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
+        gt_depth = read_in("loss", depth_path)
         terms = []
         for i, stride in enumerate(cfg.strides):
             # depth supervision at this scale's stride, pixel-center subsampled

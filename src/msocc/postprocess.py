@@ -109,8 +109,8 @@ def ensemble(entries_a, entries_b, weights):
 def apply_thresholds(occ_prob: np.ndarray, sem_label: np.ndarray,
                      table: dict) -> np.ndarray:
     """Voxels whose occupancy probability falls below their class threshold
-    become FREE; the rest keep their semantic label, which must be a class
-    id (FREE is none)."""
+    become FREE; the rest keep their semantic label. Every label must be a
+    class id, so FREE is rejected too."""
     if occ_prob.shape != sem_label.shape:
         raise ValueError("shape mismatch")
     check_labels(sem_label)

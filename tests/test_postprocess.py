@@ -343,15 +343,6 @@ class TestThresholds:
         out = pp.apply_thresholds(occ, sem, pp.DEFAULT_THRESHOLDS)
         assert not (out == FREE).any()
 
-    @pytest.mark.parametrize("label", [-1, 17, FREE])
-    def test_label_that_is_no_class_id_rejected(self, label):
-        # -1 would index the last class's threshold, and FREE is no class
-        occ = np.full((2, 2, 2), 0.99)
-        sem = np.full((2, 2, 2), 4, np.int32)
-        sem[1, 0, 1] = label
-        with pytest.raises(ValueError, match=f"semantic label {label}"):
-            pp.apply_thresholds(occ, sem, pp.DEFAULT_THRESHOLDS)
-
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(8)
         occ = rng.random((5, 5, 2))

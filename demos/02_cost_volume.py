@@ -28,5 +28,5 @@ interior = best[:, max_shift:]
 hit = (interior == true_bin).mean()
 print(f"true bin {true_bin}, argmax hit rate over interior: {hit:.3f}")
 
-coarse = temporal.rescale_cost_volume(cost, target_stride=8, source_stride=4)
+coarse = temporal.rescale_cost_volume(cost, target_stride=8)
 print(f"rescaled to stride 8: {coarse.shape}")

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import fixtures, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
-from .gt_multiscale import CLASS_NAMES, build_pyramid
+from .checks import check_finite
+from .gt_multiscale import CLASS_NAMES, build_pyramid, check_gt
 from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
 from .tensorio import TensorIOError, read_tensor, write_tensor
 
@@ -87,6 +88,8 @@ def cmd_lift(args):
 
 def cmd_warp(args):
     grid_arr = read_tensor(args.input)
+    with pipeline._stage("warp", args.input):
+        check_finite("voxel grid", grid_arr)
     grid = read_input(args.grid, VoxelGridSpec.from_json)
     motion = read_input(args.transform, _parse_transform)
     out = temporal.warp_voxel_grid(grid_arr, motion, grid, mode=args.mode)
@@ -108,14 +111,19 @@ def cmd_loss(args):
     if bool(args.depth_logits) != bool(args.gt_depth):
         raise ValueError("the depth term needs --"
                          + ("gt-depth" if args.depth_logits else "depth-logits"))
-    depth = ((read_tensor(args.depth_logits), read_tensor(args.gt_depth))
+    depth = ((read_tensor(args.depth_logits),
+              pipeline.read_depth("loss", args.gt_depth))
              if args.depth_logits else ())
     occ = read_tensor(args.gt_occ)
+    # the ground truth is checked by `run`'s rule, each file under its path
+    sem = pipeline.read_labels("loss", args.gt_sem, occ.shape)
+    mask = pipeline.read_in("loss", args.mask, occ.shape)
+    with pipeline._stage("loss", args.gt_occ):
+        check_gt(occ, sem, mask)
     lo, ls, ld = pipeline.scale_losses(
         _depth_config(args), pipeline.read_in("loss", args.occ_logits, occ.shape),
         pipeline.read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)),
-        occ, read_tensor(args.gt_sem), read_tensor(args.mask).astype(bool),
-        *depth)
+        occ, sem, mask.astype(bool), *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
@@ -156,6 +164,8 @@ def cmd_ensemble(args):
 
 def cmd_threshold(args):
     occ_prob = read_tensor(args.occ_prob)
+    with pipeline._stage("threshold", args.occ_prob):
+        check_finite("occupancy probability", occ_prob)
     table = postprocess.load_threshold_table(args.table)
     with pipeline._stage("threshold", args.sem_labels):
         out = postprocess.apply_thresholds(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gt_multiscale import CLASS_NAMES, FREE
 from .geometry import (CameraRig, Intrinsics, RigidTransform, VoxelGridSpec,
-                       project)
+                       project, unproject)
 
 __all__ = [
     "SyntheticScene",
@@ -78,17 +78,17 @@ def textured_plane_features(d_star: float, k: Intrinsics, channels: int = 32,
     continuous texture exactly. Returns (cur, prev, rel) where rel maps
     previous-ego to current-ego coordinates (identity cam_to_ego assumed).
     """
-    us = np.arange(k.width) + 0.5
-    vs = np.arange(k.height) + 0.5
-    uu, vv = np.meshgrid(us, vs)
-    px = (uu - k.cx) * d_star / k.fx
-    py = (vv - k.cy) * d_star / k.fy
+    px, py, _ = np.moveaxis(unproject(*_pixel_centers(k), d_star, k), -1, 0)
     cur = np.stack([value_noise(seed * 1013 + c, px, py, texture_scale)
                     for c in range(channels)])
     prev = np.stack([value_noise(seed * 1013 + c, px + baseline, py, texture_scale)
                      for c in range(channels)])
-    rel = RigidTransform.from_translation([baseline, 0.0, 0.0])
-    return cur.astype(np.float64), prev.astype(np.float64), rel
+    return cur, prev, RigidTransform.from_translation([baseline, 0.0, 0.0])
+
+
+def _pixel_centers(k: Intrinsics):
+    """(u, v) of every pixel center of camera `k`, each (height, width)."""
+    return np.meshgrid(np.arange(k.width) + 0.5, np.arange(k.height) + 0.5)
 
 
 def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
@@ -228,14 +228,10 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
     # per-camera z-depth by grid traversal at the current (last) frame
     depths = []
     for k, cam_to_ego in rig.cameras:
-        us = np.arange(k.width) + 0.5
-        vs = np.arange(k.height) + 0.5
-        uu, vv = np.meshgrid(us, vs)
-        dirs_cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy,
-                             np.ones_like(uu)], axis=-1).reshape(-1, 3)
-        dirs_ego = dirs_cam @ cam_to_ego.rotation.T
-        origin = cam_to_ego.translation
-        t_hit = raymarch(occ, grid, origin[None, :], dirs_ego)
+        # the pixel-center rays at depth 1, in the ego frame
+        dirs = unproject(*_pixel_centers(k), 1.0, k).reshape(-1, 3)
+        t_hit = raymarch(occ, grid, cam_to_ego.translation[None, :],
+                         dirs @ cam_to_ego.rotation.T)
         depths.append(t_hit.reshape(k.height, k.width))
     gt_depth = np.stack(depths)
 
@@ -251,20 +247,23 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
     return SyntheticScene(grid, occ, sem, mask, rig, poses, gt_depth)
 
 
+def _one_hot(sem: np.ndarray) -> np.ndarray:
+    """C-ordered boolean (K, ...) one-hot of labels, class 0 on FREE."""
+    labels = np.where(sem == FREE, 0, sem)
+    return np.arange(len(CLASS_NAMES)).reshape(-1, *[1] * sem.ndim) == labels
+
+
 def oracle_predictions(scene: SyntheticScene):
-    """Probability volumes that reproduce the ground truth exactly:
-    occ_prob = occupancy, sem_prob = one-hot semantics (class 0 on FREE
-    voxels, which thresholding removes via occ_prob = 0)."""
-    occ_prob = scene.gt_occ.astype(np.float64)
-    labels = np.where(scene.gt_sem == FREE, 0, scene.gt_sem).astype(np.int64)
-    sem_prob = np.moveaxis(np.eye(len(CLASS_NAMES))[labels], -1, 0)
-    return occ_prob, sem_prob
+    """C-ordered float32 volumes, as prediction files hold them, that
+    reproduce the ground truth exactly: occ_prob = occupancy, sem_prob =
+    one-hot semantics (class 0 on FREE voxels, which thresholding removes
+    via occ_prob = 0)."""
+    return (scene.gt_occ.astype(np.float32),
+            _one_hot(scene.gt_sem).astype(np.float32))
 
 
 def oracle_logits(occ: np.ndarray, sem: np.ndarray, magnitude: float = 10.0):
-    """Saturated head logits matching an occupancy grid and its semantics
-    (FREE where unoccupied), for loss-stack runs."""
-    occ_logits = np.where(occ == 1, magnitude, -magnitude)
-    labels = np.where(sem == FREE, 0, sem).astype(np.int64)
-    sem_logits = np.moveaxis(np.eye(len(CLASS_NAMES))[labels], -1, 0) * 2 - 1
-    return occ_logits.astype(np.float64), sem_logits * magnitude
+    """Saturated float64 head logits matching an occupancy grid and its
+    semantics (FREE where unoccupied), for loss-stack runs."""
+    return (np.where(occ == 1, magnitude, -magnitude).astype(np.float64),
+            np.where(_one_hot(sem), magnitude, -magnitude).astype(np.float64))

@@ -29,6 +29,7 @@ __all__ = [
     "downsample_sem",
     "downsample_mask",
     "check_labels",
+    "check_gt",
     "build_pyramid",
 ]
 
@@ -80,6 +81,19 @@ def check_labels(sem: np.ndarray, num_classes: int = len(CLASS_NAMES)) -> None:
                          f"id below {num_classes} nor FREE ({FREE})")
 
 
+def check_gt(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
+             num_classes: int = len(CLASS_NAMES)) -> None:
+    """Raise ValueError unless occ, sem and mask share one shape, occ is 0
+    or 1, sem is FREE exactly where occ is 0, and sem passes check_labels."""
+    if not np.shape(occ) == np.shape(sem) == np.shape(mask):
+        raise ValueError("shape mismatch")
+    if ((occ != 0) & (occ != 1)).any():
+        raise ValueError("occupancy must be 0 or 1")
+    if ((sem == FREE) != (occ == 0)).any():
+        raise ValueError("semantics must be FREE exactly where occupancy is 0")
+    check_labels(sem, num_classes)
+
+
 @dataclass(frozen=True)
 class MultiScaleGT:
     occ: tuple    # level i grids, i = 0 finest
@@ -93,13 +107,7 @@ def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
     """Ground-truth pyramid with `levels` scales, level 0 the input itself."""
     if levels < 1:
         raise ValueError(f"need at least 1 pyramid level, got {levels}")
-    if not np.shape(occ) == np.shape(sem) == np.shape(mask):
-        raise ValueError("shape mismatch")
-    if ((occ != 0) & (occ != 1)).any():
-        raise ValueError("occupancy must be 0 or 1")
-    if ((sem == FREE) != (occ == 0)).any():
-        raise ValueError("semantics must be FREE exactly where occupancy is 0")
-    check_labels(sem, num_classes)
+    check_gt(occ, sem, mask, num_classes)
     occs, sems, masks = [occ], [sem], [mask]
     for _ in range(levels - 1):
         occ = downsample_occ(occs[-1])

@@ -111,13 +111,13 @@ def read_text(path) -> str:
 
 
 def read_header_in(stage: str, path, shape: tuple | None = None):
-    """(dtype, dims, payload offset) of tensor file `path`, payload unread;
-    a failure, or dims other than `shape`, is one of `stage` on `path`."""
+    """The dims of tensor file `path`, payload unread; a failure, or dims
+    other than `shape`, is one of `stage` on `path`."""
     with _stage(stage, path), open(path, "rb", buffering=0) as fh:
-        dtype, dims = read_header(fh, path)
+        _, dims = read_header(fh, path)
         if shape is not None and dims != tuple(shape):
             raise ValueError(f"shape {dims}, expected {tuple(shape)}")
-        return dtype, dims, fh.tell()
+        return dims
 
 
 def read_in(stage: str, path, shape: tuple | None = None):
@@ -134,6 +134,16 @@ def read_labels(stage: str, path, shape: tuple | None = None):
     with _stage(stage, path):
         check_labels(labels)
     return labels
+
+
+def read_depth(stage: str, path):
+    """read_in(stage, path) of a depth map, in which inf means no hit and a
+    NaN raises NumericalError under the same stage and path."""
+    depth = read_in(stage, path)
+    with _stage(stage, path):
+        if (nan := int(np.isnan(depth).sum())):
+            raise NumericalError(f"depth: {nan} NaN")
+    return depth
 
 
 def read_input(path, parse):
@@ -239,26 +249,19 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
 class _PredictionFile:
     """An entry file of `load_prediction_sets`, its header checked up front
     and its payload read, de-augmented, on use: whole by `np.asarray`, or
-    class row k by `[k]` into the one row buffer per dtype in `rows`."""
+    class row k by `[k]`, each read one of stage `postprocess` on the file."""
 
-    def __init__(self, path, tag, rows, shape=None):
-        self.path, self.tag, self.rows = path, tag, rows
-        self.dtype, self.shape, self.offset = read_header_in("postprocess",
-                                                             path, shape)
+    def __init__(self, path, tag, shape=None):
+        self.path, self.tag = path, tag
+        self.shape = read_header_in("postprocess", path, shape)
 
     def __array__(self, dtype=None, copy=None):
         whole = read_in("postprocess", self.path, self.shape)
         return np.asarray(postprocess.deaugment(self.tag, whole)[0], dtype)
 
     def __getitem__(self, k):
-        if self.dtype not in self.rows:
-            self.rows[self.dtype] = np.empty(self.shape[1:], self.dtype)
-        row = self.rows[self.dtype]
-        with open(self.path, "rb", buffering=0) as fh:
-            fh.seek(self.offset + k * row.nbytes)
-            if fh.readinto(row) != row.nbytes:
-                raise TensorIOError(f"{self.path}: short class row {k}")
-        return postprocess.deaugment(self.tag, row)[0]
+        with _stage("postprocess", self.path):
+            return postprocess.deaugment(self.tag, read_tensor(self.path, k))[0]
 
 
 def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
@@ -278,13 +281,12 @@ def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
                         all(isinstance(v, bool) for v in td.values())):
                     raise ValueError(f"{key} tag {td!r} does not have exactly "
                                      f"the boolean fields {sorted(names)}")
-    rows = {}
 
     def entry(model, j, td):
         tag = postprocess.AugmentationTag(**td)
         path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
-        occ = _PredictionFile(path.format("occ"), tag, rows, shape)
-        return occ, _PredictionFile(path.format("sem"), tag, rows,
+        occ = _PredictionFile(path.format("occ"), tag, shape)
+        return occ, _PredictionFile(path.format("sem"), tag,
                                     (len(CLASS_NAMES), *occ.shape))
 
     return tuple([entry(m, j, td) for j, td in enumerate(tags[f"model_{m}"])]
@@ -415,7 +417,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
-        gt_depth = read_in("loss", depth_path)
+        gt_depth = read_depth("loss", depth_path)
         terms = []
         for i, stride in enumerate(cfg.strides):
             # depth supervision at this scale's stride, pixel-center subsampled
@@ -465,12 +467,9 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
                [p.to_dict() for p in scene.poses])
     write_json(os.path.join(out_dir, "config.json"), asdict(cfg))
 
-    write_tensor(os.path.join(out_dir, "gt_occ.msoc"),
-                 scene.gt_occ.astype(np.uint8))
-    write_tensor(os.path.join(out_dir, "gt_sem.msoc"),
-                 scene.gt_sem.astype(np.uint8))
-    write_tensor(os.path.join(out_dir, "mask.msoc"),
-                 scene.mask.astype(np.uint8))
+    for name in ("gt_occ", "gt_sem", "mask"):
+        write_tensor(os.path.join(out_dir, f"{name}.msoc"),
+                     getattr(scene, name).astype(np.uint8))
     write_tensor(os.path.join(out_dir, "gt_depth.msoc"),
                  scene.gt_depth.astype(np.float64))
 
@@ -503,12 +502,10 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     pyramid = build_pyramid(scene.gt_occ, scene.gt_sem, scene.mask,
                             levels=len(cfg.strides))
     for i in range(len(cfg.strides)):
-        occ_logits, sem_logits = fixtures.oracle_logits(pyramid.occ[i],
-                                                        pyramid.sem[i])
-        write_tensor(os.path.join(out_dir, "heads",
-                                  f"occ_logits_scale{i}.msoc"), occ_logits)
-        write_tensor(os.path.join(out_dir, "heads",
-                                  f"sem_logits_scale{i}.msoc"), sem_logits)
+        logits = fixtures.oracle_logits(pyramid.occ[i], pyramid.sem[i])
+        for name, z in zip(("occ", "sem"), logits):
+            write_tensor(os.path.join(out_dir, "heads",
+                                      f"{name}_logits_scale{i}.msoc"), z)
 
     os.makedirs(os.path.join(out_dir, "preds"), exist_ok=True)
     occ_prob, sem_prob = fixtures.oracle_predictions(scene)
@@ -521,6 +518,5 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
             # the flips are involutions, so deaugment also augments
             for name, vol in zip(("occ", "sem"),
                                  postprocess.deaugment(tag, occ_prob, sem_prob)):
-                write_tensor(os.path.join(out_dir, "preds",
-                                          f"model_{model}_entry{j}_{name}.msoc"),
-                             vol.astype(np.float32))
+                write_tensor(os.path.join(
+                    out_dir, "preds", f"model_{model}_entry{j}_{name}.msoc"), vol)

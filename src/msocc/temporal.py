@@ -115,12 +115,12 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
     return cost.reshape(f.num_bins, h, w) / c
 
 
-def rescale_cost_volume(cv: np.ndarray, target_stride: int,
-                        source_stride: int = COST_STRIDE) -> np.ndarray:
-    """Average-pool the spatial axes of (D, H, W) down to target_stride."""
-    if target_stride % source_stride != 0:
-        raise ValueError("target stride must be a multiple of the source stride")
-    factor = target_stride // source_stride
+def rescale_cost_volume(cv: np.ndarray, target_stride: int) -> np.ndarray:
+    """Average-pool the spatial axes of a (D, H, W) volume at COST_STRIDE
+    down to target_stride."""
+    if target_stride % COST_STRIDE != 0:
+        raise ValueError(f"target stride must be a multiple of {COST_STRIDE}")
+    factor = target_stride // COST_STRIDE
     d, h, w = cv.shape
     if h % factor or w % factor:
         raise ValueError(f"spatial dims {(h, w)} not divisible by {factor}")

@@ -86,10 +86,16 @@ def read_header(fh, path):
     return dtype, dims
 
 
-def read_tensor(path) -> np.ndarray:
-    """Read a tensor file; the payload is read straight into the result."""
+def read_tensor(path, row: int | None = None) -> np.ndarray:
+    """Read a tensor file, or only row `row` of its first axis; the header
+    is checked either way, and the payload read straight into the result."""
     with open(path, "rb") as fh:
         dtype, dims = read_header(fh, path)
+        if row is not None:
+            if not (dims and 0 <= row < dims[0]):
+                raise TensorIOError(f"{path}: row {row} outside dims {dims}")
+            dims = dims[1:]
+            fh.seek(row * math.prod(dims) * dtype.itemsize, os.SEEK_CUR)
         arr = np.empty(dims, dtype)
         if (got := fh.readinto(arr)) != arr.nbytes:
             raise TensorIOError(

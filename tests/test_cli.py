@@ -382,9 +382,9 @@ def test_cost_volume_stage_reads_each_frame_once(tmp_path, scene_dir,
                                                  monkeypatch, capsys):
     reads = []
 
-    def counting_read(path):
+    def counting_read(path, row=None):
         reads.append(os.path.basename(path))
-        return read_tensor(path)
+        return read_tensor(path, row)
 
     monkeypatch.setattr(pipeline, "read_tensor", counting_read)
     pipeline.run_pipeline(str(scene_dir), str(tmp_path / "out"))
@@ -1547,3 +1547,113 @@ def test_loss_needs_both_depth_flags(tmp_path, scene_dir, capsys, given,
                  "--out", str(tmp_path / "loss.json")]) == 2
     assert f"the depth term needs {missing}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def _loss_argv(scene_dir, tmp_path, **files):
+    """`msocc loss` over scene_dir's scale-0 heads and ground truth, any of
+    gt_occ, gt_sem, mask and gt_depth (with the current frame's stride-8
+    logits) replaced by the path given for it."""
+    gt = {name: files.get(name, scene_dir / f"{name}.msoc")
+          for name in ("gt_occ", "gt_sem", "mask")}
+    argv = ["loss",
+            "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
+            "--sem-logits", str(scene_dir / "heads" / "sem_logits_scale0.msoc"),
+            "--gt-occ", str(gt["gt_occ"]), "--gt-sem", str(gt["gt_sem"]),
+            "--mask", str(gt["mask"]), "--out", str(tmp_path / "loss.json")]
+    if "gt_depth" in files:
+        argv += ["--depth-logits",
+                 str(scene_dir / "depth_logits" / "frame03_stride8.msoc"),
+                 "--gt-depth", str(files["gt_depth"])]
+    return argv
+
+
+def _label_17_where_occupied(occ, sem):
+    sem[tuple(np.argwhere(occ == 1)[0])] = 17
+    return "gt_sem", sem, "label 17 is neither a class id"
+
+
+def _occupancy_2(occ, sem):
+    occ[tuple(np.argwhere(occ == 1)[0])] = 2
+    return "gt_occ", occ, "occupancy must be 0 or 1"
+
+
+def _class_where_unoccupied(occ, sem):
+    sem[tuple(np.argwhere(occ == 0)[0])] = 4
+    return "gt_sem", sem, "FREE exactly where occupancy is 0"
+
+
+@pytest.mark.parametrize("damage", [_label_17_where_occupied, _occupancy_2,
+                                    _class_where_unoccupied],
+                         ids=["label_17", "occupancy_2", "class_where_free"])
+def test_loss_checks_ground_truth_as_run_does(tmp_path, scene_dir, capsys,
+                                              damage):
+    # `loss` names the file that `run` names, with `run`'s message
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    name, bad, message = damage(read_tensor(inp / "gt_occ.msoc"),
+                                read_tensor(inp / "gt_sem.msoc"))
+    write_tensor(inp / f"{name}.msoc", bad)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 2
+    run_err = capsys.readouterr().err
+    assert main(_loss_argv(inp, tmp_path)) == 2
+    err = capsys.readouterr().err
+    named = run_err.split("failed on ")[1].split(":")[0]
+    assert f"stage 'loss' failed on {named}: " in err and message in err
+    assert not (tmp_path / "loss.json").exists()
+
+
+@pytest.mark.parametrize("command", ["threshold", "warp"])
+def test_nan_input_the_run_checks_elsewhere_is_numerical_error(
+        tmp_path, scene_dir, run_dir, capsys, command):
+    # `run` catches these NaNs in the ensemble and in `lift_frame`
+    if command == "threshold":
+        vol = np.full((2, 2, 2), 0.99)
+        write_tensor(tmp_path / "sem.msoc", np.full((2, 2, 2), 4, np.uint8))
+        argv = ["--occ-prob", str(tmp_path / "in.msoc"),
+                "--sem-labels", str(tmp_path / "sem.msoc")]
+    else:
+        vol = read_tensor(run_dir / "voxel" / "frame01_scale0.msoc")
+        (tmp_path / "identity.json").write_text(
+            json.dumps(RigidTransform.identity().to_dict()))
+        argv = ["--input", str(tmp_path / "in.msoc"),
+                "--grid", str(scene_dir / "grid.json"),
+                "--transform", str(tmp_path / "identity.json")]
+    vol.flat[vol.size // 2] = np.nan
+    write_tensor(tmp_path / "in.msoc", vol)
+    capsys.readouterr()
+    assert main([command, *argv, "--out", str(tmp_path / "out.msoc")]) == 3
+    assert (f"stage '{command}' failed on {tmp_path / 'in.msoc'}: "
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.msoc").exists()
+
+
+@pytest.mark.parametrize("pixels", ["one", "all"])
+def test_nan_ground_truth_depth_is_numerical_error(tmp_path, scene_dir,
+                                                   capsys, pixels):
+    # inf is "no hit"; a NaN is no depth at all
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "gt_depth.msoc"
+    depth = read_tensor(path)
+    if pixels == "one":
+        depth[0, 0, 0] = np.nan
+    else:
+        depth[:] = np.nan
+    write_tensor(path, depth)
+    capsys.readouterr()
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    assert f"stage 'loss' failed on {path}: depth: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "loss_report.json").exists()
+
+    # `loss` at stride 8 samples gt_depth[:, 4::8, 4::8]
+    sub = read_tensor(scene_dir / "gt_depth.msoc")[:, 4::8, 4::8]
+    sub[0, 0, 0] = np.nan
+    write_tensor(tmp_path / "sub.msoc", sub)
+    assert main(_loss_argv(scene_dir, tmp_path,
+                           gt_depth=tmp_path / "sub.msoc")) == 3
+    assert (f"stage 'loss' failed on {tmp_path / 'sub.msoc'}: depth: 1 NaN"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "loss.json").exists()

@@ -167,6 +167,15 @@ class TestOracles:
         occ = sc.gt_occ == 1
         assert np.array_equal(lab[occ], sc.gt_sem[occ])
 
+    def test_oracles_are_built_as_their_files_hold_them(self):
+        # C-ordered in the dtype of the files they go to, so emit_inputs
+        # neither casts nor reorders them
+        sc = fixtures.make_scene(seed=6)
+        built = [*fixtures.oracle_predictions(sc),
+                 *fixtures.oracle_logits(sc.gt_occ, sc.gt_sem)]
+        assert [a.dtype for a in built] == [np.float32] * 2 + [np.float64] * 2
+        assert all(a.flags.c_contiguous for a in built)
+
     def test_oracle_logits_saturate_to_gt(self):
         sc = fixtures.make_scene(seed=6)
         occ_logits, sem_logits = fixtures.oracle_logits(sc.gt_occ, sc.gt_sem)

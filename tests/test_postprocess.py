@@ -10,7 +10,8 @@ import pytest
 from msocc import postprocess as pp
 from msocc.checks import NumericalError
 from msocc.gt_multiscale import FREE
-from msocc.pipeline import PipelineConfig, load_prediction_sets
+from msocc.pipeline import (PipelineConfig, PipelineStageError,
+                            load_prediction_sets)
 from msocc.tensorio import write_tensor
 
 WEIGHTS = PipelineConfig().ensemble_weights
@@ -288,6 +289,30 @@ def test_file_backed_entries_match_expression(tmp_path, dtypes, weights):
     want_occ, want_label = expression_ensemble(a, b, *weights)
     assert occ.tobytes() == want_occ.tobytes()
     assert label.tobytes() == want_label.tobytes()
+
+
+def test_class_row_outlives_other_row_reads(tmp_path):
+    # random entries, so no flip maps one entry's row onto another's
+    a, _ = write_prediction_sets(tmp_path, (17, 5, 3, 7), (np.float32,) * 2,
+                                 seed=33)
+    sets = load_prediction_sets(str(tmp_path))
+    first = sets[0][0][1][0]
+    want = a[0][1][0].tobytes()
+    assert first.tobytes() == want
+    for entries in sets:
+        for _, sem in entries:
+            sem[0]
+    assert first.tobytes() == want
+
+
+def test_row_read_after_loading_fails_on_its_entry(tmp_path):
+    write_prediction_sets(tmp_path, (17, 5, 3, 7), (np.float32,) * 2, seed=34)
+    sets = load_prediction_sets(str(tmp_path))
+    bad = tmp_path / "model_b_entry3_sem.msoc"
+    bad.write_bytes(bad.read_bytes()[:-1])  # truncated after loading
+    with pytest.raises(PipelineStageError) as e:
+        pp.ensemble(*sets, WEIGHTS)
+    assert (e.value.stage, e.value.path) == ("postprocess", str(bad))
 
 
 def _bytes_read():

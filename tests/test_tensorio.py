@@ -1,6 +1,8 @@
+import ast
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,52 @@ def test_all_dtypes(tmp_path, dtype):
     p = tmp_path / "t.msoc"
     tensorio.write_tensor(p, a)
     assert np.array_equal(tensorio.read_tensor(p), a)
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 7), (5, 3, 7)])
+@pytest.mark.parametrize("dtype", ["<f4", "<f8", "u1", "<i4"])
+def test_row_read_is_that_row_of_the_whole_read(tmp_path, dtype, dims):
+    a = (np.random.default_rng(5).random(dims) * 250).astype(dtype)
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, a)
+    whole = tensorio.read_tensor(p)
+    for k in range(dims[0]):
+        row = tensorio.read_tensor(p, row=k)
+        assert row.dtype == a.dtype and row.shape == dims[1:]
+        assert row.tobytes() == whole[k].tobytes()
+
+
+@pytest.mark.parametrize("dims, row", [((3, 4), -1), ((3, 4), 3), ((), 0),
+                                       ((0, 4), 0)],
+                         ids=["negative", "past_the_axis", "0d", "empty_axis"])
+def test_row_outside_the_first_axis_raises(tmp_path, dims, row):
+    p = tmp_path / "t.msoc"
+    # by hand: write_tensor stores a 0-d array as a 1-d one
+    p.write_bytes(b"MSOC" + struct.pack(f"<HBB{len(dims)}Q", 1, 0, len(dims),
+                                        *dims) + bytes(4 * math.prod(dims)))
+    assert tensorio.read_tensor(p).shape == dims
+    with pytest.raises(tensorio.TensorIOError, match=f"row {row} outside"):
+        tensorio.read_tensor(p, row=row)
+
+
+def test_row_read_checks_the_header(tmp_path):
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, np.zeros((4, 4), dtype=np.float32))
+    p.write_bytes(p.read_bytes()[:-16])  # the last row cut off
+    with pytest.raises(tensorio.TensorIOError,
+                       match="payload 48 bytes, expected 64"):
+        tensorio.read_tensor(p, row=0)
+
+
+def test_only_tensorio_seeks_or_reads_into_buffers():
+    # every payload read goes through read_tensor, so no other module needs
+    # the payload's offsets
+    package = Path(tensorio.__file__).parent
+    found = {path.name for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("seek", "readinto")}
+    assert found == {"tensorio.py"}
 
 
 def file_bytes(array):

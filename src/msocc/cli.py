@@ -99,9 +99,12 @@ def cmd_warp(args):
 
 
 def cmd_gt_downsample(args):
-    pyr = build_pyramid(read_tensor(args.occ),
-                        pipeline.read_labels("gt_pyramid", args.sem),
-                        read_tensor(args.mask).astype(bool), levels=args.levels)
+    occ = read_tensor(args.occ)
+    sem = pipeline.read_labels("gt_pyramid", args.sem)
+    mask = read_tensor(args.mask).astype(bool)
+    # as in `run`, the ground-truth rule names the occupancy file
+    with pipeline._stage("gt_pyramid", args.occ):
+        pyr = build_pyramid(occ, sem, mask, levels=args.levels)
     pipeline.write_pyramid(args.out, pyr)
     _write_meta(os.path.join(args.out, "metadata.json"), args)
     return EXIT_OK

@@ -248,20 +248,27 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
 
 class _PredictionFile:
     """An entry file of `load_prediction_sets`, its header checked up front
-    and its payload read, de-augmented, on use: whole by `np.asarray`, or
-    class row k by `[k]`, each read one of stage `postprocess` on the file."""
+    and its payload read, de-augmented, on use: the x-slab [a:b] of an
+    occupancy, or of class row k by [k, a:b] (all of it by [k]). Each read
+    is one of stage `postprocess` on the file. A tag that flips x maps the
+    slab to its mirror in the file, so every read is one contiguous run."""
 
     def __init__(self, path, tag, shape=None):
         self.path, self.tag = path, tag
         self.shape = read_header_in("postprocess", path, shape)
 
-    def __array__(self, dtype=None, copy=None):
-        whole = read_in("postprocess", self.path, self.shape)
-        return np.asarray(postprocess.deaugment(self.tag, whole)[0], dtype)
-
-    def __getitem__(self, k):
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        if len(self.shape) == 3:  # an occupancy has no class axis
+            key = (None, *key)
+        row, xs = (*key, slice(None))[:2]
+        nx = self.shape[-3]
+        a, b, _ = xs.indices(nx)
+        if self.tag.vox_flip_x:
+            a, b = nx - b, nx - a
         with _stage("postprocess", self.path):
-            return postprocess.deaugment(self.tag, read_tensor(self.path, k))[0]
+            part = read_tensor(self.path, row, (a, b))
+        return postprocess.deaugment(self.tag, part)[0]
 
 
 def load_prediction_sets(preds_dir: str, shape: tuple | None = None):

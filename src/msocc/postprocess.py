@@ -10,12 +10,14 @@ flips are involutions, so `deaugment` also augments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import check_finite
 from .gt_multiscale import CLASS_NAMES, FREE, check_labels
+from .parts import in_parts
 
 __all__ = [
     "AugmentationTag",
@@ -62,16 +64,22 @@ def deaugment(tag: AugmentationTag, *volumes: np.ndarray):
 def ensemble(entries_a, entries_b, weights):
     """Fusion of two models' de-augmented prediction sets by (a, b) weights.
 
-    The sets may be any iterables of entries (occ, sem): np.asarray(occ) is
-    (nx, ny, nz), and sem has a (K, nx, ny, nz) `.shape` and class row k at
-    [k]. Arrays qualify, as do `pipeline.load_prediction_sets`'s file-backed
+    The sets may be any iterables of entries (occ, sem): occ has an
+    (nx, ny, nz) `.shape` and its x-slab at [a:b], and sem has a
+    (K, nx, ny, nz) `.shape` and x-slab [a:b] of class row k at [k, a:b].
+    Arrays qualify, as do `pipeline.load_prediction_sets`'s file-backed
     entries. occ is the weighted sum over the weighted entry count, so it
     stays a probability; sem is the argmax of the same normalized semantic
     sum, ties to the smallest class id, fused class-major: row k of every
     entry (model a's in order, then b's) is summed from zero in float64,
     normalized, checked and folded into a running argmax, so no (K, ...)
     sum is held.
-    `TestEnsembleBytes` and `test_file_backed_entries_match_expression` pin
+
+    Each sum is split into x-slabs by `parts.in_parts`: a part adds its
+    slab of every entry, and once the parts have joined the calling thread
+    normalizes, checks and folds the whole row. A voxel sums the same
+    entries in the same order in any part, so the bytes do not depend on
+    the parts. `TestEnsembleBytes` and `test_file_backed_entries_match_expression` pin
     bytes and peak. A NaN or inf in an entry raises NumericalError.
     """
     if len(weights) != 2 or not all(0 < w < np.inf for w in weights):
@@ -85,9 +93,19 @@ def ensemble(entries_a, entries_b, weights):
     if any(o.shape != shape or s.shape != sem_shape for _, (o, s) in weighted):
         raise ValueError("mismatched prediction shapes")
     norm = weights[0] * len(sets[0]) + weights[1] * len(sets[1])
-    occ_sum, buf = np.zeros(shape), np.empty(shape)
-    for w, (occ, _) in weighted:
-        occ_sum += np.multiply(np.asarray(occ), w, out=buf, dtype=np.float64)
+    buf = np.empty(shape)
+
+    def fuse(total, slab):  # total = weighted sum of each entry's slab(...)
+        def part(a, b):
+            acc, out = total[a:b], buf[a:b]
+            acc.fill(0.0)
+            for w, entry in weighted:
+                acc += np.multiply(slab(entry, a, b), w, out=out,
+                                   dtype=np.float64)
+        in_parts(shape[0], part, math.prod(shape[1:]))
+
+    occ_sum = np.empty(shape)
+    fuse(occ_sum, lambda entry, a, b: entry[0][a:b])
     occ_sum /= norm
     check_finite("ensembled occupancy", occ_sum)
     # a running max over the (finite) class rows; strict > keeps ties on
@@ -95,9 +113,7 @@ def ensemble(entries_a, entries_b, weights):
     row, best = np.empty(shape), np.full(shape, -np.inf)
     label, m = np.zeros(shape, dtype=np.uint8), np.empty(shape, dtype=bool)
     for k in range(sem_shape[0]):
-        row.fill(0.0)
-        for w, (_, sem) in weighted:
-            row += np.multiply(sem[k], w, out=buf, dtype=np.float64)
+        fuse(row, lambda entry, a, b: entry[1][k, a:b])
         row /= norm
         check_finite("ensembled semantics", row)
         np.greater(row, best, out=m)

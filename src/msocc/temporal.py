@@ -11,6 +11,11 @@ computes each row's dot from that row alone, so which other rows share the
 call does not change its bytes. Hypotheses reprojecting outside the
 previous image score +0.0. `test_matches_corner_dot_formula` pins the
 cost volume's bytes and `test_matches_eight_corner_loop` the voxel warp's.
+
+The voxel warp splits the grid into one part per usable CPU
+(`parts.in_parts`), each walked in cache-sized blocks of WARP_BLOCK voxels
+that gather all channels of a corner at once. Each voxel sums its corners
+in the same order in any block or part, so the bytes depend on neither.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from .geometry import (FrustumSpec, Intrinsics, RigidTransform, compose,
                        frustum_points, invert, project)
+from .parts import in_parts
 
 __all__ = [
     "COST_STRIDE",
@@ -31,6 +37,9 @@ __all__ = [
 ]
 
 COST_STRIDE = 4  # the image stride of the cost volumes; coarser ones pool it
+# voxels per block of the warp: a (C, block) float64 sum of 16 channels is
+# 1 MiB, so with the product buffer it stays in a 2 MiB L2 cache
+WARP_BLOCK = 2 ** 13
 
 
 def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
@@ -138,6 +147,14 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
     or "trilinear" (feature grids). The corner order and weight grouping
     are fixed; `test_matches_eight_corner_loop` pins them. The sums run in
     float64, and the result takes the input's dtype.
+
+    The source coordinates of the whole grid are computed in the calling
+    thread; `parts.in_parts` then splits the voxels into parts, and each
+    part walks its voxels in blocks of WARP_BLOCK. A block gathers every
+    channel of one corner at once and adds it into a float64 (C, block)
+    sum, which is stored into the output. Each voxel's sum runs over the
+    same corners in the same order whatever its block or part, so the bytes
+    do not depend on either.
     """
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"unknown warp mode {mode!r}")
@@ -147,47 +164,50 @@ def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,
         prev = prev[None]
     if prev.shape[1:] != grid.shape:
         raise ValueError("grid spec does not match array shape")
-    # the sums come back with every corner array freed, so the cast to a
-    # narrower dtype allocates on top of the sums alone
-    out = _corner_sums(prev, rel, grid, mode)
-    out = out.reshape(prev.shape).astype(prev.dtype, copy=False)
-    return out[0] if squeeze else out
-
-
-def _corner_sums(prev, rel, grid, mode):
-    """The float64 (C, nx * ny * nz) sums of `warp_voxel_grid`."""
     src = invert(rel).apply(grid.cell_centers().reshape(-1, 3))
     # continuous cell coords: cell i's center sits at i + 0.5
     cc = (src - grid.origin) / grid.voxel_size - 0.5
     del src
-    # per axis, the (clamped source index, weight * in-range) options
-    axes = []
-    for a, n in enumerate(grid.shape):
-        if mode == "nearest":
-            cells = [(np.rint(cc[:, a]).astype(np.int64), 1.0)]
-        else:
-            lo = np.floor(cc[:, a]).astype(np.int64)
-            frac = cc[:, a] - lo
-            cells = [(lo, 1.0 - frac), (lo + 1, frac)]
-        axes.append([(np.clip(i, 0, n - 1), w * ((i >= 0) & (i < n)))
-                     for i, w in cells])
-    del cc
-
-    _, ny, nz = grid.shape
     flat_prev = prev.reshape(len(prev), -1)
-    out = np.zeros(flat_prev.shape)
-    got = np.empty(flat_prev.shape[1], flat_prev.dtype)
-    buf = np.empty(flat_prev.shape[1])
-    # corners in x-major order, z fastest
-    for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
-        idx = (ix * ny + iy) * nz + iz
-        w = wx * wy * wz
-        for row, acc in zip(flat_prev, out):
+    out = np.empty(flat_prev.shape, prev.dtype)
+    in_parts(len(cc), lambda start, stop: _warp_part(
+        flat_prev, cc, grid.shape, mode, out, start, stop))
+    out = out.reshape(prev.shape)
+    return out[0] if squeeze else out
+
+
+def _warp_part(flat_prev, cc, shape, mode, out, start, stop):
+    """out[:, start:stop] of `warp_voxel_grid`, block by block."""
+    _, ny, nz = shape
+    c = len(flat_prev)
+    size = c * min(WARP_BLOCK, stop - start)
+    got_buf = np.empty(size, flat_prev.dtype)
+    acc_buf, mul_buf = np.empty(size), np.empty(size)
+    for s in range(start, stop, WARP_BLOCK):
+        block = cc[s:min(s + WARP_BLOCK, stop)]
+        # contiguous (C, block) views, so take writes into got in place
+        got, acc, buf = (b[:c * len(block)].reshape(c, len(block))
+                         for b in (got_buf, acc_buf, mul_buf))
+        # per axis, the (clamped source index, weight * in-range) options
+        axes = []
+        for a, n in enumerate(shape):
+            if mode == "nearest":
+                cells = [(np.rint(block[:, a]).astype(np.int64), 1.0)]
+            else:
+                lo = np.floor(block[:, a]).astype(np.int64)
+                frac = block[:, a] - lo
+                cells = [(lo, 1.0 - frac), (lo + 1, frac)]
+            axes.append([(np.clip(i, 0, n - 1), w * ((i >= 0) & (i < n)))
+                         for i, w in cells])
+        acc.fill(0.0)
+        # corners in x-major order, z fastest
+        for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
             # "clip" lets take write into got without a temporary; the
-            # multiply widens got, so the grid is never widened whole
-            np.take(row, idx, out=got, mode="clip")
-            acc += np.multiply(got, w, out=buf)
-    return out
+            # multiply widens got one block at a time
+            np.take(flat_prev, (ix * ny + iy) * nz + iz, axis=1, out=got,
+                    mode="clip")
+            acc += np.multiply(got, wx * wy * wz, out=buf)
+        out[:, s:s + len(block)] = acc
 
 
 def stack_temporal(grids: list) -> np.ndarray:

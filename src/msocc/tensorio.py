@@ -41,7 +41,7 @@ def write_tensor(path, array: np.ndarray) -> None:
     """Write `array` as a tensor file. A C-contiguous little-endian array's
     own buffer is written as the payload, with no bytes copy; any other
     array is first made into one."""
-    a = np.ascontiguousarray(array)
+    a = np.asarray(array, order="C")
     dt = a.dtype.newbyteorder("<") if a.dtype.byteorder == ">" else a.dtype
     a = a.astype(dt, copy=False)
     if a.dtype not in _DTYPE_CODES:
@@ -86,16 +86,28 @@ def read_header(fh, path):
     return dtype, dims
 
 
-def read_tensor(path, row: int | None = None) -> np.ndarray:
-    """Read a tensor file, or only row `row` of its first axis; the header
-    is checked either way, and the payload read straight into the result."""
+def read_tensor(path, row: int | None = None,
+                slab: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a tensor file, or one contiguous run of it: row `row` of its
+    first axis, then [a:b] of the first axis left for `slab` (a, b). The
+    header is checked either way, a row or slab outside the dims raises
+    before a payload byte is read, and the payload is read straight into
+    the result, so a part holds the bytes of that slice of a whole read."""
     with open(path, "rb") as fh:
         dtype, dims = read_header(fh, path)
+        start = 0  # elements before the part
         if row is not None:
             if not (dims and 0 <= row < dims[0]):
                 raise TensorIOError(f"{path}: row {row} outside dims {dims}")
             dims = dims[1:]
-            fh.seek(row * math.prod(dims) * dtype.itemsize, os.SEEK_CUR)
+            start = row * math.prod(dims)
+        if slab is not None:
+            a, b = slab
+            if not (dims and 0 <= a <= b <= dims[0]):
+                raise TensorIOError(f"{path}: slab {a}:{b} outside dims {dims}")
+            start += a * math.prod(dims[1:])
+            dims = (b - a, *dims[1:])
+        fh.seek(start * dtype.itemsize, os.SEEK_CUR)
         arr = np.empty(dims, dtype)
         if (got := fh.readinto(arr)) != arr.nbytes:
             raise TensorIOError(

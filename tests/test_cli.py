@@ -382,9 +382,9 @@ def test_cost_volume_stage_reads_each_frame_once(tmp_path, scene_dir,
                                                  monkeypatch, capsys):
     reads = []
 
-    def counting_read(path, row=None):
+    def counting_read(path, *part):
         reads.append(os.path.basename(path))
-        return read_tensor(path, row)
+        return read_tensor(path, *part)
 
     monkeypatch.setattr(pipeline, "read_tensor", counting_read)
     pipeline.run_pipeline(str(scene_dir), str(tmp_path / "out"))
@@ -1177,6 +1177,28 @@ def test_gt_downsample_bad_label_names_sem_file(tmp_path, scene_dir, capsys,
                  "--out", str(tmp_path / "pyr")]) == 2
     err = capsys.readouterr().err
     assert f"stage 'gt_pyramid' failed on {path}: semantic label {label} " in err
+    assert not (tmp_path / "pyr").exists()
+
+
+@pytest.mark.parametrize("fault, words", [
+    ("occupancy_2", "occupancy must be 0 or 1"),
+    ("label_where_free", "semantics must be FREE exactly where occupancy is 0"),
+], ids=["occupancy_2", "label_where_free"])
+def test_gt_downsample_bad_ground_truth_names_occ_file(tmp_path, scene_dir,
+                                                       capsys, fault, words):
+    # the ground-truth rule fails as in `run`: stage gt_pyramid on --occ
+    occ = read_tensor(scene_dir / "gt_occ.msoc")
+    sem = read_tensor(scene_dir / "gt_sem.msoc")
+    occ[tuple(np.argwhere(sem != FREE)[0])] = 2 if fault == "occupancy_2" else 0
+    path = tmp_path / "occ.msoc"
+    write_tensor(path, occ)
+    capsys.readouterr()
+    assert main(["gt-downsample", "--occ", str(path),
+                 "--sem", str(scene_dir / "gt_sem.msoc"),
+                 "--mask", str(scene_dir / "mask.msoc"),
+                 "--out", str(tmp_path / "pyr")]) == 2
+    assert (f"stage 'gt_pyramid' failed on {path}: {words}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "pyr").exists()
 
 

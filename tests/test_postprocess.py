@@ -256,12 +256,13 @@ class TestEnsembleBytes:
             pp.ensemble(a, a[:1], WEIGHTS)
 
 
-def write_prediction_sets(root, shape, dtypes, seed):
-    """Write tags.json and, for all 8 TTA tags, each model's augmented
-    entry files under `root`, model a in dtypes[0] and b in dtypes[1];
-    returns each model's de-augmented entries as in-memory arrays."""
+def write_prediction_sets(root, shape, dtypes, seed, tags=None):
+    """Write tags.json and, for each TTA tag (all 8 by default), each
+    model's augmented entry files under `root`, model a in dtypes[0] and b
+    in dtypes[1]; returns each model's de-augmented entries as in-memory
+    arrays."""
     rng = np.random.default_rng(seed)
-    tags = pp.enumerate_tta()
+    tags = pp.enumerate_tta() if tags is None else tags
     (root / "tags.json").write_text(json.dumps(
         {f"model_{m}": [dataclasses.asdict(t) for t in tags] for m in "ab"}))
     sets = []

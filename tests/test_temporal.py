@@ -531,15 +531,20 @@ class TestWarpVoxelGrid:
                               voxel_size=np.array([0.5, 0.5, 0.4]))
         a = np.random.default_rng(13).standard_normal((16, *g.shape))
         rel = geo.RigidTransform.from_yaw(0.05, (0.7, -0.3, 0.0))
+        n, block = a[0].size, temporal.WARP_BLOCK
+        # the output in the input's dtype, the (N, 3) float64 source
+        # coordinates, and per block the (C, block) gather, sum and product
+        # buffers plus 32 block-long arrays for the per-axis options and
+        # their temporaries: no float64 (C, N) sum and no whole-grid options
+        bound = (a.nbytes + 3 * n * 8 + len(a) * (a.itemsize + 16) * block
+                 + 32 * 8 * block)
         tracemalloc.start()
         try:
             temporal.warp_voxel_grid(a, rel, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # peak in units of one (C, N) float64 grid: the sum, the per-axis
-        # options and one row buffer
-        assert peak <= 2.5 * a.nbytes
+        assert peak <= bound
 
     def test_bad_mode(self):
         g = small_grid()

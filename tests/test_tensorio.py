@@ -44,14 +44,51 @@ def test_row_read_is_that_row_of_the_whole_read(tmp_path, dtype, dims):
         assert row.tobytes() == whole[k].tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["<f4", "<f8", "u1", "<i4"])
+def test_0d_roundtrip_keeps_no_dims(tmp_path, dtype):
+    a = np.array(7, dtype=dtype)
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, a)
+    assert p.read_bytes() == file_bytes(a)
+    b = tensorio.read_tensor(p)
+    assert b.shape == () and b.dtype == a.dtype and b == a
+
+
+@pytest.mark.parametrize("dims", [(7,), (5, 3), (6, 3, 2), (4, 3, 2, 2)])
+@pytest.mark.parametrize("dtype", ["<f4", "<f8", "u1", "<i4"])
+def test_slab_read_is_that_slice_of_the_whole_read(tmp_path, dtype, dims):
+    a = (np.random.default_rng(6).random(dims) * 250).astype(dtype)
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, a)
+    whole = tensorio.read_tensor(p)
+    rows = [None, *range(dims[0])] if len(dims) > 1 else [None]
+    for row in rows:
+        part = whole if row is None else whole[row]
+        for lo in range(len(part) + 1):
+            for hi in range(lo, len(part) + 1):
+                got = tensorio.read_tensor(p, row, (lo, hi))
+                assert got.dtype == a.dtype and got.shape == part[lo:hi].shape
+                assert got.tobytes() == part[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("slab", [(-1, 2), (2, 1), (0, 5), (5, 5)])
+def test_slab_outside_the_axis_raises(tmp_path, slab):
+    p = tmp_path / "t.msoc"
+    tensorio.write_tensor(p, np.zeros((3, 4, 2), np.float32))
+    with pytest.raises(tensorio.TensorIOError,
+                       match=f"slab {slab[0]}:{slab[1]} outside dims"):
+        tensorio.read_tensor(p, 1, slab)
+    with pytest.raises(tensorio.TensorIOError, match="outside dims"):
+        tensorio.read_tensor(p, slab=(0, 4))
+    assert tensorio.read_tensor(p, slab=(1, 3)).shape == (2, 4, 2)
+
+
 @pytest.mark.parametrize("dims, row", [((3, 4), -1), ((3, 4), 3), ((), 0),
                                        ((0, 4), 0)],
                          ids=["negative", "past_the_axis", "0d", "empty_axis"])
 def test_row_outside_the_first_axis_raises(tmp_path, dims, row):
     p = tmp_path / "t.msoc"
-    # by hand: write_tensor stores a 0-d array as a 1-d one
-    p.write_bytes(b"MSOC" + struct.pack(f"<HBB{len(dims)}Q", 1, 0, len(dims),
-                                        *dims) + bytes(4 * math.prod(dims)))
+    tensorio.write_tensor(p, np.zeros(dims, np.float32))
     assert tensorio.read_tensor(p).shape == dims
     with pytest.raises(tensorio.TensorIOError, match=f"row {row} outside"):
         tensorio.read_tensor(p, row=row)
@@ -80,7 +117,7 @@ def test_only_tensorio_seeks_or_reads_into_buffers():
 def file_bytes(array):
     """The tensor file of `array`: header, then the little-endian C-order
     payload."""
-    a = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<"))
+    a = np.asarray(array, order="C").astype(array.dtype.newbyteorder("<"))
     code = {"f4": 0, "f8": 1, "u1": 2, "i4": 3}[a.dtype.str[1:]]
     return (b"MSOC" + struct.pack("<HBB", 1, code, a.ndim)
             + struct.pack(f"<{a.ndim}Q", *a.shape) + a.tobytes())

@@ -31,12 +31,10 @@ DEFAULTS = PipelineConfig()
 def _add_depth_flags(p):
     p.add_argument("--depth-min", type=float, default=DEFAULTS.depth_min)
     p.add_argument("--depth-max", type=float, default=DEFAULTS.depth_max)
-    p.add_argument("--depth-step", type=float, default=DEFAULTS.depth_step)
 
 
 def _depth_config(args) -> PipelineConfig:
-    return PipelineConfig(depth_min=args.depth_min, depth_max=args.depth_max,
-                          depth_step=args.depth_step)
+    return PipelineConfig(depth_min=args.depth_min, depth_max=args.depth_max)
 
 
 def _parse_transform(text) -> RigidTransform:
@@ -67,8 +65,8 @@ def cmd_cost_volume(args):
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
-    cv = pipeline.cost_volume(_depth_config(args), args.stride, rig,
-                              args.camera, cur, prev, rel)
+    cv = pipeline.cost_volume(_depth_config(args), rig, args.camera, cur,
+                              prev, rel)
     write_tensor(args.out, cv)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -100,11 +98,12 @@ def cmd_warp(args):
 
 def cmd_gt_downsample(args):
     occ = read_tensor(args.occ)
-    sem = pipeline.read_labels("gt_pyramid", args.sem)
-    mask = read_tensor(args.mask).astype(bool)
+    # each file is read against --occ's shape under its own path, as in `loss`
+    sem = pipeline.read_labels("gt_pyramid", args.sem, occ.shape)
+    mask = pipeline.read_in("gt_pyramid", args.mask, occ.shape).astype(bool)
     # as in `run`, the ground-truth rule names the occupancy file
     with pipeline._stage("gt_pyramid", args.occ):
-        pyr = build_pyramid(occ, sem, mask, levels=args.levels)
+        pyr = build_pyramid(occ, sem, mask, levels=len(pipeline.STRIDES))
     pipeline.write_pyramid(args.out, pyr)
     _write_meta(os.path.join(args.out, "metadata.json"), args)
     return EXIT_OK
@@ -208,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_depth_flags(s)
     s.set_defaults(func=cmd_synth)
 
-    s = sub.add_parser("cost-volume", help="plane-sweep cost volume")
+    s = sub.add_parser("cost-volume", help="plane-sweep cost volume at "
+                       f"stride {temporal.COST_STRIDE}")
     s.add_argument("--current", required=True, help="(N, C, H, W) features")
     s.add_argument("--previous", required=True, help="(N, C, H, W) features")
     s.add_argument("--rig", required=True)
     s.add_argument("--camera", type=int, default=0)
     s.add_argument("--pose-current", required=True)
     s.add_argument("--pose-previous", required=True)
-    s.add_argument("--stride", type=int, default=temporal.COST_STRIDE)
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_cost_volume)
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth-logits", required=True)
     s.add_argument("--rig", required=True)
     s.add_argument("--grid", required=True)
-    s.add_argument("--stride", type=int, default=DEFAULTS.strides[0])
+    s.add_argument("--stride", type=int, default=pipeline.STRIDES[0])
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_lift)
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--occ", required=True)
     s.add_argument("--sem", required=True)
     s.add_argument("--mask", required=True)
-    s.add_argument("--levels", type=int, default=len(DEFAULTS.strides))
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_gt_downsample)
 

@@ -92,10 +92,10 @@ def _pixel_centers(k: Intrinsics):
 
 
 def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
-             dirs: np.ndarray, t_max: float = 100.0) -> np.ndarray:
+             dirs: np.ndarray) -> np.ndarray:
     """First-hit parameter t along rays p = origin + t * dir through an
     occupancy grid, via integer grid traversal (Amanatides-Woo). Returns
-    inf where a ray hits nothing within t_max.
+    inf where a ray hits nothing within t = 100.
 
     dirs need not be unit length; t is in units of |dir|.
     """
@@ -118,7 +118,7 @@ def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
     t1 = np.where(zero, np.where(inside_slab, -np.inf, np.inf), t1)
     t2 = np.where(zero, np.where(inside_slab, np.inf, -np.inf), t2)
     t_enter = np.maximum(t1.max(axis=1), 0.0)
-    t_exit = np.minimum(t2.min(axis=1), t_max)
+    t_exit = np.minimum(t2.min(axis=1), 100.0)
 
     active = t_enter < t_exit
     eps = 1e-9
@@ -262,8 +262,7 @@ def oracle_predictions(scene: SyntheticScene):
             _one_hot(scene.gt_sem).astype(np.float32))
 
 
-def oracle_logits(occ: np.ndarray, sem: np.ndarray, magnitude: float = 10.0):
-    """Saturated float64 head logits matching an occupancy grid and its
-    semantics (FREE where unoccupied), for loss-stack runs."""
-    return (np.where(occ == 1, magnitude, -magnitude).astype(np.float64),
-            np.where(_one_hot(sem), magnitude, -magnitude).astype(np.float64))
+def oracle_logits(occ: np.ndarray, sem: np.ndarray):
+    """Saturated float64 head logits of magnitude 10 matching an occupancy
+    grid and its semantics (FREE where unoccupied), for loss-stack runs."""
+    return np.where(occ == 1, 10.0, -10.0), np.where(_one_hot(sem), 10.0, -10.0)

@@ -276,11 +276,13 @@ class VoxelGridSpec:
         return self.nx * self.ny * self.nz
 
     def cell_centers(self) -> np.ndarray:
-        """(nx, ny, nz, 3) ego-frame centers."""
-        ix, iy, iz = np.meshgrid(np.arange(self.nx), np.arange(self.ny),
-                                 np.arange(self.nz), indexing="ij")
-        idx = np.stack([ix, iy, iz], axis=-1).astype(np.float64)
-        return self.origin + (idx + 0.5) * self.voxel_size
+        """(nx, ny, nz, 3) ego-frame centers, each axis's coordinates
+        broadcast into the one output array."""
+        out = np.empty((*self.shape, 3))
+        for a, n in enumerate(self.shape):
+            axis = self.origin[a] + (np.arange(n) + 0.5) * self.voxel_size[a]
+            out[..., a] = axis.reshape([-1 if b == a else 1 for b in range(3)])
+        return out
 
     def to_json(self) -> str:
         return json.dumps({

@@ -17,10 +17,12 @@ Input directory layout (as emitted by `msocc synth`):
     preds/tags.json                               TTA tags per model
     preds/model_{a,b}_entry{j}_{occ,sem}.msoc     augmented (nx, ny, nz), (K, ...)
 
-N is the rig's camera count, H x W their shared image size and K =
-len(CLASS_NAMES). Frames are oldest to newest; the last is the current one.
-The 3D fusion network between stacking and the heads is out of scope and
-replaced by identity.
+N is the rig's camera count, H x W their shared image size, K =
+len(CLASS_NAMES) and s each of COST_STRIDE and STRIDES; scale i of the
+heads and the pyramid goes with STRIDES[i]. The depth bins are 1 m wide,
+from config.json's depth_min to its depth_max. Frames are oldest to
+newest; the last is the current one. The 3D fusion network between
+stacking and the heads is out of scope and replaced by identity.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ class PipelineStageError(Exception):
         self.cause = cause
 
 
+STRIDES = (8, 16, 32)  # image strides of the lifted scales, finest first
+
+
 @dataclass
 class PipelineConfig:
-    strides: tuple = (8, 16, 32)
     depth_min: float = 1.0
     depth_max: float = 13.0
-    depth_step: float = 1.0
     ensemble_weights: tuple = (0.45, 0.55)
     threshold_table: str | None = None  # path; None = built-in defaults
 
@@ -74,12 +77,6 @@ class PipelineConfig:
         if not all(0 < w < np.inf for w in cfg.ensemble_weights):
             raise ValueError(f"ensemble_weights must be positive and finite, got "
                              f"{list(cfg.ensemble_weights)}")
-        if not cfg.strides:
-            raise ValueError("strides must name at least one scale")
-        for s in cfg.strides:
-            if s < 1 or s % COST_STRIDE:
-                raise ValueError(f"stride {s} is not a positive multiple of "
-                                 f"the cost-volume stride {COST_STRIDE}")
         frustum(cfg)  # the depth bins' own checks
         return cfg
 
@@ -168,14 +165,13 @@ def _grid_level(grid: VoxelGridSpec, level: int) -> VoxelGridSpec:
 
 
 def frustum(cfg: PipelineConfig) -> FrustumSpec:
-    return FrustumSpec(cfg.depth_min, cfg.depth_max, cfg.depth_step)
+    return FrustumSpec(cfg.depth_min, cfg.depth_max)
 
 
-def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
-                cur: np.ndarray, prev: np.ndarray,
-                rel: RigidTransform):
+def cost_volume(cfg: PipelineConfig, rig: CameraRig, cam: int,
+                cur: np.ndarray, prev: np.ndarray, rel: RigidTransform):
     """Plane-sweep cost volume of camera `cam` from the (N, C, H, W) feature
-    stacks at `stride` of the current and previous frame, as the float32
+    stacks at COST_STRIDE of the current and previous frame, as the float32
     (D, H, W) volume that is written and pooled to coarser strides. The
     sweep runs in float64; the check runs on the float32 volume, since a
     finite float64 value can overflow float32."""
@@ -184,8 +180,9 @@ def cost_volume(cfg: PipelineConfig, stride: int, rig: CameraRig, cam: int,
         raise ValueError(f"camera {cam} of features {cur.shape} and "
                          f"{prev.shape} from a {len(rig)}-camera rig")
     k, cam_to_ego = rig.cameras[cam]
-    cv = temporal.build_cost_volume(cur[cam], prev[cam], rel, k.scaled(stride),
-                                    frustum(cfg), cam_to_ego=cam_to_ego)
+    cv = temporal.build_cost_volume(cur[cam], prev[cam], rel,
+                                    k.scaled(COST_STRIDE), frustum(cfg),
+                                    cam_to_ego=cam_to_ego)
     cv = cv.astype(np.float32)
     check_finite(f"cost volume camera {cam}", cv)
     return cv
@@ -272,17 +269,18 @@ class _PredictionFile:
 
 
 def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
-    """Read and check tags.json and every entry file's header, the occ
-    entries against `shape` when given; return each model's entries as
-    (occ, sem) pairs of `_PredictionFile`s. A failure is one of stage
-    `postprocess` on the file at fault."""
+    """Read and check tags.json, with at least one entry per model, and
+    every entry file's header, the occ entries against `shape` when given;
+    return each model's entries as (occ, sem) pairs of `_PredictionFile`s.
+    A failure is one of stage `postprocess` on the file at fault."""
     path = os.path.join(preds_dir, "tags.json")
     names = {f.name for f in fields(postprocess.AugmentationTag)}
     with _stage("postprocess", path):
         tags = json.loads(read_text(path))
         for key in ("model_a", "model_b"):
-            if not isinstance(tags, dict) or not isinstance(tags.get(key), list):
-                raise ValueError(f"tags.json has no {key!r} list")
+            if not (isinstance(tags, dict) and isinstance(tags.get(key), list)
+                    and tags[key]):
+                raise ValueError(f"tags.json has no non-empty {key!r} list")
             for td in tags[key]:
                 if not (isinstance(td, dict) and set(td) == names and
                         all(isinstance(v, bool) for v in td.values())):
@@ -333,9 +331,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     with _stage("inputs", table):
         thresholds = postprocess.load_threshold_table(table)
     k0 = rig.cameras[0][0]  # the rig's cameras share one image size
-    with _stage("inputs", os.path.join(inp, "config.json")):
+    with _stage("inputs", os.path.join(inp, "rig.json")):
         lattice = k0.scaled(COST_STRIDE)
-        for s in cfg.strides:
+        for s in STRIDES:
             factor = s // COST_STRIDE
             if lattice.height % factor or lattice.width % factor:
                 raise ValueError(
@@ -354,14 +352,14 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     depth_path = os.path.join(inp, "gt_depth.msoc")
     read_header_in("loss", depth_path, (len(rig), k0.height, k0.width))
     head = os.path.join(inp, "heads", "{}_logits_scale{}.msoc")
-    for i in range(len(cfg.strides)):
+    for i in range(len(STRIDES)):
         level = _grid_level(grid, i).shape
         read_header_in("loss", head.format("occ", i), level)
         read_header_in("loss", head.format("sem", i), (len(CLASS_NAMES), *level))
     preds = os.path.join(inp, "preds")
     prediction_sets = load_prediction_sets(preds, grid.shape)
     with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
-        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(cfg.strides))
+        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(STRIDES))
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
 
     def frame_path(kind, t, stride):
@@ -377,11 +375,10 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             feats_cur = read_tensor(path)
             rel = relative_ego_motion(poses[t - 1], poses[t])
             for cam in range(len(rig)):
-                cv = cost_volume(cfg, COST_STRIDE, rig, cam, feats_cur,
-                                 feats_prev, rel)
+                cv = cost_volume(cfg, rig, cam, feats_cur, feats_prev, rel)
                 name = os.path.join(cv_dir, f"frame{t:02d}_cam{cam}_stride{{}}.msoc")
                 write_tensor(name.format(COST_STRIDE), cv)
-                for s in cfg.strides:
+                for s in STRIDES:
                     write_tensor(name.format(s),
                                  temporal.rescale_cost_volume(cv, s))
                 del cv  # so the next camera's volume is built without it
@@ -391,7 +388,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     vox_dir = os.path.join(out, "voxel")
     os.makedirs(vox_dir, exist_ok=True)
     current_logits = []  # per stride, reused by the loss stage
-    for level, stride in enumerate(cfg.strides):
+    for level, stride in enumerate(STRIDES):
         g = _grid_level(grid, level)
         with _stage("lift_stack", os.path.join(inp, "rig.json")):
             idx = pooling_index(cfg, stride, rig, g)
@@ -426,7 +423,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     with _stage("loss", os.path.join(inp, "heads")):
         gt_depth = read_depth("loss", depth_path)
         terms = []
-        for i, stride in enumerate(cfg.strides):
+        for i, stride in enumerate(STRIDES):
             # depth supervision at this scale's stride, pixel-center subsampled
             c = stride // 2
             terms.append(scale_losses(
@@ -487,7 +484,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "depth_logits"), exist_ok=True)
     for t in range(num_frames):
-        for s in (COST_STRIDE, *cfg.strides):
+        for s in (COST_STRIDE, *STRIDES):
             h, w = k0.height // s, k0.width // s
             feats = rng.standard_normal((n_cams, channels, h, w))
             write_tensor(os.path.join(out_dir, "features",
@@ -507,8 +504,8 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
 
     os.makedirs(os.path.join(out_dir, "heads"), exist_ok=True)
     pyramid = build_pyramid(scene.gt_occ, scene.gt_sem, scene.mask,
-                            levels=len(cfg.strides))
-    for i in range(len(cfg.strides)):
+                            levels=len(STRIDES))
+    for i in range(len(STRIDES)):
         logits = fixtures.oracle_logits(pyramid.occ[i], pyramid.sem[i])
         for name, z in zip(("occ", "sem"), logits):
             write_tensor(os.path.join(out_dir, "heads",

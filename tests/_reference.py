@@ -27,3 +27,13 @@ def four_term_sample(image, u, v):
          + img[:, np.minimum(base + w, last)] * (1 - fx) * fy
          + img[:, np.minimum(base + w + 1, last)] * fx * fy)
     return s * valid
+
+
+def meshgrid_cell_centers(grid):
+    """Reference (nx, ny, nz, 3) voxel centers of a VoxelGridSpec: the
+    stacked float64 index meshgrid, shifted half a cell, scaled and offset
+    as one expression."""
+    ix, iy, iz = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny),
+                             np.arange(grid.nz), indexing="ij")
+    idx = np.stack([ix, iy, iz], axis=-1).astype(np.float64)
+    return grid.origin + (idx + 0.5) * grid.voxel_size

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -15,7 +16,7 @@ import pytest
 
 from msocc import fixtures, losses, pipeline, postprocess, temporal
 from msocc.checks import NumericalError
-from msocc.cli import main
+from msocc.cli import build_parser, main
 from msocc.geometry import RigidTransform, VoxelGridSpec, relative_ego_motion
 from msocc.gt_multiscale import FREE
 from msocc.tensorio import read_tensor, write_tensor
@@ -309,21 +310,21 @@ def test_cost_volume_subcommand_matches_run(tmp_path, scene_dir, run_dir):
                    "--rig", str(scene_dir / "rig.json"), "--camera", str(cam),
                    "--pose-current", str(tmp_path / "pose1.json"),
                    "--pose-previous", str(tmp_path / "pose0.json"),
-                   "--stride", "4", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
         want = (run_dir / "cost_volumes" /
                 f"frame01_cam{cam}_stride4.msoc").read_bytes()
         assert out.read_bytes() == want
 
 
-@pytest.mark.parametrize("flags, message", [
-    # the stride-4 features are 24x32; the rig at stride 8 is 12x16
-    (["--stride", "8"], "features 24x32 vs camera 12x16"),
-    (["--camera", "2"], "camera 2 of features (2, 8, 24, 32)"),
+@pytest.mark.parametrize("stride, flags, message", [
+    # the stride-8 features are 12x16; the rig at stride 4 is 24x32
+    (8, [], "features 12x16 vs camera 24x32"),
+    (4, ["--camera", "2"], "camera 2 of features (2, 8, 24, 32)"),
 ], ids=["stride", "camera"])
 def test_cost_volume_features_must_fit_rig(tmp_path, scene_dir, capsys,
-                                           flags, message):
-    path = str(scene_dir / "features" / "frame01_stride4.msoc")
+                                           stride, flags, message):
+    path = str(scene_dir / "features" / f"frame01_stride{stride}.msoc")
     pose = tmp_path / "pose.json"
     pose.write_text(json.dumps(
         json.loads((scene_dir / "poses.json").read_text())[0]))
@@ -532,7 +533,7 @@ def test_loss_subcommand_matches_run_on_every_desk_scale(tmp_path, desk_run):
     last = len(json.loads((inp / "poses.json").read_text())) - 1
     gt_depth = read_tensor(inp / "gt_depth.msoc")
     rows = json.loads((out / "loss_report.json").read_text())["scales"]
-    for i, s in enumerate(cfg["strides"]):
+    for i, s in enumerate(pipeline.STRIDES):
         # the run's depth supervision: the current frame's logits against
         # gt_depth sampled at pixel centers
         write_tensor(tmp_path / "gt_depth.msoc",
@@ -548,7 +549,6 @@ def test_loss_subcommand_matches_run_on_every_desk_scale(tmp_path, desk_run):
                    "--gt-depth", str(tmp_path / "gt_depth.msoc"),
                    "--depth-min", str(cfg["depth_min"]),
                    "--depth-max", str(cfg["depth_max"]),
-                   "--depth-step", str(cfg["depth_step"]),
                    "--out", str(tmp_path / "loss.json")])
         assert rc == 0
         got = json.loads((tmp_path / "loss.json").read_text())
@@ -644,21 +644,24 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
     ("gamma", 2.0, "unknown config key 'gamma'"),
     ("alphas", [1.0, 0.5, 0.25], "unknown config key 'alphas'"),
     ("weight_mode", "uniform", "unknown config key 'weight_mode'"),
-    ("strides", [8, 16.5, 32], "'strides' has a value of the wrong type"),
-    ("strides", None, "'strides' has a value of the wrong type"),
-    ("depth_step", True, "'depth_step' has a value of the wrong type"),
-    ("depth_step", 0, "depth_step must be positive"),
+    # STRIDES and the 1 m depth step are fixed too: whatever value these
+    # keys hold, a float, null, a bool, 0 or a stride off the lattice, the
+    # key itself is unknown
+    ("strides", [8, 16.5, 32], "unknown config key 'strides'"),
+    ("strides", None, "unknown config key 'strides'"),
+    ("depth_step", True, "unknown config key 'depth_step'"),
+    ("depth_step", 0, "unknown config key 'depth_step'"),
     ("depth_min", 0.0, "depth_min must be positive"),
     ("depth_max", 1.0, "frustum needs at least one depth bin"),
-    ("strides", [8, 18, 32], "stride 18 is not a positive multiple of "
-                             "the cost-volume stride 4"),
-    ("strides", [8, -16, 32], "stride -16 is not a positive multiple"),
+    ("strides", [8, 18, 32], "unknown config key 'strides'"),
+    ("strides", [8, -16, 32], "unknown config key 'strides'"),
     ("ensemble_weights", [0.0, 1.0], "ensemble_weights must be positive "
                                      "and finite, got [0.0, 1.0]"),
     ("ensemble_weights", [0.45, float("nan")], "got [0.45, nan]"),
-    # the 128x96 rig's stride-4 cost volume is 32x24; stride 12 pools it by 3
-    ("strides", [12, 16, 32], "stride 12 pools the 24x32 cost-volume lattice "
-                              "by 3, which does not divide it"),
+    # a rig of image height 100 has a 25x32 stride-4 cost volume, which
+    # stride 8 pools by 2; the rig's image size is the only input at fault
+    ("height", 100, "stride 8 pools the 25x32 cost-volume lattice by 2, "
+                    "which does not divide it"),
 ], ids=["one_weight", "three_weights", "table_number", "depth_min_string",
         "num_classes_unknown", "cost_stride_unknown", "gamma_unknown",
         "alphas_unknown", "weight_mode_unknown", "stride_float",
@@ -670,20 +673,30 @@ def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
                                                 key, value, message):
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
-    config = json.loads((inp / "config.json").read_text())
-    config[key] = value
-    (inp / "config.json").write_text(json.dumps(config))
+    path = inp / ("rig.json" if key == "height" else "config.json")
+    doc = json.loads(path.read_text())
+    if key == "height":  # every camera's, as the rig's cameras share a size
+        for cam in doc["cameras"]:
+            cam["intrinsics"][key] = value
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"stage 'inputs' failed on {inp / 'config.json'}" in err
+    assert f"stage 'inputs' failed on {path}" in err
     assert message in err
     assert not out.exists()
 
 
+def test_strides_are_multiples_of_the_cost_stride():
+    # each scale's cost volume pools the stride-4 volume by an integer
+    assert all(s % temporal.COST_STRIDE == 0 for s in pipeline.STRIDES)
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-@pytest.mark.parametrize("key", ["depth_min", "depth_max", "depth_step"])
+@pytest.mark.parametrize("key", ["depth_min", "depth_max"])
 def test_non_finite_depth_bins_fail_before_any_stage(tmp_path, scene_dir,
                                                      capsys, key, value):
     message = f"{key} must be finite, got {value}"
@@ -711,12 +724,10 @@ def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):
                "--gt-sem", str(scene_dir / "gt_sem.msoc"),
                "--mask", str(scene_dir / "mask.msoc"),
                "--depth-min", "2.0", "--depth-max", "10.0",
-               "--depth-step", "0.5",
                "--out", str(tmp_path / "loss.json")])
     assert rc == 0
     meta = json.loads((tmp_path / "loss.json.meta.json").read_text())
-    assert (meta["depth_min"], meta["depth_max"], meta["depth_step"]) == \
-        (2.0, 10.0, 0.5)
+    assert (meta["depth_min"], meta["depth_max"]) == (2.0, 10.0)
 
     labels = np.zeros((4, 4, 2), np.uint8)
     for name in ("pred", "gt", "mask"):
@@ -749,17 +760,33 @@ def test_loss_has_no_loss_weight_flags(tmp_path, scene_dir, capsys, flag,
     assert os.listdir(tmp_path) == []
 
 
-def test_gt_downsample_mask_shape_mismatch_is_validation_error(
-        tmp_path, scene_dir, capsys):
-    write_tensor(tmp_path / "mask.msoc", np.ones((12, 12, 16), np.uint8))
+def _gt_downsample_off_shape(tmp_path, scene_dir, capsys, name):
+    """`msocc gt-downsample` with its `name` file replaced by a (12, 12, 16)
+    one; the stderr it exits 2 with, the error naming that file."""
+    files = {n: scene_dir / f"{n}.msoc" for n in ("gt_occ", "gt_sem", "mask")}
+    files[name] = tmp_path / f"{name}.msoc"
+    write_tensor(files[name], np.ones((12, 12, 16), np.uint8))
     capsys.readouterr()
-    rc = main(["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
-               "--sem", str(scene_dir / "gt_sem.msoc"),
-               "--mask", str(tmp_path / "mask.msoc"),
+    rc = main(["gt-downsample", "--occ", str(files["gt_occ"]),
+               "--sem", str(files["gt_sem"]), "--mask", str(files["mask"]),
                "--out", str(tmp_path / "pyr")])
     assert rc == 2
-    assert "shape mismatch" in capsys.readouterr().err
     assert not (tmp_path / "pyr").exists()
+    return capsys.readouterr().err
+
+
+def test_gt_downsample_mask_shape_mismatch_is_validation_error(
+        tmp_path, scene_dir, capsys):
+    err = _gt_downsample_off_shape(tmp_path, scene_dir, capsys, "mask")
+    assert (f"stage 'gt_pyramid' failed on {tmp_path / 'mask.msoc'}: "
+            "shape (12, 12, 16), expected (40, 40, 8)") in err
+
+
+def test_gt_downsample_sem_shape_mismatch_names_sem_file(tmp_path, scene_dir,
+                                                         capsys):
+    err = _gt_downsample_off_shape(tmp_path, scene_dir, capsys, "gt_sem")
+    assert (f"stage 'gt_pyramid' failed on {tmp_path / 'gt_sem.msoc'}: "
+            "shape (12, 12, 16), expected (40, 40, 8)") in err
 
 
 def test_run_mask_shape_mismatch_fails_in_gt_pyramid(tmp_path, scene_dir,
@@ -1067,9 +1094,17 @@ def _add_tag_field(tags):
     tags["model_a"][3]["vox_flip_z"] = True
 
 
-@pytest.mark.parametrize("edit", [_drop_model_b, _add_tag_field],
-                         ids=["no_model_b", "unknown_tag_field"])
+def _empty_model_a(tags):
+    tags["model_a"] = []
+
+
+@pytest.mark.parametrize("edit", [_drop_model_b, _add_tag_field,
+                                  _empty_model_a],
+                         ids=["no_model_b", "unknown_tag_field",
+                              "empty_model_a"])
 def test_bad_tags_json_names_stage_and_file(tmp_path, scene_dir, capsys, edit):
+    # tags.json is checked before `run` writes any output, and `ensemble`
+    # checks it the same way
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
     path = inp / "preds" / "tags.json"
@@ -1077,9 +1112,15 @@ def test_bad_tags_json_names_stage_and_file(tmp_path, scene_dir, capsys, edit):
     edit(tags)
     path.write_text(json.dumps(tags))
     capsys.readouterr()
-    assert main(["run", "--input", str(inp), "--output",
-                 str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
     assert f"stage 'postprocess' failed on {path}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 2
+    assert f"stage 'postprocess' failed on {path}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["inp"]
 
 
 @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "int",
@@ -1314,8 +1355,8 @@ def test_config_and_metadata_hold_no_class_count(tmp_path, scene_dir,
                                                  run_dir, capsys):
     # the class count is len(CLASS_NAMES); no config field or flag sets it
     names = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
-    assert names == ["strides", "depth_min", "depth_max", "depth_step",
-                     "ensemble_weights", "threshold_table"]
+    assert names == ["depth_min", "depth_max", "ensemble_weights",
+                     "threshold_table"]
     assert sorted(json.loads((scene_dir / "config.json").read_text())) == \
         sorted(names)
     meta = json.loads((run_dir / "metadata.json").read_text())
@@ -1332,6 +1373,42 @@ def test_config_and_metadata_hold_no_class_count(tmp_path, scene_dir,
         assert "unrecognized arguments: --num-classes" in \
             capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_option_surface():
+    # every knob is an edit here: each subcommand's long flags and the
+    # fields of PipelineConfig
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                          if o.startswith("--") and o != "--help")
+             for name, p in sub.choices.items()}
+    depth = ["--depth-max", "--depth-min"]
+    assert flags == {
+        "synth": ["--boxes", "--cameras", "--channels", *depth, "--frames",
+                  "--image-height", "--image-width", "--out", "--seed"],
+        "cost-volume": ["--camera", "--current", *depth, "--out",
+                        "--pose-current", "--pose-previous", "--previous",
+                        "--rig"],
+        "lift": ["--depth-logits", *depth, "--features", "--grid", "--out",
+                 "--rig", "--stride"],
+        "warp": ["--grid", "--input", "--mode", "--out", "--transform"],
+        "gt-downsample": ["--mask", "--occ", "--out", "--sem"],
+        "loss": ["--depth-logits", *depth, "--gt-depth", "--gt-occ",
+                 "--gt-sem", "--mask", "--occ-logits", "--out",
+                 "--sem-logits"],
+        "tta-enumerate": ["--out"],
+        "deaug": ["--img-hflip", "--occ", "--out-occ", "--out-sem", "--sem",
+                  "--vox-flip-x", "--vox-flip-y"],
+        "ensemble": ["--out-occ", "--out-sem", "--preds", "--weight-a",
+                     "--weight-b"],
+        "threshold": ["--occ-prob", "--out", "--sem-labels", "--table"],
+        "eval": ["--gt", "--include-free", "--mask", "--out", "--pred"],
+        "run": ["--input", "--output"],
+    }
+    assert [f.name for f in dataclasses.fields(pipeline.PipelineConfig)] == [
+        "depth_min", "depth_max", "ensemble_weights", "threshold_table"]
 
 
 def _class_rows(a, rows):
@@ -1505,34 +1582,6 @@ def test_grid_must_match_ground_truth(tmp_path, scene_dir, capsys, dims):
     assert not out.exists()
 
 
-def test_no_scales_fails_in_inputs(tmp_path, scene_dir, capsys):
-    with pytest.raises(ValueError, match="strides must name at least one"):
-        pipeline.PipelineConfig.from_dict({"strides": []})
-    inp = tmp_path / "inp"
-    shutil.copytree(scene_dir, inp)
-    config = json.loads((inp / "config.json").read_text())
-    config.update(strides=[])
-    (inp / "config.json").write_text(json.dumps(config))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"stage 'inputs' failed on {inp / 'config.json'}" in err
-    assert "strides must name at least one scale" in err
-    assert not out.exists()
-
-
-def test_gt_downsample_zero_levels_is_validation_error(tmp_path, scene_dir,
-                                                       capsys):
-    capsys.readouterr()
-    assert main(["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
-                 "--sem", str(scene_dir / "gt_sem.msoc"),
-                 "--mask", str(scene_dir / "mask.msoc"), "--levels", "0",
-                 "--out", str(tmp_path / "pyr")]) == 2
-    assert "at least 1 pyramid level, got 0" in capsys.readouterr().err
-    assert not (tmp_path / "pyr").exists()
-
-
 @pytest.mark.parametrize("command", ["cost-volume", "lift"])
 def test_stride_zero_is_validation_error(tmp_path, scene_dir, capsys, command):
     pose = tmp_path / "pose.json"
@@ -1545,10 +1594,17 @@ def test_stride_zero_is_validation_error(tmp_path, scene_dir, capsys, command):
             "lift": ["--features", feats, "--depth-logits",
                      str(scene_dir / "depth_logits" / "frame01_stride8.msoc"),
                      "--grid", str(scene_dir / "grid.json")]}[command]
+    argv = [command, *argv, "--rig", str(scene_dir / "rig.json"),
+            "--stride", "0", "--out", str(tmp_path / "out.msoc")]
     capsys.readouterr()
-    assert main([command, *argv, "--rig", str(scene_dir / "rig.json"),
-                 "--stride", "0", "--out", str(tmp_path / "out.msoc")]) == 2
-    assert "stride must be at least 1, got 0" in capsys.readouterr().err
+    if command == "cost-volume":  # always at COST_STRIDE: no --stride flag
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --stride 0" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert "stride must be at least 1, got 0" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["pose.json"]
 
 

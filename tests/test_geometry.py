@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import meshgrid_cell_centers
 from msocc import geometry as geo
 
 
@@ -304,6 +306,34 @@ class TestVoxelIndex:
         centers = g.cell_centers().reshape(-1, 3)
         idx = geo.voxel_indices(centers, g)
         assert np.array_equal(idx, np.arange(g.num_voxels))
+
+    @pytest.mark.parametrize("dims, voxel_size", [
+        ((200, 200, 16), (0.4, 0.4, 0.4)),
+        ((40, 40, 8), (0.4, 0.4, 0.4)),
+        ((23, 37, 11), (0.13, 0.41, 0.29)),
+    ], ids=["paper", "desk", "uneven"])
+    def test_cell_centers_bytes_match_meshgrid(self, dims, voxel_size):
+        g = geo.VoxelGridSpec(*dims, origin=np.array([-8.3, -7.1, -1.7]),
+                              voxel_size=np.array(voxel_size))
+        got = g.cell_centers()
+        want = meshgrid_cell_centers(g)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_cell_centers_hold_only_the_output(self):
+        # the (nx, ny, nz, 3) float64 output plus three axis arrays of at
+        # most 200 floats and their temporaries: under 1.05 outputs, where
+        # the meshgrid held four
+        g = geo.VoxelGridSpec(200, 200, 16)
+        bound = 1.05 * g.num_voxels * 3 * 8
+        tracemalloc.start()
+        try:
+            g.cell_centers()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestSerialization:

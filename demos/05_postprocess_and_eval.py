@@ -30,8 +30,7 @@ labels = postprocess.apply_thresholds(fused_occ, fused_sem,
                                       postprocess.DEFAULT_THRESHOLDS)
 
 gt = np.where(scene.gt_occ == 1, scene.gt_sem, FREE).astype(np.uint8)
-per_class, mean = metrics.miou(metrics.accumulate(labels, gt, scene.mask,
-                                                  len(CLASS_NAMES)))
+per_class, mean = metrics.miou(metrics.accumulate(labels, gt, scene.mask))
 print(f"oracle mIoU: {mean:.3f}")
 for cls, iou in per_class.items():
     print(f"  {CLASS_NAMES[cls]}: {iou:.3f}")

@@ -73,12 +73,11 @@ def cmd_cost_volume(args):
 
 
 def cmd_lift(args):
-    feats = read_tensor(args.features)
-    logits = read_tensor(args.depth_logits)
     idx = pipeline.pooling_index(_depth_config(args), args.stride,
                                  read_input(args.rig, CameraRig.from_json),
                                  read_input(args.grid, VoxelGridSpec.from_json))
-    out = pipeline.lift_frame(feats, logits, idx)
+    feats = pipeline.read_features(args.features, idx)
+    out = pipeline.lift_frame(feats, read_tensor(args.depth_logits), idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -168,7 +167,8 @@ def cmd_threshold(args):
     occ_prob = read_tensor(args.occ_prob)
     with pipeline._stage("threshold", args.occ_prob):
         check_finite("occupancy probability", occ_prob)
-    table = postprocess.load_threshold_table(args.table)
+    with pipeline._stage("threshold", args.table):
+        table = postprocess.load_threshold_table(args.table)
     with pipeline._stage("threshold", args.sem_labels):
         out = postprocess.apply_thresholds(
             occ_prob, read_tensor(args.sem_labels), table)
@@ -177,10 +177,11 @@ def cmd_threshold(args):
 
 
 def cmd_eval(args):
-    report = pipeline.evaluate(pipeline.read_labels("eval", args.pred),
-                               pipeline.read_labels("eval", args.gt),
-                               read_tensor(args.mask).astype(bool),
-                               args.include_free)
+    pred = pipeline.read_labels("eval", args.pred)
+    report = pipeline.evaluate(
+        pred, pipeline.read_labels("eval", args.gt, pred.shape),
+        pipeline.read_in("eval", args.mask, pred.shape).astype(bool),
+        args.include_free)
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gt_multiscale import CLASS_NAMES, FREE
 from .geometry import (CameraRig, Intrinsics, RigidTransform, VoxelGridSpec,
-                       project, unproject)
+                       pixel_centers, project, unproject)
 
 __all__ = [
     "SyntheticScene",
@@ -78,17 +78,12 @@ def textured_plane_features(d_star: float, k: Intrinsics, channels: int = 32,
     continuous texture exactly. Returns (cur, prev, rel) where rel maps
     previous-ego to current-ego coordinates (identity cam_to_ego assumed).
     """
-    px, py, _ = np.moveaxis(unproject(*_pixel_centers(k), d_star, k), -1, 0)
+    px, py, _ = np.moveaxis(unproject(*pixel_centers(k), d_star, k), -1, 0)
     cur = np.stack([value_noise(seed * 1013 + c, px, py, texture_scale)
                     for c in range(channels)])
     prev = np.stack([value_noise(seed * 1013 + c, px + baseline, py, texture_scale)
                      for c in range(channels)])
     return cur, prev, RigidTransform.from_translation([baseline, 0.0, 0.0])
-
-
-def _pixel_centers(k: Intrinsics):
-    """(u, v) of every pixel center of camera `k`, each (height, width)."""
-    return np.meshgrid(np.arange(k.width) + 0.5, np.arange(k.height) + 0.5)
 
 
 def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
@@ -229,7 +224,7 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
     depths = []
     for k, cam_to_ego in rig.cameras:
         # the pixel-center rays at depth 1, in the ego frame
-        dirs = unproject(*_pixel_centers(k), 1.0, k).reshape(-1, 3)
+        dirs = unproject(*pixel_centers(k), 1.0, k).reshape(-1, 3)
         t_hit = raymarch(occ, grid, cam_to_ego.translation[None, :],
                          dirs @ cam_to_ego.rotation.T)
         depths.append(t_hit.reshape(k.height, k.width))

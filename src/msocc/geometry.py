@@ -31,6 +31,7 @@ __all__ = [
     "compose",
     "invert",
     "relative_ego_motion",
+    "pixel_centers",
     "frustum_points",
     "voxel_indices",
 ]
@@ -321,6 +322,12 @@ def project(p: np.ndarray, k: Intrinsics) -> tuple:
     return u, v, z
 
 
+def pixel_centers(k: Intrinsics) -> tuple:
+    """Pixel centers of camera `k`: u of shape (width,) and v of shape
+    (height, 1), which broadcast to the (height, width) lattice."""
+    return np.arange(k.width) + 0.5, (np.arange(k.height) + 0.5)[:, None]
+
+
 def frustum_points(k: Intrinsics, f: FrustumSpec,
                    cam_to_ego: RigidTransform) -> np.ndarray:
     """Ego-frame lattice of the camera view volume.
@@ -330,12 +337,9 @@ def frustum_points(k: Intrinsics, f: FrustumSpec,
     of pixel center (u + 0.5, v + 0.5) at the bin-center depth, mapped
     through cam_to_ego. `k` is scaled to the stride of the feature map.
     """
-    us = np.arange(k.width) + 0.5
-    vs = np.arange(k.height) + 0.5
-    ds = f.bin_centers()
-    dd, vv, uu = np.meshgrid(ds, vs, us, indexing="ij")
-    cam_pts = unproject(uu.ravel(), vv.ravel(), dd.ravel(), k)
-    return cam_to_ego.apply(cam_pts)
+    u, v = pixel_centers(k)
+    return cam_to_ego.apply(
+        unproject(u, v, f.bin_centers()[:, None, None], k).reshape(-1, 3))
 
 
 def voxel_indices(points: np.ndarray, g: VoxelGridSpec) -> np.ndarray:

@@ -55,15 +55,14 @@ def downsample_mask(mask: np.ndarray) -> np.ndarray:
     return _blocks(mask.astype(bool)).any(axis=-1)
 
 
-def downsample_sem(sem: np.ndarray, occ_coarse: np.ndarray,
-                   num_classes: int = len(CLASS_NAMES)) -> np.ndarray:
+def downsample_sem(sem: np.ndarray, occ_coarse: np.ndarray) -> np.ndarray:
     """Majority vote over 2x2x2 blocks, counting only non-FREE labels.
 
     Cells unoccupied at the coarse scale become FREE; occupied cells take the
     most frequent non-FREE child label, ties broken by the smallest label id.
     """
     blk = _blocks(sem)
-    counts = (blk[..., None] == np.arange(num_classes)).sum(axis=-2)
+    counts = (blk[..., None] == np.arange(len(CLASS_NAMES))).sum(axis=-2)
     out = np.argmax(counts, axis=-1).astype(sem.dtype)  # argmax ties -> smallest id
     occupied = occ_coarse.astype(bool)
     if not (counts.sum(axis=-1)[occupied] > 0).all():
@@ -71,18 +70,17 @@ def downsample_sem(sem: np.ndarray, occ_coarse: np.ndarray,
     return np.where(occupied, out, np.array(FREE, dtype=sem.dtype))
 
 
-def check_labels(sem: np.ndarray, num_classes: int = len(CLASS_NAMES)) -> None:
+def check_labels(sem: np.ndarray) -> None:
     """Raise ValueError if a label of `sem` is neither FREE nor a class id
-    in [0, num_classes)."""
+    in [0, K)."""
     labels = sem[sem != FREE]
-    bad = (labels < 0) | (labels >= num_classes)
+    bad = (labels < 0) | (labels >= len(CLASS_NAMES))
     if bad.any():
         raise ValueError(f"semantic label {labels[bad][0]} is neither a class "
-                         f"id below {num_classes} nor FREE ({FREE})")
+                         f"id below {len(CLASS_NAMES)} nor FREE ({FREE})")
 
 
-def check_gt(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
-             num_classes: int = len(CLASS_NAMES)) -> None:
+def check_gt(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray) -> None:
     """Raise ValueError unless occ, sem and mask share one shape, occ is 0
     or 1, sem is FREE exactly where occ is 0, and sem passes check_labels."""
     if not np.shape(occ) == np.shape(sem) == np.shape(mask):
@@ -91,7 +89,7 @@ def check_gt(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
         raise ValueError("occupancy must be 0 or 1")
     if ((sem == FREE) != (occ == 0)).any():
         raise ValueError("semantics must be FREE exactly where occupancy is 0")
-    check_labels(sem, num_classes)
+    check_labels(sem)
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,15 @@ class MultiScaleGT:
 
 
 def build_pyramid(occ: np.ndarray, sem: np.ndarray, mask: np.ndarray,
-                  levels: int = 3,
-                  num_classes: int = len(CLASS_NAMES)) -> MultiScaleGT:
+                  levels: int = 3) -> MultiScaleGT:
     """Ground-truth pyramid with `levels` scales, level 0 the input itself."""
     if levels < 1:
         raise ValueError(f"need at least 1 pyramid level, got {levels}")
-    check_gt(occ, sem, mask, num_classes)
+    check_gt(occ, sem, mask)
     occs, sems, masks = [occ], [sem], [mask]
     for _ in range(levels - 1):
         occ = downsample_occ(occs[-1])
-        sems.append(downsample_sem(sems[-1], occ, num_classes))
+        sems.append(downsample_sem(sems[-1], occ))
         occs.append(occ)
         masks.append(downsample_mask(masks[-1]))
     return MultiScaleGT(tuple(occs), tuple(sems), tuple(masks))

@@ -122,13 +122,13 @@ def focal_sem_loss(sem_logits: np.ndarray, gt: np.ndarray,
     log_pt = np.log(pt)
     loss = (wt * one_minus ** gamma * (-log_pt)).sum() / n
 
-    # d/dp of (1-p)^gamma * (-log p); the gamma term vanishes identically at
-    # gamma = 0 but would produce 0 * inf for saturated pixels
+    # dL/dz = wt * dg/dp * p * (one_hot - p) / n for g = (1-p)^gamma (-log p);
+    # at gamma = 0, dg/dp * p is exactly -1, also where p underflows to 0
     if gamma == 0:
-        dg_dp = -1.0 / pt
+        coeff = -wt / n
     else:
         dg_dp = gamma * one_minus ** (gamma - 1.0) * log_pt - one_minus ** gamma / pt
-    coeff = wt * dg_dp * pt / n              # (n,)
+        coeff = wt * dg_dp * pt / n          # (n,)
     grad_c = coeff * (np.eye(k)[:, labels] - p)
     grad = np.zeros_like(z)
     grad[:, contrib] = grad_c
@@ -138,7 +138,8 @@ def focal_sem_loss(sem_logits: np.ndarray, gt: np.ndarray,
 def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
                valid: np.ndarray, f):
     """Cross-entropy between the per-pixel depth softmax and the one-hot bin
-    containing the ground-truth depth, averaged over valid pixels; only the
+    containing the ground-truth depth, averaged over valid pixels: the
+    unweighted focal loss at gamma 0, one class per depth bin. Only the
     valid pixels' depths are binned."""
     z = np.asarray(depth_logits, dtype=np.float64)
     d = z.shape[0]
@@ -149,19 +150,11 @@ def depth_loss(depth_logits: np.ndarray, gt_depth: np.ndarray,
         raise ValueError(f"{d} depth logits for {f.num_bins} depth bins")
     if not v.any():
         raise ValueError("no valid depth pixels")
-    labels = f.bin_of(np.asarray(gt_depth)[v])
-    if ((labels < 0) | (labels >= d)).any():
+    bins = np.zeros(v.shape, dtype=np.int64)
+    bins[v] = f.bin_of(np.asarray(gt_depth)[v])
+    if ((bins < 0) | (bins >= d)).any():
         raise ValueError("valid gt depth outside the bin range")
-    n = v.sum()
-
-    zc = z[:, v] - z[:, v].max(axis=0, keepdims=True)
-    p = np.exp(zc)
-    p /= p.sum(axis=0, keepdims=True)
-    idx = np.arange(n)
-    loss = -np.log(p[labels, idx]).sum() / n
-    grad = np.zeros_like(z)
-    grad[:, v] = (p - np.eye(d)[:, labels]) / n
-    return float(loss), grad
+    return focal_sem_loss(z, bins, v, v, ClassWeights.uniform(d), gamma=0.0)
 
 
 def total_loss(occ_losses, sem_losses, depth_losses) -> dict:

@@ -194,6 +194,19 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
     return build_pooling_index(scaled, frustum(cfg), grid)
 
 
+def read_features(path, idx):
+    """The (N, C, h, w) features of tensor file `path`, checked finite and
+    on the lattice of pooling index `idx`; a failure is one of stage
+    `lift_stack` on `path`."""
+    with _stage("lift_stack", path):
+        feats = read_tensor(path)
+        check_finite("features", feats)
+        n, _, h, w = idx.depth_shape
+        if feats.shape[:1] + feats.shape[2:] != (n, h, w):
+            raise ValueError(f"features {feats.shape} on a {h}x{w} rig")
+    return feats
+
+
 def lift_frame(feats: np.ndarray, logits: np.ndarray, idx):
     """Lift one frame's (N, C, H, W) features through the softmax of its
     (N, D, H, W) depth logits into the float32 (C, nx, ny, nz) grid that is
@@ -299,7 +312,7 @@ def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
 
 
 def evaluate(pred, gt, mask, include_free: bool = False) -> dict:
-    matrix = metrics.accumulate(pred, gt, mask, len(CLASS_NAMES))
+    matrix = metrics.accumulate(pred, gt, mask)
     per_class, mean = metrics.miou(matrix, include_free=include_free)
     return {"per_class_iou": {str(k): v for k, v in per_class.items()},
             "miou": mean, "voxels_evaluated": int(matrix.sum())}
@@ -396,13 +409,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         for t in range(1, num_frames):
             # each input is read and checked under its own path, so an error
             # names the file at fault
-            path = frame_path("features", t, stride)
-            with _stage("lift_stack", path):
-                feats = read_tensor(path)
-                check_finite("features", feats)
-                n, _, h, w = idx.depth_shape
-                if feats.shape[:1] + feats.shape[2:] != (n, h, w):
-                    raise ValueError(f"features {feats.shape} on a {h}x{w} rig")
+            feats = read_features(frame_path("features", t, stride), idx)
             path = frame_path("depth_logits", t, stride)
             with _stage("lift_stack", path):
                 logits = read_tensor(path)

@@ -144,6 +144,8 @@ def load_threshold_table(path) -> dict:
         return DEFAULT_THRESHOLDS
     with open(path) as fh:
         table = json.load(fh)
+    if not isinstance(table, dict):
+        raise ValueError(f"threshold table is not a JSON object: {table!r}")
     missing = [n for n in CLASS_NAMES if n not in table]
     if missing:
         raise ValueError(f"threshold table missing classes: {missing}")

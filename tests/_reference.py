@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from msocc.geometry import unproject
+
 
 def four_term_sample(image, u, v):
     """Reference bilinear sampler of a (C, H, W) image at continuous pixel
@@ -37,3 +39,29 @@ def meshgrid_cell_centers(grid):
                              np.arange(grid.nz), indexing="ij")
     idx = np.stack([ix, iy, iz], axis=-1).astype(np.float64)
     return grid.origin + (idx + 0.5) * grid.voxel_size
+
+
+def meshgrid_frustum_points(k, f, cam_to_ego):
+    """Reference (D * H * W, 3) frustum lattice: the (d, v, u) meshgrid of
+    bin centers and pixel centers, raveled, unprojected and mapped through
+    cam_to_ego."""
+    dd, vv, uu = np.meshgrid(f.bin_centers(), np.arange(k.height) + 0.5,
+                             np.arange(k.width) + 0.5, indexing="ij")
+    return cam_to_ego.apply(unproject(uu.ravel(), vv.ravel(), dd.ravel(), k))
+
+
+def explicit_depth_ce(depth_logits, gt_depth, valid, f):
+    """Reference depth cross-entropy and its gradient, written out: the
+    softmax over bins at each valid pixel, the mean negative log-likelihood
+    of the bin holding the ground-truth depth, and (p - one_hot) / n."""
+    z = np.asarray(depth_logits, dtype=np.float64)
+    v = np.asarray(valid, dtype=bool)
+    labels = f.bin_of(np.asarray(gt_depth)[v])
+    n = v.sum()
+    zc = z[:, v] - z[:, v].max(axis=0, keepdims=True)
+    p = np.exp(zc)
+    p /= p.sum(axis=0, keepdims=True)
+    loss = -np.log(p[labels, np.arange(n)]).sum() / n
+    grad = np.zeros_like(z)
+    grad[:, v] = (p - np.eye(len(z))[:, labels]) / n
+    return float(loss), grad

@@ -295,7 +295,7 @@ def test_criterion_11_oracle_end_to_end(oracle_run):
         idx = order[:int(frac * gt.size)]
         pred[idx] = FREE
         _, mean = metrics.miou(
-            metrics.accumulate(pred.reshape(gt.shape), gt, sc.mask, 17))
+            metrics.accumulate(pred.reshape(gt.shape), gt, sc.mask))
         monotone &= mean <= prev + 1e-12
         strict_drop &= mean < prev
         prev = mean

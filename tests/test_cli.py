@@ -166,6 +166,26 @@ def test_threshold_label_that_is_no_class_id_names_its_file(tmp_path, capsys,
     assert not (tmp_path / "final.msoc").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("not json", "Expecting value"),
+    (json.dumps({"Car": 0.5}), "threshold table missing classes"),
+    ("0.5", "threshold table is not a JSON object: 0.5"),
+], ids=["malformed", "missing_class", "not_an_object"])
+def test_threshold_bad_table_names_its_file(tmp_path, capsys, text, message):
+    write_tensor(tmp_path / "occ.msoc", np.full((2, 2, 2), 0.99))
+    write_tensor(tmp_path / "sem.msoc", np.full((2, 2, 2), 4, np.uint8))
+    table = tmp_path / "table.json"
+    table.write_text(text)
+    capsys.readouterr()
+    rc = main(["threshold", "--occ-prob", str(tmp_path / "occ.msoc"),
+               "--sem-labels", str(tmp_path / "sem.msoc"),
+               "--table", str(table), "--out", str(tmp_path / "final.msoc")])
+    assert rc == 2
+    assert (f"stage 'threshold' failed on {table}: {message}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "final.msoc").exists()
+
+
 def test_deaug_subcommand(tmp_path):
     occ = np.zeros((4, 4, 2)); occ[1, 0, 0] = 1.0
     sem = np.zeros((3, 4, 4, 2)); sem[0, 1, 0, 0] = 1.0
@@ -346,7 +366,10 @@ def test_lift_stride_must_match_features(tmp_path, scene_dir, capsys):
                  "--rig", str(scene_dir / "rig.json"),
                  "--grid", str(scene_dir / "grid.json"),
                  "--stride", "16", "--out", str(tmp_path / "lifted.msoc")]) == 2
-    assert "inconsistent with index" in capsys.readouterr().err
+    # stride 16 puts the 128x96 rig on a 6x8 lattice; the features are 12x16
+    path = scene_dir / "features" / "frame01_stride8.msoc"
+    assert (f"stage 'lift_stack' failed on {path}: features (2, 8, 12, 16) "
+            f"on a 6x8 rig") in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -1243,6 +1266,21 @@ def test_gt_downsample_bad_ground_truth_names_occ_file(tmp_path, scene_dir,
     assert not (tmp_path / "pyr").exists()
 
 
+@pytest.mark.parametrize("side", ["gt", "mask"])
+def test_eval_file_of_another_shape_names_its_file(tmp_path, capsys, side):
+    for name in ("pred", "gt", "mask"):
+        shape = (4, 4, 3) if name == side else (4, 4, 2)
+        write_tensor(tmp_path / f"{name}.msoc", np.ones(shape, np.uint8))
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(tmp_path / "pred.msoc"),
+                 "--gt", str(tmp_path / "gt.msoc"),
+                 "--mask", str(tmp_path / "mask.msoc"),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert (f"stage 'eval' failed on {tmp_path / f'{side}.msoc'}: shape "
+            f"(4, 4, 3), expected (4, 4, 2)") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_nonfinite_depth_logits_is_numerical_error(tmp_path, scene_dir, capsys,
                                                    value):
@@ -1277,6 +1315,30 @@ def test_nan_lift_features_names_features_file(tmp_path, scene_dir, capsys):
                  str(tmp_path / "out")]) == 3
     assert (f"stage 'lift_stack' failed on {path}: features"
             in capsys.readouterr().err)
+
+
+def test_nan_features_lifted_to_no_voxel_fail_lift_as_run(tmp_path, scene_dir,
+                                                          capsys):
+    # this pixel's frustum misses the grid, so the lifted grid stays finite:
+    # only the features check sees the NaN, in `lift` as in `run`
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / "features" / "frame01_stride8.msoc"
+    feats = read_tensor(path)
+    feats[0, 0, 0, 0] = np.nan
+    write_tensor(path, feats)
+    capsys.readouterr()
+    assert main(["lift", "--features", str(path), "--depth-logits",
+                 str(inp / "depth_logits" / "frame01_stride8.msoc"),
+                 "--rig", str(inp / "rig.json"), "--grid", str(inp / "grid.json"),
+                 "--stride", "8", "--out", str(tmp_path / "lifted.msoc")]) == 3
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert f"stage 'lift_stack' failed on {path}: features" in line
+    assert not (tmp_path / "lifted.msoc").exists()
 
 
 def test_module_entry_point_warns_nothing():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import meshgrid_cell_centers
+from _reference import meshgrid_cell_centers, meshgrid_frustum_points
 from msocc import geometry as geo
 
 
@@ -275,6 +275,31 @@ class TestFrustumPoints:
         assert np.allclose(pts[4:, 2], 2.0)
         # u fastest: x increases within the first pair
         assert pts[1, 0] > pts[0, 0]
+
+    # the desk, paper and stereo cameras (width, height, focal, depth_max)
+    # at the cost-volume stride and the three lifted strides
+    @pytest.mark.parametrize("stride", [4, 8, 16, 32])
+    @pytest.mark.parametrize("camera", [(128, 96, 40.0, 13.0),
+                                        (256, 128, 128.0, 40.0),
+                                        (704, 256, 352.0, 60.0)],
+                             ids=["desk", "paper", "stereo"])
+    def test_bytes_match_meshgrid_lattice(self, camera, stride):
+        width, height, focal, depth_max = camera
+        k = geo.Intrinsics(fx=focal, fy=focal, cx=width / 2, cy=height / 2,
+                           width=width, height=height).scaled(stride)
+        f = geo.FrustumSpec(depth_min=1.0, depth_max=depth_max)
+        cam_to_ego = random_transform(np.random.default_rng(stride))
+        got = geo.frustum_points(k, f, cam_to_ego)
+        want = meshgrid_frustum_points(k, f, cam_to_ego)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_pixel_centers_broadcast_to_the_lattice(self):
+        k = geo.Intrinsics(fx=10, fy=10, cx=1.0, cy=1.0, width=3, height=2)
+        u, v = geo.pixel_centers(k)
+        assert u.shape == (3,) and v.shape == (2, 1)
+        uu, vv = np.broadcast_arrays(u, v)
+        assert uu.tolist() == [[0.5, 1.5, 2.5]] * 2
+        assert vv.tolist() == [[0.5] * 3, [1.5] * 3]
 
 
 class TestVoxelIndex:

@@ -3,9 +3,9 @@ import inspect
 import numpy as np
 import pytest
 
-from msocc import fixtures, losses, postprocess
+from msocc import fixtures, gt_multiscale, losses, metrics, postprocess
 from msocc.gt_multiscale import (CLASS_NAMES, FREE, build_pyramid,
-                                 check_labels, downsample_mask,
+                                 check_gt, check_labels, downsample_mask,
                                  downsample_occ, downsample_sem)
 
 
@@ -196,21 +196,21 @@ class TestBuildPyramid:
 
     def test_label_not_below_num_classes_rejected(self):
         occ = np.ones((8, 8, 4), np.uint8)
-        sem = np.full((8, 8, 4), 4, np.uint8)
+        sem = np.full((8, 8, 4), 16, np.uint8)
         mask = np.ones((8, 8, 4), bool)
-        build_pyramid(occ, sem, mask, num_classes=5)
-        sem[1, 2, 1] = 5
-        with pytest.raises(ValueError, match=r"label 5 is neither a class id "
-                                             r"below 5 nor FREE \(255\)"):
-            build_pyramid(occ, sem, mask, num_classes=5)
+        build_pyramid(occ, sem, mask)
+        sem[1, 2, 1] = 17
+        with pytest.raises(ValueError, match=r"label 17 is neither a class id "
+                                             r"below 17 nor FREE \(255\)"):
+            build_pyramid(occ, sem, mask)
 
     def test_negative_label_rejected(self):
         sem = np.full((8, 8, 4), FREE, np.int64)
         sem[0, 0, 0], sem[1, 2, 1] = 4, -1
-        check_labels(sem[0], num_classes=5)  # FREE and class ids pass
+        check_labels(sem[0])  # FREE and class ids pass
         with pytest.raises(ValueError, match=r"label -1 is neither a class "
-                                             r"id below 5 nor FREE \(255\)"):
-            check_labels(sem, num_classes=5)
+                                             r"id below 17 nor FREE \(255\)"):
+            check_labels(sem)
 
     @pytest.mark.parametrize("levels", [0, -1])
     def test_fewer_than_one_level_rejected(self, levels):
@@ -222,12 +222,20 @@ class TestBuildPyramid:
 
 
 def test_class_names_are_the_one_label_space():
-    # every class-count default reads CLASS_NAMES: 17 classes plus FREE
+    # K = len(CLASS_NAMES): 17 classes plus FREE
     assert len(CLASS_NAMES) == 17 and FREE >= len(CLASS_NAMES)
     assert postprocess.CLASS_NAMES is CLASS_NAMES
     assert fixtures._GROUND_CLASS == CLASS_NAMES.index("Driveable Surface")
     sem_prob = fixtures.oracle_predictions(fixtures.make_scene(num_cameras=1))[1]
     assert len(sem_prob) == len(CLASS_NAMES)
-    for fn in (downsample_sem, build_pyramid, losses.class_frequency_weights):
-        default = inspect.signature(fn).parameters["num_classes"].default
-        assert default == len(CLASS_NAMES), fn.__name__
+    # the label kernels take no class count; only the loss weights do, since
+    # the loss kernels read K from their logits' rows and criterion 7 builds
+    # a 4-class case
+    kernels = [fn for mod in (gt_multiscale, metrics, losses)
+               for fn in vars(mod).values() if inspect.isfunction(fn)]
+    takes_k = {fn.__qualname__ for fn in (*kernels, losses.ClassWeights.uniform)
+               if "num_classes" in inspect.signature(fn).parameters}
+    assert takes_k == {"class_frequency_weights", "ClassWeights.uniform"}
+    for fn in (downsample_sem, check_labels, check_gt, build_pyramid,
+               metrics.accumulate, metrics._matrix_index):
+        assert fn in kernels

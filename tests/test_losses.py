@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import explicit_depth_ce
 from msocc import losses
 from msocc.geometry import FrustumSpec
 from msocc.gt_multiscale import FREE
@@ -256,6 +257,36 @@ class TestDepthLoss:
         _, grad = losses.depth_loss(z, gt, valid, f)
         fd = finite_diff(lambda zz: losses.depth_loss(zz, gt, valid, f)[0], z)
         assert rel_err(grad, fd) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_explicit_cross_entropy(self, seed):
+        # the loss equals the written-out formula; the gradient, computed
+        # through the focal loss's chain rule, is within 1e-14 of max|grad|
+        f = FrustumSpec(depth_min=1.0, depth_max=13.0)
+        rng = np.random.default_rng(seed)
+        gt = rng.uniform(0.0, 14.0, (5, 6))
+        gt[rng.random(gt.shape) < 0.1] = np.inf
+        gt[rng.random(gt.shape) < 0.1] = np.nan
+        valid = f.in_range(gt) & (rng.random(gt.shape) < 0.8)
+        valid[0, 0], gt[0, 0] = True, 6.5
+        z = rng.standard_normal((f.num_bins, 5, 6)) * rng.uniform(0.1, 20.0)
+        loss, grad = losses.depth_loss(z, gt, valid, f)
+        want_loss, want_grad = explicit_depth_ce(z, gt, valid, f)
+        assert loss == want_loss
+        assert (np.abs(grad - want_grad).max()
+                <= 1e-14 * np.abs(want_grad).max())
+
+    def test_saturated_wrong_bin_keeps_a_finite_gradient(self):
+        # bin 0 leads the true bin 2 by 800, so p of the true bin underflows
+        # to 0: the loss is inf, and the gradient stays p - one_hot
+        f = FrustumSpec(depth_min=1.0, depth_max=5.0)
+        z = np.zeros((4, 1, 2))
+        z[0] = 800.0
+        gt = np.full((1, 2), 3.5)
+        with np.errstate(divide="ignore"):
+            loss, grad = losses.depth_loss(z, gt, np.ones((1, 2), bool), f)
+        assert loss == np.inf
+        assert grad[:, 0, 0].tolist() == [0.5, 0.0, -0.5, 0.0]
 
     def test_no_valid_pixels_rejected(self):
         f = self.frustum()

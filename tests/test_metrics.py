@@ -41,14 +41,14 @@ class TestAccumulate:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         gt = random_labels(rng)
-        t = metrics.accumulate(gt, gt, np.ones(gt.shape, bool), 5)
+        t = metrics.accumulate(gt, gt, np.ones(gt.shape, bool))
         _, fp, fn = counts(t)
         assert fp.sum() == 0 and fn.sum() == 0
 
     def test_empty_mask(self):
         rng = np.random.default_rng(1)
         t = metrics.accumulate(random_labels(rng), random_labels(rng),
-                               np.zeros((6, 6, 2), bool), 5)
+                               np.zeros((6, 6, 2), bool))
         assert sum(c.sum() for c in counts(t)) == 0
         assert t.sum() == 0
 
@@ -59,7 +59,7 @@ class TestAccumulate:
         pred = random_labels(rng, shape, k=17)
         gt = random_labels(rng, shape, k=17)
         mask = rng.random(shape) < 0.7
-        t = metrics.accumulate(pred, gt, mask, 17)
+        t = metrics.accumulate(pred, gt, mask)
         tp, fp, fn, voxels = loop_oracle(pred, gt, mask, 17)
         for got, want in zip(counts(t), (tp, fp, fn)):
             assert np.array_equal(got, want)
@@ -78,19 +78,19 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             metrics.accumulate(np.zeros((2, 2, 1), np.uint8),
                                np.zeros((2, 2, 2), np.uint8),
-                               np.ones((2, 2, 1), bool), 5)
+                               np.ones((2, 2, 1), bool))
 
     def test_frames_accumulate_like_concat(self):
         rng = np.random.default_rng(9)
         frames = [(random_labels(rng), random_labels(rng),
                    rng.random((6, 6, 2)) < 0.6) for _ in range(4)]
-        t_frames = sum(metrics.accumulate(p, g, m, 5) for p, g, m in frames)
-        t_all = metrics.accumulate(*(np.concatenate(a) for a in zip(*frames)), 5)
+        t_frames = sum(metrics.accumulate(p, g, m) for p, g, m in frames)
+        t_all = metrics.accumulate(*(np.concatenate(a) for a in zip(*frames)))
         assert t_frames.dtype == t_all.dtype == np.int64
         assert np.array_equal(t_frames, t_all)
 
     @pytest.mark.parametrize("side", ["pred", "gt"])
-    @pytest.mark.parametrize("label", [5, 20, -1])
+    @pytest.mark.parametrize("label", [17, 20, -1])
     def test_label_outside_classes_rejected(self, side, label):
         rng = np.random.default_rng(10)
         arrays = {"pred": random_labels(rng).astype(np.int64),
@@ -98,10 +98,10 @@ class TestAccumulate:
         mask = np.ones((6, 6, 2), bool)
         mask[0, 0, 0] = False
         arrays[side][0, 0, 0] = label  # outside the mask: not read
-        t = metrics.accumulate(arrays["pred"], arrays["gt"], mask, 5)
+        t = metrics.accumulate(arrays["pred"], arrays["gt"], mask)
         arrays[side][1, 0, 0] = label
         with pytest.raises(ValueError, match=f"label {label} "):
-            metrics.accumulate(arrays["pred"], arrays["gt"], mask, 5)
+            metrics.accumulate(arrays["pred"], arrays["gt"], mask)
         assert t.sum() == mask.sum()
 
 
@@ -109,14 +109,14 @@ class TestMiou:
     def test_perfect(self):
         rng = np.random.default_rng(2)
         gt = random_labels(rng)
-        t = metrics.accumulate(gt, gt, np.ones(gt.shape, bool), 5)
+        t = metrics.accumulate(gt, gt, np.ones(gt.shape, bool))
         _, mean = metrics.miou(t)
         assert mean == 1.0
 
     def test_disjoint(self):
         gt = np.zeros((4, 4, 1), np.uint8)
         pred = np.ones((4, 4, 1), np.uint8)
-        t = metrics.accumulate(pred, gt, np.ones(gt.shape, bool), 5)
+        t = metrics.accumulate(pred, gt, np.ones(gt.shape, bool))
         _, mean = metrics.miou(t)
         assert mean == 0.0
 
@@ -124,13 +124,13 @@ class TestMiou:
         gt = np.zeros((8, 1, 1), np.uint8)
         pred = gt.copy()
         pred[:4] = FREE
-        t = metrics.accumulate(pred, gt, np.ones(gt.shape, bool), 2)
+        t = metrics.accumulate(pred, gt, np.ones(gt.shape, bool))
         per_class, mean = metrics.miou(t)
         assert per_class[0] == 0.5 and mean == 0.5
 
     def test_zero_denominator_class_excluded(self):
         gt = np.zeros((4, 1, 1), np.uint8)
-        t = metrics.accumulate(gt, gt, np.ones(gt.shape, bool), 5)
+        t = metrics.accumulate(gt, gt, np.ones(gt.shape, bool))
         per_class, mean = metrics.miou(t)
         assert set(per_class) == {0}
         assert mean == 1.0
@@ -143,10 +143,10 @@ class TestMiou:
         rng = np.random.default_rng(3)
         pred, gt = random_labels(rng), random_labels(rng)
         mask = rng.random(pred.shape) < 0.5
-        t1 = metrics.accumulate(pred, gt, mask, 5)
+        t1 = metrics.accumulate(pred, gt, mask)
         pred2 = pred.copy()
         pred2[~mask] = ((pred2[~mask].astype(int) + 1) % 5).astype(np.uint8)
-        t2 = metrics.accumulate(pred2, gt, mask, 5)
+        t2 = metrics.accumulate(pred2, gt, mask)
         assert metrics.miou(t1) == metrics.miou(t2)
 
     def test_corruption_monotone(self):
@@ -158,7 +158,7 @@ class TestMiou:
         for frac in (0.0, 0.1, 0.3, 0.6, 0.9):
             pred = gt.copy().ravel()
             pred[order[:int(frac * gt.size)]] = FREE
-            t = metrics.accumulate(pred.reshape(gt.shape), gt, mask, 5)
+            t = metrics.accumulate(pred.reshape(gt.shape), gt, mask)
             _, mean = metrics.miou(t)
             assert mean <= prev + 1e-12
             prev = mean
@@ -167,6 +167,6 @@ class TestMiou:
         gt = np.full((4, 1, 1), FREE, np.uint8)
         gt[0] = 1
         pred = gt.copy()
-        t = metrics.accumulate(pred, gt, np.ones(gt.shape, bool), 5)
+        t = metrics.accumulate(pred, gt, np.ones(gt.shape, bool))
         per_class, mean = metrics.miou(t, include_free=True)
         assert per_class[FREE] == 1.0

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import fixtures, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
-from .checks import check_finite
-from .gt_multiscale import CLASS_NAMES, build_pyramid, check_gt
-from .pipeline import NumericalError, PipelineConfig, PipelineStageError, read_input
-from .tensorio import TensorIOError, read_tensor, write_tensor
+from .gt_multiscale import CLASS_NAMES, check_labels
+from .pipeline import (NumericalError, PipelineConfig, PipelineStageError,
+                       read_in, read_input)
+from .tensorio import TensorIOError, write_tensor
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,8 +60,8 @@ def cmd_synth(args):
 
 
 def cmd_cost_volume(args):
-    cur = read_tensor(args.current)
-    prev = read_tensor(args.previous)
+    cur = read_in("cost_volume", args.current)
+    prev = read_in("cost_volume", args.previous)
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
@@ -76,17 +76,15 @@ def cmd_lift(args):
     idx = pipeline.pooling_index(_depth_config(args), args.stride,
                                  read_input(args.rig, CameraRig.from_json),
                                  read_input(args.grid, VoxelGridSpec.from_json))
-    feats = pipeline.read_features(args.features, idx)
-    out = pipeline.lift_frame(feats, read_tensor(args.depth_logits), idx)
+    out = pipeline.lift_frame(args.features, args.depth_logits, idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
 def cmd_warp(args):
-    grid_arr = read_tensor(args.input)
-    with pipeline._stage("warp", args.input):
-        check_finite("voxel grid", grid_arr)
+    grid_arr = read_in("warp", args.input,
+                       check=pipeline.finite("voxel grid"))
     grid = read_input(args.grid, VoxelGridSpec.from_json)
     motion = read_input(args.transform, _parse_transform)
     out = temporal.warp_voxel_grid(grid_arr, motion, grid, mode=args.mode)
@@ -96,13 +94,7 @@ def cmd_warp(args):
 
 
 def cmd_gt_downsample(args):
-    occ = read_tensor(args.occ)
-    # each file is read against --occ's shape under its own path, as in `loss`
-    sem = pipeline.read_labels("gt_pyramid", args.sem, occ.shape)
-    mask = pipeline.read_in("gt_pyramid", args.mask, occ.shape).astype(bool)
-    # as in `run`, the ground-truth rule names the occupancy file
-    with pipeline._stage("gt_pyramid", args.occ):
-        pyr = build_pyramid(occ, sem, mask, levels=len(pipeline.STRIDES))
+    pyr = pipeline.read_pyramid("gt_pyramid", args.occ, args.sem, args.mask)
     pipeline.write_pyramid(args.out, pyr)
     _write_meta(os.path.join(args.out, "metadata.json"), args)
     return EXIT_OK
@@ -112,19 +104,17 @@ def cmd_loss(args):
     if bool(args.depth_logits) != bool(args.gt_depth):
         raise ValueError("the depth term needs --"
                          + ("gt-depth" if args.depth_logits else "depth-logits"))
-    depth = ((read_tensor(args.depth_logits),
-              pipeline.read_depth("loss", args.gt_depth))
+    depth = ((read_in("loss", args.depth_logits),
+              read_in("loss", args.gt_depth, check=pipeline.check_depth))
              if args.depth_logits else ())
-    occ = read_tensor(args.gt_occ)
     # the ground truth is checked by `run`'s rule, each file under its path
-    sem = pipeline.read_labels("loss", args.gt_sem, occ.shape)
-    mask = pipeline.read_in("loss", args.mask, occ.shape)
-    with pipeline._stage("loss", args.gt_occ):
-        check_gt(occ, sem, mask)
+    gt = pipeline.read_pyramid("loss", args.gt_occ, args.gt_sem, args.mask,
+                               levels=1)
+    occ = gt.occ[0]
     lo, ls, ld = pipeline.scale_losses(
-        _depth_config(args), pipeline.read_in("loss", args.occ_logits, occ.shape),
-        pipeline.read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)),
-        occ, sem, mask.astype(bool), *depth)
+        _depth_config(args), read_in("loss", args.occ_logits, occ.shape),
+        read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)),
+        occ, gt.sem[0], gt.mask[0], *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
@@ -145,18 +135,18 @@ def cmd_tta_enumerate(args):
 def cmd_deaug(args):
     tag = postprocess.AugmentationTag(args.img_hflip, args.vox_flip_x,
                                       args.vox_flip_y)
-    occ = read_tensor(args.occ)
-    sem = read_tensor(args.sem)
-    occ_d, sem_d = postprocess.deaugment(tag, occ, sem)
+    occ_d, sem_d = postprocess.deaugment(tag, read_in("deaug", args.occ),
+                                         read_in("deaug", args.sem))
     write_tensor(args.out_occ, occ_d)
     write_tensor(args.out_sem, sem_d)
     return EXIT_OK
 
 
 def cmd_ensemble(args):
-    occ_prob, sem_label = postprocess.ensemble(
-        *pipeline.load_prediction_sets(args.preds),
-        (args.weight_a, args.weight_b))
+    with pipeline._stage("postprocess", args.preds):  # as in `run`
+        occ_prob, sem_label = postprocess.ensemble(
+            *pipeline.load_prediction_sets(args.preds),
+            (args.weight_a, args.weight_b))
     write_tensor(args.out_occ, occ_prob.astype(np.float32))
     write_tensor(args.out_sem, sem_label)
     _write_meta(args.out_occ + ".meta.json", args)
@@ -164,24 +154,22 @@ def cmd_ensemble(args):
 
 
 def cmd_threshold(args):
-    occ_prob = read_tensor(args.occ_prob)
-    with pipeline._stage("threshold", args.occ_prob):
-        check_finite("occupancy probability", occ_prob)
+    occ_prob = read_in("threshold", args.occ_prob,
+                       check=pipeline.finite("occupancy probability"))
     with pipeline._stage("threshold", args.table):
         table = postprocess.load_threshold_table(args.table)
+    sem = read_in("threshold", args.sem_labels, occ_prob.shape)
     with pipeline._stage("threshold", args.sem_labels):
-        out = postprocess.apply_thresholds(
-            occ_prob, read_tensor(args.sem_labels), table)
+        out = postprocess.apply_thresholds(occ_prob, sem, table)
     write_tensor(args.out, out)
     return EXIT_OK
 
 
 def cmd_eval(args):
-    pred = pipeline.read_labels("eval", args.pred)
+    pred = read_in("eval", args.pred, check=check_labels)
     report = pipeline.evaluate(
-        pred, pipeline.read_labels("eval", args.gt, pred.shape),
-        pipeline.read_in("eval", args.mask, pred.shape).astype(bool),
-        args.include_free)
+        pred, read_in("eval", args.gt, pred.shape, check=check_labels),
+        read_in("eval", args.mask, pred.shape).astype(bool), args.include_free)
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK

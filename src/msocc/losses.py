@@ -119,16 +119,18 @@ def focal_sem_loss(sem_logits: np.ndarray, gt: np.ndarray,
     wt = w.w_sem[labels]
 
     one_minus = 1.0 - pt
-    log_pt = np.log(pt)
+    with np.errstate(divide="ignore"):  # a p that underflows to 0 costs inf
+        log_pt = np.log(pt)
     loss = (wt * one_minus ** gamma * (-log_pt)).sum() / n
 
     # dL/dz = wt * dg/dp * p * (one_hot - p) / n for g = (1-p)^gamma (-log p);
-    # at gamma = 0, dg/dp * p is exactly -1, also where p underflows to 0
-    if gamma == 0:
-        coeff = -wt / n
-    else:
-        dg_dp = gamma * one_minus ** (gamma - 1.0) * log_pt - one_minus ** gamma / pt
-        coeff = wt * dg_dp * pt / n          # (n,)
+    # dg/dp * p is -1 at gamma = 0, and tends to -1 where p underflows to 0
+    coeff = -wt / n                          # (n,)
+    if gamma != 0:
+        s = pt > 0
+        dg_dp = (gamma * one_minus[s] ** (gamma - 1.0) * log_pt[s]
+                 - one_minus[s] ** gamma / pt[s])
+        coeff[s] = wt[s] * dg_dp * pt[s] / n
     grad_c = coeff * (np.eye(k)[:, labels] - p)
     grad = np.zeros_like(z)
     grad[:, contrib] = grad_c

@@ -1,9 +1,9 @@
 """Pipeline driver: wires cost volumes, lifting, temporal stacking, the loss
 stack, and the post-process / evaluation route over a directory of tensors.
 
-Each stage is a function from arrays to arrays; `run_pipeline` and the CLI
-subcommands call the same functions and keep file reads and writes around
-them.
+Each stage is one function that `run_pipeline` and the CLI subcommands
+both call; it writes no file. A tensor is read by `read_in` (a prediction
+entry, in slabs) in the stage that a failure names with its file.
 
 Input directory layout (as emitted by `msocc synth`):
 
@@ -83,13 +83,12 @@ class PipelineConfig:
 
 def _has_type_of(v, default) -> bool:
     """Whether config value `v` has the type of a field defaulting to
-    `default`: an int, a number, a list of those, or a string or null."""
+    `default`: a number, a list of those, or a string or null."""
     if isinstance(default, tuple):
         return (isinstance(v, (list, tuple))
                 and all(_has_type_of(x, default[0]) for x in v))
-    if isinstance(default, (int, float)):
-        number = int if isinstance(default, int) else (int, float)
-        return isinstance(v, number) and not isinstance(v, bool)
+    if isinstance(default, float):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
     return v is None or isinstance(v, str)
 
 
@@ -117,30 +116,41 @@ def read_header_in(stage: str, path, shape: tuple | None = None):
         return dims
 
 
-def read_in(stage: str, path, shape: tuple | None = None):
-    """read_tensor(path), its header first checked by `read_header_in`."""
-    read_header_in(stage, path, shape)
+def read_in(stage: str, path, shape: tuple | None = None, check=None):
+    """read_tensor(path) in stage `stage` on `path`: its header checked
+    against `shape` before the payload is read, then `check(array)`, which
+    raises to reject it; either is skipped when None."""
+    if shape is not None:
+        read_header_in(stage, path, shape)
     with _stage(stage, path):
-        return read_tensor(path)
+        arr = read_tensor(path)
+        if check is not None:
+            check(arr)
+    return arr
 
 
-def read_labels(stage: str, path, shape: tuple | None = None):
-    """read_in(stage, path, shape), its labels passing `check_labels`
-    under the same stage and path."""
-    labels = read_in(stage, path, shape)
-    with _stage(stage, path):
-        check_labels(labels)
-    return labels
+def finite(name: str):
+    """A `read_in` check: `check_finite` of the array under `name`."""
+    return lambda arr: check_finite(name, arr)
 
 
-def read_depth(stage: str, path):
-    """read_in(stage, path) of a depth map, in which inf means no hit and a
-    NaN raises NumericalError under the same stage and path."""
-    depth = read_in(stage, path)
-    with _stage(stage, path):
-        if (nan := int(np.isnan(depth).sum())):
-            raise NumericalError(f"depth: {nan} NaN")
-    return depth
+def check_depth(depth) -> None:
+    """Raise NumericalError on a NaN in a depth map, where inf is no hit."""
+    if (nan := int(np.isnan(depth).sum())):
+        raise NumericalError(f"depth: {nan} NaN")
+
+
+def read_pyramid(stage: str, occ_path, sem_path, mask_path,
+                 shape: tuple | None = None, levels: int = len(STRIDES)):
+    """The `levels`-scale ground-truth pyramid of the occupancy, label and
+    mask files, each read in `stage` against `shape` (else the occupancy's)
+    and the labels by `check_labels`; `build_pyramid`'s rule fails in
+    `stage` on the occupancy file. One level is the rule alone."""
+    occ = read_in(stage, occ_path, shape)
+    sem = read_in(stage, sem_path, occ.shape, check=check_labels)
+    mask = read_in(stage, mask_path, occ.shape).astype(bool)
+    with _stage(stage, occ_path):
+        return build_pyramid(occ, sem, mask, levels=levels)
 
 
 def read_input(path, parse):
@@ -194,29 +204,26 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
     return build_pooling_index(scaled, frustum(cfg), grid)
 
 
-def read_features(path, idx):
-    """The (N, C, h, w) features of tensor file `path`, checked finite and
-    on the lattice of pooling index `idx`; a failure is one of stage
-    `lift_stack` on `path`."""
-    with _stage("lift_stack", path):
-        feats = read_tensor(path)
+def lift_frame(features_path, logits_path, idx):
+    """Read one frame's (N, C, H, W) features and (N, D, H, W) depth logits,
+    each checked finite and the features on pooling index `idx`'s lattice,
+    and lift them into the float32 (C, nx, ny, nz) grid that is written,
+    and for a past frame warped and stacked. Rows are summed in float64,
+    and the check of the float32 grid catches their overflow. Stage
+    `lift_stack` names the file read, or for the lift the logits file."""
+    n, _, h, w = idx.depth_shape
+
+    def on_lattice(feats):
         check_finite("features", feats)
-        n, _, h, w = idx.depth_shape
         if feats.shape[:1] + feats.shape[2:] != (n, h, w):
             raise ValueError(f"features {feats.shape} on a {h}x{w} rig")
-    return feats
 
-
-def lift_frame(feats: np.ndarray, logits: np.ndarray, idx):
-    """Lift one frame's (N, C, H, W) features through the softmax of its
-    (N, D, H, W) depth logits into the float32 (C, nx, ny, nz) grid that is
-    written, and for a past frame warped and stacked. Each channel row is
-    summed in float64 and stored as float32; the check runs on the float32
-    grid, since a finite float64 sum can overflow float32."""
-    check_finite("depth logits", logits)
-    lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx,
-                           dtype=np.float32)
-    check_finite("lifted grid", lifted)
+    feats = read_in("lift_stack", features_path, check=on_lattice)
+    logits = read_in("lift_stack", logits_path, check=finite("depth logits"))
+    with _stage("lift_stack", logits_path):
+        lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx,
+                               dtype=np.float32)
+        check_finite("lifted grid", lifted)
     return lifted
 
 
@@ -355,11 +362,10 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: multi-scale ground truth (first: it needs no other stage,
     # so a bad label fails before any output is written) ----
-    gt_occ = read_in("gt_pyramid", os.path.join(inp, "gt_occ.msoc"), grid.shape)
-    gt_sem = read_labels("gt_pyramid", os.path.join(inp, "gt_sem.msoc"),
-                         grid.shape)
-    mask = read_in("gt_pyramid", os.path.join(inp, "mask.msoc"),
-                   grid.shape).astype(bool)
+    gt_occ = os.path.join(inp, "gt_occ.msoc")
+    pyramid = read_pyramid("gt_pyramid", gt_occ,
+                           os.path.join(inp, "gt_sem.msoc"),
+                           os.path.join(inp, "mask.msoc"), grid.shape)
     # later stages' inputs are checked before the first write too, only
     # their headers, so no payload is held before the stage that reads it
     depth_path = os.path.join(inp, "gt_depth.msoc")
@@ -371,8 +377,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         read_header_in("loss", head.format("sem", i), (len(CLASS_NAMES), *level))
     preds = os.path.join(inp, "preds")
     prediction_sets = load_prediction_sets(preds, grid.shape)
-    with _stage("gt_pyramid", os.path.join(inp, "gt_occ.msoc")):
-        pyramid = build_pyramid(gt_occ, gt_sem, mask, levels=len(STRIDES))
+    with _stage("gt_pyramid", gt_occ):
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
 
     def frame_path(kind, t, stride):
@@ -384,8 +389,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     feats_prev = read_in("cost_volume", frame_path("features", 0, COST_STRIDE))
     for t in range(1, num_frames):
         path = frame_path("features", t, COST_STRIDE)
+        feats_cur = read_in("cost_volume", path)
         with _stage("cost_volume", path):
-            feats_cur = read_tensor(path)
             rel = relative_ego_motion(poses[t - 1], poses[t])
             for cam in range(len(rig)):
                 cv = cost_volume(cfg, rig, cam, feats_cur, feats_prev, rel)
@@ -400,20 +405,15 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
     vox_dir = os.path.join(out, "voxel")
     os.makedirs(vox_dir, exist_ok=True)
-    current_logits = []  # per stride, reused by the loss stage
     for level, stride in enumerate(STRIDES):
         g = _grid_level(grid, level)
         with _stage("lift_stack", os.path.join(inp, "rig.json")):
             idx = pooling_index(cfg, stride, rig, g)
         aligned = []
         for t in range(1, num_frames):
-            # each input is read and checked under its own path, so an error
-            # names the file at fault
-            feats = read_features(frame_path("features", t, stride), idx)
             path = frame_path("depth_logits", t, stride)
+            block = lift_frame(frame_path("features", t, stride), path, idx)
             with _stage("lift_stack", path):
-                logits = read_tensor(path)
-                block = lift_frame(feats, logits, idx)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"), block)
                 # past frames warp their written grid, as `msocc warp` does
@@ -421,14 +421,13 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                     block = temporal.warp_voxel_grid(
                         block, relative_ego_motion(poses[t], poses[-1]), g)
                 aligned.append(block)
-        current_logits.append(logits)
         stack = temporal.stack_temporal(aligned)
         # identity stands in for the out-of-scope 3D fusion network
         write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"), stack)
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
-        gt_depth = read_depth("loss", depth_path)
+        gt_depth = read_in("loss", depth_path, check=check_depth)
         terms = []
         for i, stride in enumerate(STRIDES):
             # depth supervision at this scale's stride, pixel-center subsampled
@@ -436,7 +435,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             terms.append(scale_losses(
                 cfg, *(read_in("loss", head.format(n, i)) for n in ("occ", "sem")),
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
-                current_logits[i], gt_depth[:, c::stride, c::stride]))
+                read_in("loss", frame_path("depth_logits", num_frames - 1, stride)),
+                gt_depth[:, c::stride, c::stride]))
         report = losses.total_loss(*zip(*terms))
         write_json(os.path.join(out, "loss_report.json"), report)
 
@@ -448,7 +448,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         write_tensor(os.path.join(out, "occ_prob.msoc"),
                      occ_prob.astype(np.float32))
         write_tensor(os.path.join(out, "final_labels.msoc"), final)
-        eval_report = evaluate(final, gt_sem, mask)
+        eval_report = evaluate(final, pyramid.sem[0], pyramid.mask[0])
         write_json(os.path.join(out, "eval_report.json"), eval_report)
 
     write_json(os.path.join(out, "metadata.json"),

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msocc import fixtures, losses, pipeline, postprocess, temporal
+from msocc import cli, fixtures, losses, pipeline, postprocess, temporal
 from msocc.checks import NumericalError
 from msocc.cli import build_parser, main
 from msocc.geometry import RigidTransform, VoxelGridSpec, relative_ego_motion
@@ -909,7 +910,9 @@ def test_nonfinite_semantic_prediction_is_numerical_error(tmp_path, scene_dir,
     assert main(["ensemble", "--preds", str(inp / "preds"),
                  "--out-occ", str(tmp_path / "occ.msoc"),
                  "--out-sem", str(tmp_path / "sem.msoc")]) == 3
-    assert "ensembled semantics" in capsys.readouterr().err
+    # in stage `postprocess` on the predictions, as in `run`
+    assert (f"stage 'postprocess' failed on {inp / 'preds'}: ensembled "
+            "semantics" in capsys.readouterr().err)
     assert not (tmp_path / "sem.msoc").exists()
     assert main(["run", "--input", str(inp), "--output",
                  str(tmp_path / "out")]) == 3
@@ -1301,6 +1304,9 @@ def test_nonfinite_depth_logits_is_numerical_error(tmp_path, scene_dir, capsys,
                  "--depth-logits", str(path), "--rig", str(inp / "rig.json"),
                  "--grid", str(inp / "grid.json"), "--stride", "8",
                  "--out", str(tmp_path / "lifted.msoc")]) == 3
+    assert (f"stage 'lift_stack' failed on {path}: depth logits"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "lifted.msoc").exists()
 
 
 def test_nan_lift_features_names_features_file(tmp_path, scene_dir, capsys):
@@ -1797,3 +1803,114 @@ def test_nan_ground_truth_depth_is_numerical_error(tmp_path, scene_dir,
     assert (f"stage 'loss' failed on {tmp_path / 'sub.msoc'}: depth: 1 NaN"
             in capsys.readouterr().err)
     assert not (tmp_path / "loss.json").exists()
+
+
+@pytest.fixture(scope="module")
+def subcommand_inputs(scene_dir, run_dir, tmp_path_factory):
+    """{command: (its tensor flags' files, its other flags)} of a valid
+    call of each subcommand that reads tensor files, on the run's own
+    files; the output flags are left to the caller."""
+    tmp = tmp_path_factory.mktemp("flags")
+    poses = json.loads((scene_dir / "poses.json").read_text())
+    for t in (0, 1):
+        (tmp / f"pose{t}.json").write_text(json.dumps(poses[t]))
+    (tmp / "identity.json").write_text(
+        json.dumps(RigidTransform.identity().to_dict()))
+    # the depth at the stride-8 pixel centers, and class-id labels
+    write_tensor(tmp / "gt_depth.msoc",
+                 read_tensor(scene_dir / "gt_depth.msoc")[:, 4::8, 4::8])
+    occ_prob = read_tensor(run_dir / "occ_prob.msoc")
+    write_tensor(tmp / "labels.msoc", np.full(occ_prob.shape, 4, np.uint8))
+    feats, logits = scene_dir / "features", scene_dir / "depth_logits"
+    heads, preds = scene_dir / "heads", scene_dir / "preds"
+    rig, grid = str(scene_dir / "rig.json"), str(scene_dir / "grid.json")
+    gt = {"occ": scene_dir / "gt_occ.msoc", "sem": scene_dir / "gt_sem.msoc",
+          "mask": scene_dir / "mask.msoc"}
+    return {
+        "cost-volume": ({"--current": feats / "frame01_stride4.msoc",
+                         "--previous": feats / "frame00_stride4.msoc"},
+                        ["--rig", rig, "--pose-current", str(tmp / "pose1.json"),
+                         "--pose-previous", str(tmp / "pose0.json")]),
+        "lift": ({"--features": feats / "frame01_stride8.msoc",
+                  "--depth-logits": logits / "frame01_stride8.msoc"},
+                 ["--rig", rig, "--grid", grid, "--stride", "8"]),
+        "warp": ({"--input": run_dir / "voxel" / "frame01_scale0.msoc"},
+                 ["--grid", grid, "--transform", str(tmp / "identity.json")]),
+        "gt-downsample": ({f"--{k}": v for k, v in gt.items()}, []),
+        "loss": ({"--occ-logits": heads / "occ_logits_scale0.msoc",
+                  "--sem-logits": heads / "sem_logits_scale0.msoc",
+                  "--gt-occ": gt["occ"], "--gt-sem": gt["sem"],
+                  "--mask": gt["mask"],
+                  "--depth-logits": logits / "frame03_stride8.msoc",
+                  "--gt-depth": tmp / "gt_depth.msoc"}, []),
+        "deaug": ({"--occ": preds / "model_a_entry3_occ.msoc",
+                   "--sem": preds / "model_a_entry3_sem.msoc"},
+                  ["--vox-flip-x", "--vox-flip-y"]),
+        "threshold": ({"--occ-prob": run_dir / "occ_prob.msoc",
+                       "--sem-labels": tmp / "labels.msoc"}, []),
+        "eval": ({"--pred": run_dir / "final_labels.msoc", "--gt": gt["sem"],
+                  "--mask": gt["mask"]}, []),
+    }
+
+
+def _subcommand_argv(inputs, command, out_dir, replaced=None):
+    """argv of `command` over `inputs`, with the tensor flags of the
+    {flag: path} `replaced` on those files, and every output in
+    `out_dir`."""
+    tensors, rest = inputs[command]
+    argv = [command, *rest]
+    for flag, path in {**tensors, **(replaced or {})}.items():
+        argv += [flag, str(path)]
+    outs = ["--out-occ", "--out-sem"] if command == "deaug" else ["--out"]
+    return argv + [a for o in outs for a in (o, str(out_dir / o[2:]))]
+
+
+SUBCOMMAND_STAGES = {"cost-volume": "cost_volume", "lift": "lift_stack",
+                     "warp": "warp", "gt-downsample": "gt_pyramid",
+                     "loss": "loss", "deaug": "deaug",
+                     "threshold": "threshold", "eval": "eval"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_STAGES)
+def test_subcommand_inputs_are_valid(tmp_path, subcommand_inputs, command):
+    # so a failed call below fails on its damaged file alone, where this
+    # call writes its outputs
+    assert main(_subcommand_argv(subcommand_inputs, command, tmp_path)) == 0
+    assert os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("cost-volume", "--current"), ("cost-volume", "--previous"),
+    ("lift", "--features"), ("lift", "--depth-logits"), ("warp", "--input"),
+    ("gt-downsample", "--occ"), ("gt-downsample", "--sem"),
+    ("gt-downsample", "--mask"), ("loss", "--occ-logits"),
+    ("loss", "--sem-logits"), ("loss", "--gt-occ"), ("loss", "--gt-sem"),
+    ("loss", "--mask"), ("loss", "--depth-logits"), ("loss", "--gt-depth"),
+    ("deaug", "--occ"), ("deaug", "--sem"), ("threshold", "--occ-prob"),
+    ("threshold", "--sem-labels"), ("eval", "--pred"), ("eval", "--gt"),
+    ("eval", "--mask"),
+])
+def test_truncated_tensor_flag_names_stage_and_file(
+        tmp_path, subcommand_inputs, capsys, command, flag):
+    # every tensor flag is read in its subcommand's stage, as `run` reads
+    # its files, so the error names the stage and the file at fault
+    data = subcommand_inputs[command][0][flag].read_bytes()
+    bad = tmp_path / "bad.msoc"
+    bad.write_bytes(data[:len(data) // 2])
+    argv = _subcommand_argv(subcommand_inputs, command, tmp_path, {flag: bad})
+    capsys.readouterr()
+    assert main(argv) == 4
+    stage = SUBCOMMAND_STAGES[command]
+    assert f"stage {stage!r} failed on {bad}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.msoc"]
+
+
+def test_cli_imports_no_unnamed_read_or_check():
+    # a subcommand reads and checks each tensor by pipeline.read_in, which
+    # names the stage and the file of a failure
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {a.name.split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    assert not imported & {"read_tensor", "check_finite", "check_gt",
+                           "build_pyramid"}

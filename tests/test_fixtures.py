@@ -157,6 +157,16 @@ class TestMakeScene:
         with pytest.raises(ValueError):
             fixtures.make_scene(num_frames=0)
 
+    def test_mask_starts_past_the_near_plane(self):
+        # two voxel centers on the forward camera's axis, 0.05 m and 0.15 m
+        # in front of it: only the second is past the 0.1 m near plane
+        grid = VoxelGridSpec(2, 1, 1, origin=np.array([0.0, -0.05, 0.75]),
+                             voxel_size=np.array([0.1, 0.1, 0.1]))
+        sc = fixtures.make_scene(grid=grid, num_cameras=1, num_frames=1,
+                                 num_boxes=0)
+        assert sc.rig.cameras[0][1].translation.tolist() == [0.0, 0.0, 0.8]
+        assert sc.mask.ravel().tolist() == [False, True]
+
 
 class TestOracles:
     def test_oracle_predictions_match_gt(self):

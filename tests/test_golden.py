@@ -18,6 +18,8 @@ import numpy as np
 
 from msocc.cli import main
 
+from test_parts import cpus, recorded_parts  # noqa: F401 (a fixture)
+
 TABLE = Path(__file__).with_name("golden_digests.json")
 SCENE = ["--seed", "3", "--cameras", "2", "--boxes", "4", "--frames", "4"]
 
@@ -38,9 +40,19 @@ def synth_and_run(tmp: Path) -> dict:
 
 
 def test_golden_digests(tmp_path):
+    assert_unmoved(synth_and_run(tmp_path))
+
+
+def test_golden_digests_on_threads(tmp_path, cpus, monkeypatch):
+    # parts of 64 voxels, so the warp and the ensemble split this scene
+    seen = recorded_parts(monkeypatch)
+    assert_unmoved(synth_and_run(tmp_path))
+    assert any(a > 0 for a, _ in seen) == (cpus > 1)
+
+
+def assert_unmoved(got: dict) -> None:
     table = json.loads(TABLE.read_text())
     assert table["scene"] == SCENE
-    got = synth_and_run(tmp_path)
     moved = sorted(p for p in table["files"].keys() | got.keys()
                    if table["files"].get(p) != got.get(p))
     assert not moved, "\n".join(

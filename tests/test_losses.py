@@ -186,6 +186,22 @@ class TestFocalSemLoss:
         l2, _ = losses.focal_sem_loss(z, sem, occ, mask, w2)
         assert abs(l2 - 2.0 * l1) < 1e-12 * max(1.0, abs(l2))
 
+    def test_saturated_wrong_class_keeps_a_finite_gradient(self):
+        # class 0 leads the true class 2 by 800 on voxel 0, so its p
+        # underflows to 0: the loss is inf, that voxel's gradient is the
+        # limit wt * (p - one_hot) / n, and no RuntimeWarning is raised
+        gt = np.full((2, 1, 1), 2, np.uint8)
+        occ = np.ones((2, 1, 1), np.uint8)
+        w = losses.ClassWeights(np.ones(2), np.array([1.0, 1.0, 3.0]))
+        z = np.zeros((3, 2, 1, 1))
+        _, plain = losses.focal_sem_loss(z, gt, occ, occ == 1, w, gamma=2.0)
+        z[0, 0] = 800.0
+        loss, grad = losses.focal_sem_loss(z, gt, occ, occ == 1, w, gamma=2.0)
+        assert loss == np.inf
+        assert grad[:, 0, 0, 0].tolist() == [1.5, 0.0, -1.5]
+        # the other voxel keeps its bytes
+        assert grad[:, 1].tobytes() == plain[:, 1].tobytes()
+
     def test_negative_gamma_rejected(self):
         occ = np.ones((1, 1, 1), np.uint8)
         with pytest.raises(ValueError):

@@ -180,11 +180,12 @@ def test_future_version_rejected(tmp_path):
     p = tmp_path / "t.msoc"
     tensorio.write_tensor(p, a)
     raw = bytearray(p.read_bytes())
-    raw[4:6] = struct.pack("<H", 99)
-    p.write_bytes(bytes(raw))
-    with pytest.raises(tensorio.TensorIOError,
-                       match="version 99 is newer than supported 1"):
-        tensorio.read_tensor(p)
+    for version in (tensorio.VERSION + 1, 99):  # the first newer one, too
+        raw[4:6] = struct.pack("<H", version)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(tensorio.TensorIOError,
+                           match=f"version {version} is newer than supported 1"):
+            tensorio.read_tensor(p)
 
 
 def test_dtype_outside_the_format(tmp_path):

@@ -65,17 +65,19 @@ def cmd_cost_volume(args):
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
-    cv = pipeline.cost_volume(_depth_config(args), rig, args.camera, cur,
-                              prev, rel)
+    with pipeline._stage("cost_volume", args.current):
+        cv = pipeline.cost_volume(_depth_config(args), rig, cur, prev, rel)
     write_tensor(args.out, cv)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
 def cmd_lift(args):
-    idx = pipeline.pooling_index(_depth_config(args), args.stride,
-                                 read_input(args.rig, CameraRig.from_json),
-                                 read_input(args.grid, VoxelGridSpec.from_json))
+    rig = read_input(args.rig, CameraRig.from_json)
+    grid = read_input(args.grid, VoxelGridSpec.from_json)
+    with pipeline._stage("lift_stack", args.rig):
+        idx = pipeline.pooling_index(_depth_config(args), args.stride, rig,
+                                     grid)
     out = pipeline.lift_frame(args.features, args.depth_logits, idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
@@ -87,7 +89,8 @@ def cmd_warp(args):
                        check=pipeline.finite("voxel grid"))
     grid = read_input(args.grid, VoxelGridSpec.from_json)
     motion = read_input(args.transform, _parse_transform)
-    out = temporal.warp_voxel_grid(grid_arr, motion, grid, mode=args.mode)
+    with pipeline._stage("warp", args.input):
+        out = temporal.warp_voxel_grid(grid_arr, motion, grid, mode=args.mode)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -111,10 +114,11 @@ def cmd_loss(args):
     gt = pipeline.read_pyramid("loss", args.gt_occ, args.gt_sem, args.mask,
                                levels=1)
     occ = gt.occ[0]
-    lo, ls, ld = pipeline.scale_losses(
-        _depth_config(args), read_in("loss", args.occ_logits, occ.shape),
-        read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)),
-        occ, gt.sem[0], gt.mask[0], *depth)
+    logits = (read_in("loss", args.occ_logits, occ.shape),
+              read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)))
+    with pipeline._stage("loss", args.depth_logits or args.occ_logits):
+        lo, ls, ld = pipeline.scale_losses(_depth_config(args), *logits, occ,
+                                           gt.sem[0], gt.mask[0], *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
@@ -167,9 +171,10 @@ def cmd_threshold(args):
 
 def cmd_eval(args):
     pred = read_in("eval", args.pred, check=check_labels)
-    report = pipeline.evaluate(
-        pred, read_in("eval", args.gt, pred.shape, check=check_labels),
-        read_in("eval", args.mask, pred.shape).astype(bool), args.include_free)
+    gt = read_in("eval", args.gt, pred.shape, check=check_labels)
+    mask = read_in("eval", args.mask, pred.shape).astype(bool)
+    with pipeline._stage("eval", args.mask):
+        report = pipeline.evaluate(pred, gt, mask, args.include_free)
     pipeline.write_json(args.out, report)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -201,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--current", required=True, help="(N, C, H, W) features")
     s.add_argument("--previous", required=True, help="(N, C, H, W) features")
     s.add_argument("--rig", required=True)
-    s.add_argument("--camera", type=int, default=0)
     s.add_argument("--pose-current", required=True)
     s.add_argument("--pose-previous", required=True)
     s.add_argument("--out", required=True)

@@ -21,8 +21,12 @@ N is the rig's camera count, H x W their shared image size, K =
 len(CLASS_NAMES) and s each of COST_STRIDE and STRIDES; scale i of the
 heads and the pyramid goes with STRIDES[i]. The depth bins are 1 m wide,
 from config.json's depth_min to its depth_max. Frames are oldest to
-newest; the last is the current one. The 3D fusion network between
-stacking and the heads is out of scope and replaced by identity.
+newest; the last is the current one. `run_pipeline` writes
+cost_volumes/frame{t:02d}_stride{s}.msoc for t >= 1: frame t swept
+against frame t - 1, one f32 (N, D, H // s, W // s) stack of every
+camera, so at each of STRIDES it has the shape of that frame's depth
+logits. The 3D fusion network between stacking and the heads is out of
+scope and replaced by identity.
 """
 
 from __future__ import annotations
@@ -178,24 +182,23 @@ def frustum(cfg: PipelineConfig) -> FrustumSpec:
     return FrustumSpec(cfg.depth_min, cfg.depth_max)
 
 
-def cost_volume(cfg: PipelineConfig, rig: CameraRig, cam: int,
-                cur: np.ndarray, prev: np.ndarray, rel: RigidTransform):
-    """Plane-sweep cost volume of camera `cam` from the (N, C, H, W) feature
+def cost_volume(cfg: PipelineConfig, rig: CameraRig, cur: np.ndarray,
+                prev: np.ndarray, rel: RigidTransform):
+    """Plane-sweep cost volumes of every camera from the (N, C, H, W) feature
     stacks at COST_STRIDE of the current and previous frame, as the float32
-    (D, H, W) volume that is written and pooled to coarser strides. The
-    sweep runs in float64; the check runs on the float32 volume, since a
+    (N, D, H, W) stack that is written and pooled to coarser strides. Each
+    camera sweeps in float64; its check runs on its float32 volume, since a
     finite float64 value can overflow float32."""
-    if not (cur.shape[:1] == prev.shape[:1] == (len(rig),) and
-            0 <= cam < len(rig)):
-        raise ValueError(f"camera {cam} of features {cur.shape} and "
-                         f"{prev.shape} from a {len(rig)}-camera rig")
-    k, cam_to_ego = rig.cameras[cam]
-    cv = temporal.build_cost_volume(cur[cam], prev[cam], rel,
-                                    k.scaled(COST_STRIDE), frustum(cfg),
-                                    cam_to_ego=cam_to_ego)
-    cv = cv.astype(np.float32)
-    check_finite(f"cost volume camera {cam}", cv)
-    return cv
+    if not cur.shape[:1] == prev.shape[:1] == (len(rig),):
+        raise ValueError(f"features {cur.shape} and {prev.shape} from a "
+                         f"{len(rig)}-camera rig")
+    cv = []
+    for cam, (k, cam_to_ego) in enumerate(rig.cameras):
+        cv.append(temporal.build_cost_volume(
+            cur[cam], prev[cam], rel, k.scaled(COST_STRIDE), frustum(cfg),
+            cam_to_ego=cam_to_ego).astype(np.float32))
+        check_finite(f"cost volume camera {cam}", cv[cam])
+    return np.stack(cv)
 
 
 def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
@@ -391,15 +394,13 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         path = frame_path("features", t, COST_STRIDE)
         feats_cur = read_in("cost_volume", path)
         with _stage("cost_volume", path):
-            rel = relative_ego_motion(poses[t - 1], poses[t])
-            for cam in range(len(rig)):
-                cv = cost_volume(cfg, rig, cam, feats_cur, feats_prev, rel)
-                name = os.path.join(cv_dir, f"frame{t:02d}_cam{cam}_stride{{}}.msoc")
-                write_tensor(name.format(COST_STRIDE), cv)
-                for s in STRIDES:
-                    write_tensor(name.format(s),
-                                 temporal.rescale_cost_volume(cv, s))
-                del cv  # so the next camera's volume is built without it
+            cv = cost_volume(cfg, rig, feats_cur, feats_prev,
+                             relative_ego_motion(poses[t - 1], poses[t]))
+            name = os.path.join(cv_dir, f"frame{t:02d}_stride{{}}.msoc")
+            write_tensor(name.format(COST_STRIDE), cv)
+            for s in STRIDES:
+                write_tensor(name.format(s), temporal.rescale_cost_volume(cv, s))
+            del cv  # so the next frame's stack is built without it
         feats_prev = feats_cur  # each frame is read once
 
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----

@@ -125,15 +125,16 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
 
 
 def rescale_cost_volume(cv: np.ndarray, target_stride: int) -> np.ndarray:
-    """Average-pool the spatial axes of a (D, H, W) volume at COST_STRIDE
-    down to target_stride."""
+    """Average-pool the (H, W) maps at COST_STRIDE of a (D, H, W) volume or
+    an (N, D, H, W) camera stack down to target_stride, each map alone."""
     if target_stride % COST_STRIDE != 0:
         raise ValueError(f"target stride must be a multiple of {COST_STRIDE}")
     factor = target_stride // COST_STRIDE
-    d, h, w = cv.shape
+    *lead, h, w = cv.shape
     if h % factor or w % factor:
         raise ValueError(f"spatial dims {(h, w)} not divisible by {factor}")
-    return cv.reshape(d, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
+    return cv.reshape(*lead, h // factor, factor, w // factor,
+                      factor).mean(axis=(-3, -1))
 
 
 def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,

@@ -18,7 +18,8 @@ import pytest
 from msocc import cli, fixtures, losses, pipeline, postprocess, temporal
 from msocc.checks import NumericalError
 from msocc.cli import build_parser, main
-from msocc.geometry import RigidTransform, VoxelGridSpec, relative_ego_motion
+from msocc.geometry import (CameraRig, RigidTransform, VoxelGridSpec,
+                            relative_ego_motion)
 from msocc.gt_multiscale import FREE
 from msocc.tensorio import read_tensor, write_tensor
 
@@ -74,6 +75,16 @@ def test_run_deterministic(scene_dir, tmp_path):
     assert tree_hash(a) == tree_hash(b)
 
 
+def test_run_without_config_uses_the_defaults(scene_dir, run_dir, tmp_path):
+    # synth writes the default config.json, so leaving it out moves no byte
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    (inp / "config.json").unlink()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 0
+    assert tree_hash(out) == tree_hash(run_dir)
+
+
 def test_identity_motion_stack_blocks_identical(tmp_path):
     sc = fixtures.make_scene(seed=9, num_cameras=2, num_frames=3,
                              image_width=128, image_height=96)
@@ -110,9 +121,11 @@ def test_cost_volume_subcommand(tmp_path, scene_dir):
                "--out", str(tmp_path / "cv.msoc")])
     assert rc == 0
     cv = read_tensor(tmp_path / "cv.msoc")
-    # zero parallax: every hypothesis scores the feature self-correlation
-    want = (feats[0].astype(np.float64) ** 2).mean(axis=0)
-    assert np.allclose(cv[0], want, atol=1e-5)
+    # zero parallax: every camera's every hypothesis scores the feature
+    # self-correlation
+    want = (feats.astype(np.float64) ** 2).mean(axis=1)
+    assert cv.shape[:1] == feats.shape[:1]
+    assert np.allclose(cv, want[:, None], atol=1e-5)
     assert (tmp_path / "cv.msoc.meta.json").exists()
 
 
@@ -203,10 +216,15 @@ def test_deaug_subcommand(tmp_path):
 def test_tta_enumerate_subcommand(tmp_path, capsys):
     rc = main(["tta-enumerate"])
     assert rc == 0
-    tags = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    tags = json.loads(printed)
     assert len(tags) == 8
     assert tags[0] == {"img_hflip": False, "vox_flip_x": False,
                       "vox_flip_y": False}
+    # --out writes what it prints, and prints nothing
+    assert main(["tta-enumerate", "--out", str(tmp_path / "tags.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "tags.json").read_text() + "\n" == printed
 
 
 def test_exit_code_io(tmp_path):
@@ -305,57 +323,87 @@ def test_warp_subcommand_matches_run_stacks(tmp_path, scene_dir, run_dir):
             assert warped.tobytes() == stack[(t - 1) * c:t * c].tobytes()
 
 
-def test_rescaled_cost_volumes_pool_the_written_volume(run_dir):
+def test_rescaled_cost_volumes_pool_the_written_volume(scene_dir, run_dir):
     written = sorted((run_dir / "cost_volumes").glob("*_stride4.msoc"))
-    assert len(written) == 6  # 3 frame pairs, 2 cameras
+    assert len(written) == 3  # one camera stack per frame pair
     for path in written:
         cv = read_tensor(path)
         for s in (8, 16, 32):
-            want = read_tensor(str(path).replace("stride4", f"stride{s}"))
+            name = path.name.replace("stride4", f"stride{s}")
+            want = read_tensor(path.with_name(name))
             got = temporal.rescale_cost_volume(cv, s)
             assert got.dtype == want.dtype == np.float32
             assert got.tobytes() == want.tobytes()
+            # each stride's stack pairs with that frame's depth logits
+            assert want.shape == read_tensor(
+                scene_dir / "depth_logits" / name).shape
+
+
+def test_cost_volume_stack_slices_are_camera_volumes(scene_dir, run_dir):
+    # camera i's slice of a written stack is camera i's own sweep in float32
+    cfg = pipeline.PipelineConfig.from_dict(
+        json.loads((scene_dir / "config.json").read_text()))
+    rig = CameraRig.from_json((scene_dir / "rig.json").read_text())
+    poses = [RigidTransform.from_dict(d)
+             for d in json.loads((scene_dir / "poses.json").read_text())]
+    name = "frame{:02d}_stride4.msoc"
+    feats = [read_tensor(scene_dir / "features" / name.format(t))
+             for t in range(len(poses))]
+    for t in range(1, len(poses)):
+        stack = read_tensor(run_dir / "cost_volumes" / name.format(t))
+        assert stack.shape[:2] == (len(rig), pipeline.frustum(cfg).num_bins)
+        for cam, (k, cam_to_ego) in enumerate(rig.cameras):
+            want = temporal.build_cost_volume(
+                feats[t][cam], feats[t - 1][cam],
+                relative_ego_motion(poses[t - 1], poses[t]),
+                k.scaled(temporal.COST_STRIDE), pipeline.frustum(cfg),
+                cam_to_ego=cam_to_ego)
+            assert stack[cam].tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_cost_volume_subcommand_matches_run(tmp_path, scene_dir, run_dir):
-    # the subcommand takes the run's own (N, C, H, W) feature files
+    # the subcommand takes the run's own (N, C, H, W) feature files and
+    # writes the run's camera stack
     poses = json.loads((scene_dir / "poses.json").read_text())
-    for t in (0, 1):
+    for t in range(len(poses)):
         (tmp_path / f"pose{t}.json").write_text(json.dumps(poses[t]))
-    for cam in (0, 1):
-        out = tmp_path / f"cv{cam}.msoc"
-        rc = main(["cost-volume", "--current",
-                   str(scene_dir / "features" / "frame01_stride4.msoc"),
-                   "--previous",
-                   str(scene_dir / "features" / "frame00_stride4.msoc"),
-                   "--rig", str(scene_dir / "rig.json"), "--camera", str(cam),
-                   "--pose-current", str(tmp_path / "pose1.json"),
-                   "--pose-previous", str(tmp_path / "pose0.json"),
+    feats = str(scene_dir / "features" / "frame{:02d}_stride4.msoc")
+    for t in range(1, len(poses)):
+        out = tmp_path / f"cv{t}.msoc"
+        rc = main(["cost-volume", "--current", feats.format(t),
+                   "--previous", feats.format(t - 1),
+                   "--rig", str(scene_dir / "rig.json"),
+                   "--pose-current", str(tmp_path / f"pose{t}.json"),
+                   "--pose-previous", str(tmp_path / f"pose{t - 1}.json"),
                    "--out", str(out)])
         assert rc == 0
         want = (run_dir / "cost_volumes" /
-                f"frame01_cam{cam}_stride4.msoc").read_bytes()
+                f"frame{t:02d}_stride4.msoc").read_bytes()
         assert out.read_bytes() == want
 
 
-@pytest.mark.parametrize("stride, flags, message", [
+@pytest.mark.parametrize("stride, cameras, message", [
     # the stride-8 features are 12x16; the rig at stride 4 is 24x32
-    (8, [], "features 12x16 vs camera 24x32"),
-    (4, ["--camera", "2"], "camera 2 of features (2, 8, 24, 32)"),
+    (8, 2, "features 12x16 vs camera 24x32"),
+    # the current frame holds one camera of the 2-camera rig
+    (4, 1, "features (1, 8, 24, 32) and (2, 8, 24, 32) from a 2-camera rig"),
 ], ids=["stride", "camera"])
 def test_cost_volume_features_must_fit_rig(tmp_path, scene_dir, capsys,
-                                           stride, flags, message):
-    path = str(scene_dir / "features" / f"frame01_stride{stride}.msoc")
+                                           stride, cameras, message):
+    path = scene_dir / "features" / f"frame01_stride{stride}.msoc"
+    cur = tmp_path / "cur.msoc"
+    write_tensor(cur, read_tensor(path)[:cameras])
     pose = tmp_path / "pose.json"
     pose.write_text(json.dumps(
         json.loads((scene_dir / "poses.json").read_text())[0]))
     capsys.readouterr()
-    assert main(["cost-volume", "--current", path, "--previous", path,
-                 "--rig", str(scene_dir / "rig.json"), *flags,
+    assert main(["cost-volume", "--current", str(cur), "--previous", str(path),
+                 "--rig", str(scene_dir / "rig.json"),
                  "--pose-current", str(pose), "--pose-previous", str(pose),
                  "--out", str(tmp_path / "cv.msoc")]) == 2
-    assert message in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["pose.json"]
+    assert (f"stage 'cost_volume' failed on {cur}: {message}"
+            in capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["cur.msoc", "pose.json"]
 
 
 def test_lift_stride_must_match_features(tmp_path, scene_dir, capsys):
@@ -1456,7 +1504,7 @@ def test_option_surface():
     assert flags == {
         "synth": ["--boxes", "--cameras", "--channels", *depth, "--frames",
                   "--image-height", "--image-width", "--out", "--seed"],
-        "cost-volume": ["--camera", "--current", *depth, "--out",
+        "cost-volume": ["--current", *depth, "--out",
                         "--pose-current", "--pose-previous", "--previous",
                         "--rig"],
         "lift": ["--depth-logits", *depth, "--features", "--grid", "--out",
@@ -1596,9 +1644,17 @@ def _set(*keys_and_value):
      "voxel_size must be finite"),
     ("grid.json", _set("nx", 40.0), "nx must be an int, got 40.0"),
     ("grid.json", _set("nz", True), "nz must be an int, got True"),
+    ("rig.json", _set("cameras", 1, "intrinsics", "fx", 0.0),
+     "focal lengths must be positive"),
+    ("rig.json", _set("cameras", 0, "intrinsics", "width", 0),
+     "image size must be positive"),
+    ("rig.json", _set("cameras", []), "rig needs at least one camera"),
+    ("grid.json", _set("ny", 0), "grid dims must be >= 1"),
+    ("grid.json", _set("voxel_size", 1, 0.0), "voxel_size must be positive"),
 ], ids=["last_pose_nan", "first_pose_nan", "camera_translation_inf",
         "cx_nan", "fy_inf", "width_float", "height_bool", "origin_nan",
-        "voxel_size_inf", "nx_float", "nz_bool"])
+        "voxel_size_inf", "nx_float", "nz_bool", "fx_zero", "width_zero",
+        "no_cameras", "ny_zero", "voxel_size_zero"])
 def test_bad_geometry_fails_in_inputs(tmp_path, scene_dir, capsys, name, edit,
                                       message):
     inp = tmp_path / "inp"
@@ -1672,7 +1728,8 @@ def test_stride_zero_is_validation_error(tmp_path, scene_dir, capsys, command):
         assert "unrecognized arguments: --stride 0" in capsys.readouterr().err
     else:
         assert main(argv) == 2
-        assert "stride must be at least 1, got 0" in capsys.readouterr().err
+        assert (f"stage 'lift_stack' failed on {scene_dir / 'rig.json'}: "
+                "stride must be at least 1, got 0") in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["pose.json"]
 
 
@@ -1902,6 +1959,41 @@ def test_truncated_tensor_flag_names_stage_and_file(
     assert main(argv) == 4
     stage = SUBCOMMAND_STAGES[command]
     assert f"stage {stage!r} failed on {bad}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.msoc"]
+
+
+def _without_depth_term(argv):
+    drop = {i + d for i, a in enumerate(argv)
+            if a in ("--depth-logits", "--gt-depth") for d in (0, 1)}
+    return [a for i, a in enumerate(argv) if i not in drop]
+
+
+@pytest.mark.parametrize("command, flag, damage, named, message", [
+    ("loss", "--depth-logits", lambda a: a[0], "--depth-logits",
+     "depth shape mismatch: logits (12, 12, 16), gt (2, 12, 16)"),
+    ("loss", "--mask", np.zeros_like, "--occ-logits",
+     "empty visibility mask"),
+    ("warp", "--input", lambda a: a[:, ::2], "--input",
+     "grid spec does not match array shape"),
+    ("eval", "--mask", np.zeros_like, "--mask",
+     "no class has any support in the matrix"),
+], ids=["loss_depth", "loss_no_depth", "warp", "eval"])
+def test_stage_work_failure_names_stage_and_file(
+        tmp_path, subcommand_inputs, capsys, command, flag, damage, named,
+        message):
+    # inputs that read and check well but fail the stage's own work fail in
+    # its stage, as in `run`: `loss` on the depth logits (on the occupancy
+    # logits without a depth term), `warp` on its input, `eval` on the mask
+    bad = tmp_path / "bad.msoc"
+    write_tensor(bad, damage(read_tensor(subcommand_inputs[command][0][flag])))
+    argv = _subcommand_argv(subcommand_inputs, command, tmp_path, {flag: bad})
+    if named == "--occ-logits":
+        argv = _without_depth_term(argv)
+    path = argv[argv.index(named) + 1]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert (f"stage {SUBCOMMAND_STAGES[command]!r} failed on {path}: {message}"
+            in capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["bad.msoc"]
 
 

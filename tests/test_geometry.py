@@ -176,6 +176,12 @@ def test_frustum_rejects_non_finite(name, value):
         geo.FrustumSpec(**bins)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_frustum_rejects_non_positive_depth_step(step):
+    with pytest.raises(ValueError, match="depth_step must be positive"):
+        geo.FrustumSpec(depth_min=1.0, depth_max=13.0, depth_step=step)
+
+
 INTRINSICS = dict(fx=400.0, fy=410.0, cx=320.0, cy=240.0, width=640,
                   height=480)
 

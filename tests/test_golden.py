@@ -3,11 +3,14 @@ output of `msocc run`, for one small scene, so a change that moves a byte
 fails tier-1 and names the files it moved.
 
 A change that moves bytes on purpose rewrites the table in the same commit
-(`PYTHONPATH=src python tests/test_golden.py`), lists the moved files and
-the largest change, and never drops a file. The bytes depend on numpy and
-its BLAS (`RigidTransform.apply`'s matmul, the cost volume's einsum), so
-the table records both, and a failure prints the recorded and the current
-versions; a version mismatch is no reason to skip.
+(`PYTHONPATH=src python tests/test_golden.py`, which prints each path it
+adds, drops or moves), lists the moved files and the largest change, and
+never drops a file, with one exception: a file may be dropped only when the
+change shows that its bytes survive in a recorded file, as each camera's
+cost volume survives as a slice of its frame's camera stack. The bytes
+depend on numpy and its BLAS (`RigidTransform.apply`'s matmul, the cost
+volume's einsum), so the table records both, and a failure prints the
+recorded and the current versions; a version mismatch is no reason to skip.
 """
 
 import hashlib
@@ -68,5 +71,12 @@ if __name__ == "__main__":  # rewrite the table from this tree
 
     with tempfile.TemporaryDirectory() as tmp:
         files = synth_and_run(Path(tmp))
+    old = json.loads(TABLE.read_text())["files"]
+    for word, paths in (("added", files.keys() - old),
+                        ("dropped", old.keys() - files),
+                        ("moved", {p for p in files.keys() & old
+                                   if files[p] != old[p]})):
+        for p in sorted(paths):
+            print(word, p)
     TABLE.write_text(json.dumps({**numeric_stack(), "scene": SCENE,
                                  "files": files}, indent=1) + "\n")

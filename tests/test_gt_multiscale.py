@@ -77,6 +77,13 @@ class TestDownsampleSem:
         occ = np.ones((1, 1, 1), np.uint8)
         assert downsample_sem(sem, occ)[0, 0, 0] == 4
 
+    def test_occupied_cell_of_free_children_rejected(self):
+        # build_pyramid's check_gt rules this out; a direct call must too
+        sem = np.full((2, 2, 2), FREE, np.uint8)
+        occ = np.ones((1, 1, 1), np.uint8)
+        with pytest.raises(AssertionError, match="no non-FREE child label"):
+            downsample_sem(sem, occ)
+
     def test_tie_breaks_to_smaller_id(self):
         sem = np.array([2, 2, 2, 7, 7, 7, FREE, FREE],
                        np.uint8).reshape(2, 2, 2)

@@ -78,6 +78,23 @@ class TestClassFrequencyWeights:
 
 
 class TestBceOccLoss:
+    def test_empty_mask_rejected(self):
+        occ = np.ones((2, 2, 2), np.uint8)
+        with pytest.raises(ValueError, match="empty visibility mask"):
+            losses.bce_occ_loss(np.zeros((2, 2, 2)), occ,
+                                np.zeros_like(occ, bool),
+                                losses.ClassWeights.uniform(2))
+
+    @pytest.mark.parametrize("mismatched", ["occ_logits", "gt", "mask"])
+    def test_shape_mismatch_rejected(self, mismatched):
+        args = {"occ_logits": np.zeros((4, 4, 2)),
+                "gt": np.ones((4, 4, 2), np.uint8),
+                "mask": np.ones((4, 4, 2), bool),
+                "w": losses.ClassWeights.uniform(2)}
+        args[mismatched] = args[mismatched][:2, :2]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            losses.bce_occ_loss(**args)
+
     def test_saturated_correct(self):
         occ = np.ones((1, 1, 1), np.uint8)
         z = np.full((1, 1, 1), 50.0)
@@ -309,6 +326,12 @@ class TestDepthLoss:
         with pytest.raises(ValueError):
             losses.depth_loss(np.zeros((59, 3, 4)), np.full((3, 4), 5.0),
                               np.zeros((3, 4), bool), f)
+
+    def test_valid_depth_outside_bins_rejected(self):
+        # a caller's valid mask that admits a depth past depth_max
+        with pytest.raises(ValueError, match="outside the bin range"):
+            losses.depth_loss(np.zeros((59, 3, 4)), np.full((3, 4), 75.0),
+                              np.ones((3, 4), bool), self.frustum())
 
     def test_bin_count_mismatch_rejected(self):
         # 12 logits against the 59 bins of 1-60 m

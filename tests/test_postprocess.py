@@ -349,6 +349,12 @@ class TestThresholds:
         assert t["Driveable Surface"] == 0.96
         assert t["Vegetation"] == 0.92
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            pp.apply_thresholds(np.full((2, 2, 2), 0.5),
+                                np.zeros((2, 2, 1), np.uint8),
+                                pp.DEFAULT_THRESHOLDS)
+
     def test_car_kept(self):
         car = pp.CLASS_NAMES.index("Car")
         occ = np.full((1, 1, 1), 0.95)

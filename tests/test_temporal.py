@@ -381,6 +381,17 @@ class TestRescaleCostVolume:
             6, 4, 2, 8, 2).mean(axis=(2, 4))
         assert np.allclose(once, twice, atol=1e-12)
 
+    def test_camera_stack_pools_each_camera_alone(self):
+        # an (N, D, H, W) stack pools to the bytes of each camera's volume
+        cv = np.random.default_rng(4).standard_normal((3, 5, 8, 16))
+        cv = cv.astype(np.float32)
+        for s in (8, 16, 32):
+            out = temporal.rescale_cost_volume(cv, s)
+            assert out.shape == (3, 5, 32 // s, 64 // s)
+            for cam in range(3):
+                want = temporal.rescale_cost_volume(cv[cam], s)
+                assert out[cam].tobytes() == want.tobytes()
+
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             temporal.rescale_cost_volume(np.zeros((2, 3, 4)), 8)
@@ -573,6 +584,10 @@ class TestStackTemporal:
         assert out.shape[0] == 32
         for i, g in enumerate(grids):
             assert np.array_equal(out[4 * i:4 * (i + 1)], g)
+
+    def test_no_grids_rejected(self):
+        with pytest.raises(ValueError, match="need at least one grid"):
+            temporal.stack_temporal([])
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):

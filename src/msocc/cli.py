@@ -18,7 +18,7 @@ from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_mot
 from .gt_multiscale import CLASS_NAMES, check_labels
 from .pipeline import (NumericalError, PipelineConfig, PipelineStageError,
                        read_in, read_input)
-from .tensorio import TensorIOError, write_tensor
+from .tensorio import TensorIOError, atomic_open, write_tensor
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,8 +114,10 @@ def cmd_loss(args):
     gt = pipeline.read_pyramid("loss", args.gt_occ, args.gt_sem, args.mask,
                                levels=1)
     occ = gt.occ[0]
+    # the semantic head is read one class row at a time, as in `run`
     logits = (read_in("loss", args.occ_logits, occ.shape),
-              read_in("loss", args.sem_logits, (len(CLASS_NAMES), *occ.shape)))
+              pipeline._PredictionFile("loss", args.sem_logits,
+                                       (len(CLASS_NAMES), *occ.shape)))
     with pipeline._stage("loss", args.depth_logits or args.occ_logits):
         lo, ls, ld = pipeline.scale_losses(_depth_config(args), *logits, occ,
                                            gt.sem[0], gt.mask[0], *depth)
@@ -129,7 +131,7 @@ def cmd_tta_enumerate(args):
     text = json.dumps([asdict(t) for t in postprocess.enumerate_tta()],
                       indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_open(args.out, "w") as fh:
             fh.write(text)
     else:
         print(text)

@@ -2,8 +2,9 @@
 stack, and the post-process / evaluation route over a directory of tensors.
 
 Each stage is one function that `run_pipeline` and the CLI subcommands
-both call; it writes no file. A tensor is read by `read_in` (a prediction
-entry, in slabs) in the stage that a failure names with its file.
+both call; it writes no file. A tensor is read by `read_in` in the stage
+that a failure names with its file; a prediction entry is read in slabs,
+and a semantic head one class row at a time, each by `_PredictionFile`.
 
 Input directory layout (as emitted by `msocc synth`):
 
@@ -44,7 +45,8 @@ from .geometry import CameraRig, FrustumSpec, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import CLASS_NAMES, build_pyramid, check_labels
 from .lift_splat import build_pooling_index, lift_and_pool, normalize_depth_logits
 from .temporal import COST_STRIDE
-from .tensorio import TensorIOError, read_header, read_tensor, write_tensor
+from .tensorio import (TensorIOError, atomic_open, read_header, read_tensor,
+                       write_tensor)
 
 
 class PipelineStageError(Exception):
@@ -168,7 +170,7 @@ def read_input(path, parse):
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
@@ -242,13 +244,24 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
                  depth_logits=None, gt_depth=None):
     """Occupancy BCE, semantic focal loss (gamma 2) and depth cross-entropy
     of one scale, with inverse class-frequency weights over the K classes of
-    CLASS_NAMES. `depth_logits` is a (..., D, h, w) stack of camera maps and
-    `gt_depth` the (..., h, w) depth at their pixels; the depth term is the
-    mean over cameras, a camera with no in-range depth counting 0, and is
-    0.0 when no depth is given. A NaN or inf term raises NumericalError."""
+    CLASS_NAMES. `sem_logits` is the (K, *occ.shape) head, as an array or
+    as a `_PredictionFile` whose [k] reads class row k; the focal loss reads
+    it one row at a time and keeps only the masked occupied voxels it
+    scores, so no (K, ...) float64 array is built. `depth_logits` is a
+    (..., D, h, w) stack of camera maps and `gt_depth` the (..., h, w) depth
+    at their pixels; the depth term is the mean over cameras, a camera with
+    no in-range depth counting 0, and is 0.0 when no depth is given. A NaN
+    or inf term raises NumericalError."""
     w = losses.class_frequency_weights(sem, occ, mask)
     lo, _ = losses.bce_occ_loss(occ_logits, occ, mask, w)
-    ls, _ = losses.focal_sem_loss(sem_logits, sem, occ, mask, w)
+    k = len(CLASS_NAMES)
+    if (shape := tuple(sem_logits.shape)) != (k, *occ.shape):
+        raise ValueError(f"semantic head shape mismatch: {shape}, expected "
+                         f"{(k, *occ.shape)}")
+    contrib = np.asarray(mask, dtype=bool) & (occ == 1)
+    zc = np.stack([sem_logits[c][contrib] for c in range(k)])
+    ls, _ = losses.focal_sem_loss(zc, sem[contrib], occ[contrib],
+                                  mask[contrib], w)
     ld = 0.0
     if depth_logits is not None:
         if gt_depth.shape != depth_logits.shape[:-3] + depth_logits.shape[-2:]:
@@ -266,16 +279,21 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
     return lo, ls, ld
 
 
-class _PredictionFile:
-    """An entry file of `load_prediction_sets`, its header checked up front
-    and its payload read, de-augmented, on use: the x-slab [a:b] of an
-    occupancy, or of class row k by [k, a:b] (all of it by [k]). Each read
-    is one of stage `postprocess` on the file. A tag that flips x maps the
-    slab to its mirror in the file, so every read is one contiguous run."""
+_NO_FLIP = postprocess.AugmentationTag(False, False, False)
 
-    def __init__(self, path, tag, shape=None):
-        self.path, self.tag = path, tag
-        self.shape = read_header_in("postprocess", path, shape)
+
+class _PredictionFile:
+    """A tensor file read in parts: an entry of `load_prediction_sets`, or
+    a semantic head of the loss. Its header is checked against `shape` up
+    front, and its payload read, de-augmented by `tag`, on use: the x-slab
+    [a:b] of an occupancy, or of class row k by [k, a:b] (all of it by
+    [k]). The check and each read are ones of stage `stage` on the file. A
+    tag that flips x maps the slab to its mirror in the file, so every read
+    is one contiguous run."""
+
+    def __init__(self, stage, path, shape=None, tag=_NO_FLIP):
+        self.stage, self.path, self.tag = stage, path, tag
+        self.shape = read_header_in(stage, path, shape)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
@@ -286,7 +304,7 @@ class _PredictionFile:
         a, b, _ = xs.indices(nx)
         if self.tag.vox_flip_x:
             a, b = nx - b, nx - a
-        with _stage("postprocess", self.path):
+        with _stage(self.stage, self.path):
             part = read_tensor(self.path, row, (a, b))
         return postprocess.deaugment(self.tag, part)[0]
 
@@ -313,9 +331,9 @@ def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
     def entry(model, j, td):
         tag = postprocess.AugmentationTag(**td)
         path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
-        occ = _PredictionFile(path.format("occ"), tag, shape)
-        return occ, _PredictionFile(path.format("sem"), tag,
-                                    (len(CLASS_NAMES), *occ.shape))
+        occ = _PredictionFile("postprocess", path.format("occ"), shape, tag)
+        return occ, _PredictionFile("postprocess", path.format("sem"),
+                                    (len(CLASS_NAMES), *occ.shape), tag)
 
     return tuple([entry(m, j, td) for j, td in enumerate(tags[f"model_{m}"])]
                  for m in "ab")
@@ -374,10 +392,12 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     depth_path = os.path.join(inp, "gt_depth.msoc")
     read_header_in("loss", depth_path, (len(rig), k0.height, k0.width))
     head = os.path.join(inp, "heads", "{}_logits_scale{}.msoc")
+    sem_heads = []  # read by class row in the loss stage
     for i in range(len(STRIDES)):
         level = _grid_level(grid, i).shape
         read_header_in("loss", head.format("occ", i), level)
-        read_header_in("loss", head.format("sem", i), (len(CLASS_NAMES), *level))
+        sem_heads.append(_PredictionFile("loss", head.format("sem", i),
+                                         (len(CLASS_NAMES), *level)))
     preds = os.path.join(inp, "preds")
     prediction_sets = load_prediction_sets(preds, grid.shape)
     with _stage("gt_pyramid", gt_occ):
@@ -422,6 +442,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                     block = temporal.warp_voxel_grid(
                         block, relative_ego_motion(poses[t], poses[-1]), g)
                 aligned.append(block)
+        del block  # so stack_temporal frees each grid once it is copied
         stack = temporal.stack_temporal(aligned)
         # identity stands in for the out-of-scope 3D fusion network
         write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"), stack)
@@ -434,7 +455,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             # depth supervision at this scale's stride, pixel-center subsampled
             c = stride // 2
             terms.append(scale_losses(
-                cfg, *(read_in("loss", head.format(n, i)) for n in ("occ", "sem")),
+                cfg, read_in("loss", head.format("occ", i)), sem_heads[i],
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
                 read_in("loss", frame_path("depth_logits", num_frames - 1, stride)),
                 gt_depth[:, c::stride, c::stride]))
@@ -471,9 +492,9 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    with open(os.path.join(out_dir, "rig.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "rig.json"), "w") as fh:
         fh.write(scene.rig.to_json())
-    with open(os.path.join(out_dir, "grid.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "grid.json"), "w") as fh:
         fh.write(scene.grid.to_json())
     write_json(os.path.join(out_dir, "poses.json"),
                [p.to_dict() for p in scene.poses])

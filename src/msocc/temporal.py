@@ -212,11 +212,19 @@ def _warp_part(flat_prev, cc, shape, mode, out, start, stop):
 
 
 def stack_temporal(grids: list) -> np.ndarray:
-    """Concatenate K aligned (C, nx, ny, nz) grids along channels, oldest first."""
+    """Concatenate K aligned (C, nx, ny, nz) grids along channels, oldest
+    first, into one stack of the dtype `np.concatenate` would give. Each
+    grid is deleted from the list `grids` once it is copied, so the list
+    ends empty and a grid that only the list holds is freed before the
+    next is copied."""
     if not grids:
         raise ValueError("need at least one grid")
     shape = grids[0].shape
     for g in grids:
         if g.shape != shape:
             raise ValueError("all grids must share shape")
-    return np.concatenate(grids, axis=0)
+    c = shape[0]
+    out = np.empty((len(grids) * c, *shape[1:]), np.result_type(*grids))
+    for start in range(0, len(out), c):
+        out[start:start + c] = grids.pop(0)
+    return out

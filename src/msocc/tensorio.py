@@ -10,6 +10,10 @@ Layout (all multi-byte fields little-endian):
     payload  row-major, densely packed
 
 A 2x3 u8 tensor file is therefore 4 + 2 + 1 + 1 + 16 + 6 = 30 bytes.
+
+`write_tensor` writes through `atomic_open`: a temporary file beside the
+target, renamed over it once complete, so a failed write leaves the target
+as it was.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -37,10 +42,27 @@ class TensorIOError(Exception):
     CLI); the message names the fault."""
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """A file opened in `mode` under a temporary name beside `path`, which
+    replaces `path` once the block ends without an error. On an error the
+    temporary file is removed, so `path` keeps its old bytes, or stays
+    absent."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_tensor(path, array: np.ndarray) -> None:
-    """Write `array` as a tensor file. A C-contiguous little-endian array's
-    own buffer is written as the payload, with no bytes copy; any other
-    array is first made into one."""
+    """Write `array` as a tensor file, by `atomic_open`. A C-contiguous
+    little-endian array's own buffer is written as the payload, with no
+    bytes copy; any other array is first made into one."""
     a = np.asarray(array, order="C")
     dt = a.dtype.newbyteorder("<") if a.dtype.byteorder == ">" else a.dtype
     a = a.astype(dt, copy=False)
@@ -48,7 +70,7 @@ def write_tensor(path, array: np.ndarray) -> None:
         raise TensorIOError(f"unsupported dtype {a.dtype}")
     header = MAGIC + struct.pack("<HBB", VERSION, _DTYPE_CODES[a.dtype], a.ndim)
     header += struct.pack(f"<{a.ndim}Q", *a.shape)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         fh.write(a.data)
 

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -20,7 +21,7 @@ from msocc.checks import NumericalError
 from msocc.cli import build_parser, main
 from msocc.geometry import (CameraRig, RigidTransform, VoxelGridSpec,
                             relative_ego_motion)
-from msocc.gt_multiscale import FREE
+from msocc.gt_multiscale import CLASS_NAMES, FREE
 from msocc.tensorio import read_tensor, write_tensor
 
 
@@ -580,6 +581,87 @@ def test_nonfinite_head_logits_fail_in_loss(tmp_path, scene_dir, capsys):
                  "--out", str(tmp_path / "loss.json")]) == 3
     assert "losses: 1 NaN" in capsys.readouterr().err
     assert not (tmp_path / "loss.json").exists()
+
+
+@pytest.mark.parametrize("scored", [True, False], ids=["scored", "unscored"])
+def test_nonfinite_semantic_head_fails_in_loss_where_scored(
+        tmp_path, scene_dir, run_dir, capsys, scored):
+    # the focal loss reads the head's masked occupied voxels alone: a NaN
+    # there fails `run` and `msocc loss` in stage `loss`, and a NaN outside
+    # the mask changes neither report
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    occ = read_tensor(inp / "gt_occ.msoc")
+    mask = read_tensor(inp / "mask.msoc")
+    at = np.argwhere((mask == 1) & (occ == 1) if scored else mask == 0)[0]
+    path = inp / "heads" / "sem_logits_scale0.msoc"
+    logits = read_tensor(path)
+    logits[(3, *at)] = np.nan
+    write_tensor(path, logits)
+    out = tmp_path / "out"
+
+    def loss_argv(sem_logits, name):
+        return ["loss",
+                "--occ-logits", str(inp / "heads" / "occ_logits_scale0.msoc"),
+                "--sem-logits", str(sem_logits),
+                "--gt-occ", str(inp / "gt_occ.msoc"),
+                "--gt-sem", str(inp / "gt_sem.msoc"),
+                "--mask", str(inp / "mask.msoc"),
+                "--out", str(tmp_path / name)]
+
+    capsys.readouterr()
+    codes = (main(["run", "--input", str(inp), "--output", str(out)]),
+             main(loss_argv(path, "loss.json")))
+    err = capsys.readouterr().err
+    if scored:
+        assert codes == (3, 3)
+        assert err.count("stage 'loss'") == 2
+        assert err.count("losses: 1 NaN") == 2
+        assert not (out / "loss_report.json").exists()
+        assert not (tmp_path / "loss.json").exists()
+        return
+    assert codes == (0, 0)
+    assert (out / "loss_report.json").read_bytes() == \
+        (run_dir / "loss_report.json").read_bytes()
+    assert main(loss_argv(scene_dir / "heads" / "sem_logits_scale0.msoc",
+                          "want.json")) == 0
+    assert (tmp_path / "loss.json").read_bytes() == \
+        (tmp_path / "want.json").read_bytes()
+
+
+def test_loss_reads_the_semantic_head_by_class_row(scene_dir):
+    gt = pipeline.read_pyramid(
+        "loss", *(scene_dir / f"{n}.msoc" for n in ("gt_occ", "gt_sem", "mask")),
+        levels=1)
+    occ, sem, mask = gt.occ[0], gt.sem[0], gt.mask[0]
+    occ_logits = read_tensor(scene_dir / "heads" / "occ_logits_scale0.msoc")
+    path = scene_dir / "heads" / "sem_logits_scale0.msoc"
+    head = pipeline._PredictionFile("loss", path, (len(CLASS_NAMES), *occ.shape))
+    cfg = pipeline.PipelineConfig()
+    row = occ.size * 8  # one float64 row of the grid
+    tracemalloc.start()
+    try:
+        got = pipeline.scale_losses(cfg, occ_logits, head, occ, sem, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pipeline.scale_losses(cfg, occ_logits, read_tensor(path),
+                                        occ, sem, mask)
+    # a (K, nx, ny, nz) float64 head is 17 rows. BCE holds about 7 rows,
+    # and the focal loss's (K, n) arrays over the 9 % of voxels this scene
+    # scores hold about 1.5 rows each
+    assert peak <= 12 * row
+
+
+@pytest.mark.parametrize("shape", [(len(CLASS_NAMES) - 1, 40, 40, 8),
+                                   (len(CLASS_NAMES), 40, 40, 7)],
+                         ids=["class_rows", "grid"])
+def test_scale_losses_rejects_a_head_off_the_grid(shape):
+    occ = np.ones((40, 40, 8), np.uint8)
+    with pytest.raises(ValueError, match=re.escape(
+            f"semantic head shape mismatch: {shape}, expected (17, 40, 40, 8)")):
+        pipeline.scale_losses(pipeline.PipelineConfig(), np.zeros(occ.shape),
+                              np.zeros(shape), occ, occ, occ.astype(bool))
 
 
 def load_workloads():

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,10 +584,67 @@ class TestStackTemporal:
     def test_k8_roundtrip(self):
         rng = np.random.default_rng(8)
         grids = [rng.standard_normal((4, 3, 3, 2)) for _ in range(8)]
-        out = temporal.stack_temporal(grids)
+        # a copy of the list, which stack_temporal empties
+        out = temporal.stack_temporal(list(grids))
         assert out.shape[0] == 32
         for i, g in enumerate(grids):
             assert np.array_equal(out[4 * i:4 * (i + 1)], g)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32),
+                                        (np.float32, np.float64),
+                                        (np.uint8, np.int32)])
+    def test_bytes_and_dtype_of_concatenate(self, dtypes):
+        rng = np.random.default_rng(4)
+        grids = [(rng.standard_normal((2, 3, 3, 2)) * 50).astype(d)
+                 for d in dtypes]
+        want = np.concatenate(grids, axis=0)
+        out = temporal.stack_temporal(list(grids))
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    def test_empties_its_list_and_frees_each_grid(self):
+        tracemalloc.start()
+        try:
+            grids = [np.full((4, 16, 16, 16), float(i)) for i in range(3)]
+            held = tracemalloc.get_traced_memory()[0]
+            out = temporal.stack_temporal(grids)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grids == []
+        assert [out[4 * i:4 * (i + 1)].min() for i in range(3)] == [0, 1, 2]
+        grid = out.nbytes // 3
+        # the stack is the one allocation, and no grid outlives the call:
+        # the stack holds what the three grids held
+        assert peak - held <= out.nbytes + grid // 16
+        assert current - held <= grid // 16
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS as VmHWM")
+    def test_rss_peaks_at_the_stack_plus_one_grid(self):
+        # The stack's pages are touched as each grid is copied in, and each
+        # grid's 16 MiB block is returned once copied, so the peak RSS
+        # rises by one grid above the two held before the call; copying
+        # with both grids kept, as np.concatenate does, rises by two.
+        # VmHWM is the peak of the child's own memory: ru_maxrss would
+        # start at this process's peak, which it inherits across fork.
+        code = (
+            "import numpy as np\n"
+            "from msocc import temporal\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:')) * 1024\n"
+            "grids = [np.ones((2, 1 << 20)) for _ in range(2)]\n"
+            "before = peak()\n"
+            "temporal.stack_temporal(grids)\n"
+            "print(peak() - before)\n")
+        src = str(Path(temporal.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        rise = int(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout)
+        grid = 16 << 20
+        assert rise <= 1.5 * grid
 
     def test_no_grids_rejected(self):
         with pytest.raises(ValueError, match="need at least one grid"):

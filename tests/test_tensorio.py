@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msocc import tensorio
+from msocc import pipeline, tensorio
 
 
 def test_f32_roundtrip(tmp_path):
@@ -149,6 +150,52 @@ def test_write_copies_no_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * a.nbytes
+
+
+class _FailsMidPayload:
+    """A file whose second write, the payload after a tensor's header or a
+    chunk inside a JSON document, stores half its bytes and then raises."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes < 2:
+            return self.fh.write(data)
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes"], ids=["absent", "present"])
+@pytest.mark.parametrize("write", [
+    lambda path: tensorio.write_tensor(path, np.arange(1000.0)),
+    lambda path: pipeline.write_json(path, {"rows": list(range(100))}),
+], ids=["tensor", "json"])
+def test_failed_write_leaves_the_target(tmp_path, monkeypatch, old, write):
+    target = tmp_path / "target"
+    if old is not None:
+        target.write_bytes(old)
+    monkeypatch.setattr(tensorio, "open", lambda path, mode: _FailsMidPayload(
+        open(path, mode)), raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(target)
+    # no temporary file is left, and the target keeps its bytes or absence
+    assert sorted(os.listdir(tmp_path)) == ([] if old is None else ["target"])
+    if old is not None:
+        assert target.read_bytes() == old
+    monkeypatch.undo()
+    write(target)  # a write that completes replaces the target
+    assert os.listdir(tmp_path) == ["target"]
+    assert target.read_bytes() != old
 
 
 def test_bad_magic(tmp_path):

@@ -49,35 +49,37 @@ def _write_meta(path, args):
 
 
 def cmd_synth(args):
+    cfg = _depth_config(args)
     scene = fixtures.make_scene(
         num_cameras=args.cameras, num_frames=args.frames,
         num_boxes=args.boxes, seed=args.seed,
         image_width=args.image_width, image_height=args.image_height)
-    pipeline.emit_inputs(args.out, scene, _depth_config(args),
+    pipeline.emit_inputs(args.out, scene, cfg,
                          channels=args.channels, seed=args.seed)
     _write_meta(os.path.join(args.out, "synth_metadata.json"), args)
     return EXIT_OK
 
 
 def cmd_cost_volume(args):
+    cfg = _depth_config(args)
     cur = read_in("cost_volume", args.current)
     prev = read_in("cost_volume", args.previous)
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
     with pipeline._stage("cost_volume", args.current):
-        cv = pipeline.cost_volume(_depth_config(args), rig, cur, prev, rel)
+        cv = pipeline.cost_volume(cfg, rig, cur, prev, rel)
     write_tensor(args.out, cv)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
 def cmd_lift(args):
+    cfg = _depth_config(args)
     rig = read_input(args.rig, CameraRig.from_json)
     grid = read_input(args.grid, VoxelGridSpec.from_json)
     with pipeline._stage("lift_stack", args.rig):
-        idx = pipeline.pooling_index(_depth_config(args), args.stride, rig,
-                                     grid)
+        idx = pipeline.pooling_index(cfg, args.stride, rig, grid)
     out = pipeline.lift_frame(args.features, args.depth_logits, idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
@@ -104,6 +106,7 @@ def cmd_gt_downsample(args):
 
 
 def cmd_loss(args):
+    cfg = _depth_config(args)
     if bool(args.depth_logits) != bool(args.gt_depth):
         raise ValueError("the depth term needs --"
                          + ("gt-depth" if args.depth_logits else "depth-logits"))
@@ -119,7 +122,7 @@ def cmd_loss(args):
               pipeline._PredictionFile("loss", args.sem_logits,
                                        (len(CLASS_NAMES), *occ.shape)))
     with pipeline._stage("loss", args.depth_logits or args.occ_logits):
-        lo, ls, ld = pipeline.scale_losses(_depth_config(args), *logits, occ,
+        lo, ls, ld = pipeline.scale_losses(cfg, *logits, occ,
                                            gt.sem[0], gt.mask[0], *depth)
     report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
     pipeline.write_json(args.out, report)
@@ -149,10 +152,10 @@ def cmd_deaug(args):
 
 
 def cmd_ensemble(args):
+    cfg = PipelineConfig(ensemble_weights=(args.weight_a, args.weight_b))
     with pipeline._stage("postprocess", args.preds):  # as in `run`
         occ_prob, sem_label = postprocess.ensemble(
-            *pipeline.load_prediction_sets(args.preds),
-            (args.weight_a, args.weight_b))
+            *pipeline.load_prediction_sets(args.preds), cfg.ensemble_weights)
     write_tensor(args.out_occ, occ_prob.astype(np.float32))
     write_tensor(args.out_sem, sem_label)
     _write_meta(args.out_occ + ".meta.json", args)
@@ -219,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth-logits", required=True)
     s.add_argument("--rig", required=True)
     s.add_argument("--grid", required=True)
-    s.add_argument("--stride", type=int, default=pipeline.STRIDES[0])
+    s.add_argument("--stride", type=int, choices=pipeline.STRIDES,
+                   default=pipeline.STRIDES[0])
     s.add_argument("--out", required=True)
     _add_depth_flags(s)
     s.set_defaults(func=cmd_lift)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gt_multiscale import CLASS_NAMES, FREE
 from .geometry import (CameraRig, Intrinsics, RigidTransform, VoxelGridSpec,
-                       pixel_centers, project, unproject)
+                       invert, pixel_centers, project, unproject)
 
 __all__ = [
     "SyntheticScene",
@@ -234,8 +234,7 @@ def make_scene(grid: VoxelGridSpec | None = None, num_cameras: int = 6,
     centers = grid.cell_centers().reshape(-1, 3)
     mask = np.zeros(len(centers), dtype=bool)
     for k, cam_to_ego in rig.cameras:
-        cam_pts = (centers - cam_to_ego.translation) @ cam_to_ego.rotation
-        u, v, z = project(cam_pts, k)
+        u, v, z = project(invert(cam_to_ego).apply(centers), k)
         mask |= (z > 0.1) & (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
     mask = mask.reshape(grid.shape)
 

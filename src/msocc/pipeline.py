@@ -60,31 +60,35 @@ class PipelineStageError(Exception):
 STRIDES = (8, 16, 32)  # image strides of the lifted scales, finest first
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     depth_min: float = 1.0
     depth_max: float = 13.0
     ensemble_weights: tuple = (0.45, 0.55)
     threshold_table: str | None = None  # path; None = built-in defaults
 
+    def __post_init__(self):
+        if len(self.ensemble_weights) != 2:
+            raise ValueError(f"ensemble_weights needs 2 weights, got "
+                             f"{len(self.ensemble_weights)}")
+        if not all(0 < w < np.inf for w in self.ensemble_weights):
+            raise ValueError(f"ensemble_weights must be positive and finite, got "
+                             f"{list(self.ensemble_weights)}")
+        frustum(self)  # the depth bins' own checks
+
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        cfg = cls()
+        if not isinstance(d, dict):
+            raise ValueError(f"config is not a JSON object: {d!r}")
+        defaults = {f.name: f.default for f in fields(cls)}
         for k, v in d.items():
-            if not hasattr(cfg, k):
+            if k not in defaults:
                 raise ValueError(f"unknown config key {k!r}")
-            if not _has_type_of(v, getattr(cfg, k)):
+            if not _has_type_of(v, defaults[k]):
                 raise ValueError(f"config key {k!r} has a value of the wrong "
                                  f"type: {v!r}")
-            setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
-        if len(cfg.ensemble_weights) != 2:
-            raise ValueError(f"ensemble_weights needs 2 weights, got "
-                             f"{len(cfg.ensemble_weights)}")
-        if not all(0 < w < np.inf for w in cfg.ensemble_weights):
-            raise ValueError(f"ensemble_weights must be positive and finite, got "
-                             f"{list(cfg.ensemble_weights)}")
-        frustum(cfg)  # the depth bins' own checks
-        return cfg
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in d.items()})
 
 
 def _has_type_of(v, default) -> bool:
@@ -387,8 +391,18 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     pyramid = read_pyramid("gt_pyramid", gt_occ,
                            os.path.join(inp, "gt_sem.msoc"),
                            os.path.join(inp, "mask.msoc"), grid.shape)
+
+    def frame_path(kind, t, stride):
+        return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
+
     # later stages' inputs are checked before the first write too, only
     # their headers, so no payload is held before the stage that reads it
+    for t in range(num_frames):
+        read_header_in("cost_volume", frame_path("features", t, COST_STRIDE))
+    for s in STRIDES:  # in the order the lift stage reads them
+        for t in range(1, num_frames):
+            for kind in ("features", "depth_logits"):
+                read_header_in("lift_stack", frame_path(kind, t, s))
     depth_path = os.path.join(inp, "gt_depth.msoc")
     read_header_in("loss", depth_path, (len(rig), k0.height, k0.width))
     head = os.path.join(inp, "heads", "{}_logits_scale{}.msoc")
@@ -402,9 +416,6 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     prediction_sets = load_prediction_sets(preds, grid.shape)
     with _stage("gt_pyramid", gt_occ):
         write_pyramid(os.path.join(out, "gt_pyramid"), pyramid)
-
-    def frame_path(kind, t, stride):
-        return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
 
     # ---- stage: cost volumes at COST_STRIDE between adjacent frames ----
     cv_dir = os.path.join(out, "cost_volumes")
@@ -466,9 +477,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     with _stage("postprocess", preds):
         occ_prob, sem_label = postprocess.ensemble(*prediction_sets,
                                                    cfg.ensemble_weights)
+        occ_prob = occ_prob.astype(np.float32)  # thresholded as written
         final = postprocess.apply_thresholds(occ_prob, sem_label, thresholds)
-        write_tensor(os.path.join(out, "occ_prob.msoc"),
-                     occ_prob.astype(np.float32))
+        write_tensor(os.path.join(out, "occ_prob.msoc"), occ_prob)
         write_tensor(os.path.join(out, "final_labels.msoc"), final)
         eval_report = evaluate(final, pyramid.sem[0], pyramid.mask[0])
         write_json(os.path.join(out, "eval_report.json"), eval_report)

@@ -490,6 +490,72 @@ def test_ensemble_subcommand_matches_run(tmp_path, scene_dir, run_dir):
     assert (tmp_path / "occ.msoc.meta.json").exists()
 
 
+def test_gt_downsample_subcommand_matches_run(tmp_path, scene_dir, run_dir):
+    assert main(["gt-downsample", "--occ", str(scene_dir / "gt_occ.msoc"),
+                 "--sem", str(scene_dir / "gt_sem.msoc"),
+                 "--mask", str(scene_dir / "mask.msoc"),
+                 "--out", str(tmp_path / "pyr")]) == 0
+    names = sorted(os.listdir(run_dir / "gt_pyramid"))
+    assert len(names) == 3 * len(pipeline.STRIDES)
+    assert sorted(os.listdir(tmp_path / "pyr")) == sorted(
+        [*names, "metadata.json"])
+    for name in names:
+        assert (tmp_path / "pyr" / name).read_bytes() == \
+            (run_dir / "gt_pyramid" / name).read_bytes(), name
+
+
+def _boundary_predictions(scene_dir, inp):
+    """A copy of scene_dir whose model a entries hold the float32 just
+    below 0.92, model b's 0.92 itself, and whose semantics are one-hot on
+    class 0 (threshold 0.92): the fused float64 falls below the threshold,
+    and its float32, as written, does not."""
+    shutil.copytree(scene_dir, inp)
+    shape = read_tensor(scene_dir / "gt_occ.msoc").shape
+    below = np.nextafter(np.float32(0.92), np.float32(0))
+    sem = np.zeros((len(CLASS_NAMES), *shape), np.float32)
+    sem[0] = 1.0
+    tags = json.loads((inp / "preds" / "tags.json").read_text())
+    for model, value in (("a", below), ("b", np.float32(0.92))):
+        for j in range(len(tags[f"model_{model}"])):
+            entry = inp / "preds" / f"model_{model}_entry{j}_{{}}.msoc"
+            write_tensor(str(entry).format("occ"),
+                         np.full(shape, value, np.float32))
+            write_tensor(str(entry).format("sem"), sem)
+    occ = postprocess.ensemble(*pipeline.load_prediction_sets(
+        str(inp / "preds")), pipeline.PipelineConfig().ensemble_weights)[0]
+    assert (occ < 0.92).all() and (occ.astype(np.float32) >= 0.92).all()
+
+
+@pytest.mark.parametrize("preds", ["golden", "boundary"])
+def test_threshold_subcommand_matches_run(tmp_path, scene_dir, run_dir,
+                                          preds):
+    # `run` thresholds the float32 occ_prob.msoc it writes, so ensemble ->
+    # threshold over its files gives its final_labels.msoc
+    inp, out = scene_dir, run_dir
+    if preds == "boundary":
+        inp, out = tmp_path / "inp", tmp_path / "out"
+        _boundary_predictions(scene_dir, inp)
+        assert main(["run", "--input", str(inp), "--output", str(out)]) == 0
+        assert (read_tensor(out / "final_labels.msoc") == 0).all()
+    assert main(["ensemble", "--preds", str(inp / "preds"),
+                 "--out-occ", str(tmp_path / "occ.msoc"),
+                 "--out-sem", str(tmp_path / "sem.msoc")]) == 0
+    assert main(["threshold", "--occ-prob", str(tmp_path / "occ.msoc"),
+                 "--sem-labels", str(tmp_path / "sem.msoc"),
+                 "--out", str(tmp_path / "final.msoc")]) == 0
+    assert (tmp_path / "final.msoc").read_bytes() == \
+        (out / "final_labels.msoc").read_bytes()
+
+
+def test_eval_subcommand_matches_run(tmp_path, scene_dir, run_dir):
+    assert main(["eval", "--pred", str(run_dir / "final_labels.msoc"),
+                 "--gt", str(scene_dir / "gt_sem.msoc"),
+                 "--mask", str(scene_dir / "mask.msoc"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_bytes() == \
+        (run_dir / "eval_report.json").read_bytes()
+
+
 def test_loss_subcommand_matches_run_scale0(tmp_path, scene_dir, run_dir):
     pyr = run_dir / "gt_pyramid"
     rc = main(["loss",
@@ -870,6 +936,86 @@ def test_non_finite_depth_bins_fail_before_any_stage(tmp_path, scene_dir,
     assert not out.exists()
 
 
+def test_config_is_checked_whenever_made():
+    # every way of making one runs the checks config.json's do
+    with pytest.raises(ValueError, match="depth_min must be positive"):
+        pipeline.PipelineConfig(depth_min=0)
+    with pytest.raises(ValueError, match="needs 2 weights, got 3"):
+        pipeline.PipelineConfig(ensemble_weights=(1.0, 1.0, 1.0))
+    cfg = pipeline.PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.depth_min = 0.0
+    assert pipeline.PipelineConfig.from_dict(
+        {"ensemble_weights": [0.5, 0.5]}) == \
+        pipeline.PipelineConfig(ensemble_weights=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'], ids=["list", "string"])
+def test_config_that_is_no_json_object_fails_in_inputs(tmp_path, scene_dir,
+                                                       capsys, text):
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    (inp / "config.json").write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    assert (f"stage 'inputs' failed on {inp / 'config.json'}: config is not "
+            f"a JSON object: {json.loads(text)!r}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_DEPTH_FLAGS = {
+    "depth_min_negative": (["--depth-min", "-1"], "depth_min must be positive"),
+    "depth_max_below_min": (["--depth-min", "5", "--depth-max", "2"],
+                            "frustum needs at least one depth bin"),
+    "no_depth_bin": (["--depth-max", "0.5"],
+                     "frustum needs at least one depth bin")}
+
+
+BAD_CONFIG_FLAGS = {
+    **{f"{command}-{case}": (command, *BAD_DEPTH_FLAGS[case])
+       for command in ("synth", "cost-volume", "lift", "loss")
+       for case in BAD_DEPTH_FLAGS},
+    "ensemble-weight_b_negative": (
+        "ensemble", ["--weight-b", "-1"],
+        "ensemble_weights must be positive and finite, got [0.45, -1.0]")}
+
+
+@pytest.mark.parametrize("command, flags, message", BAD_CONFIG_FLAGS.values(),
+                         ids=BAD_CONFIG_FLAGS)
+def test_bad_config_flags_fail_before_any_read(
+        tmp_path, subcommand_inputs, capsys, command, flags, message):
+    # every tensor path is missing, so exit 2 shows that the flags failed
+    # in the config's own check, which names no stage, before a file read;
+    # synth makes no directory
+    missing = tmp_path / "missing"
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "inp")]
+    elif command == "ensemble":
+        argv = ["ensemble", "--preds", str(missing), "--out-occ",
+                str(tmp_path / "occ"), "--out-sem", str(tmp_path / "sem")]
+    else:
+        argv = _subcommand_argv(
+            subcommand_inputs, command, tmp_path,
+            dict.fromkeys(subcommand_inputs[command][0], missing))
+    capsys.readouterr()
+    assert main([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "stage" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_loss_bad_depth_flag_fails_without_a_depth_term(
+        tmp_path, subcommand_inputs, capsys):
+    # the depth flags configure the depth term, yet are checked without one
+    argv = _without_depth_term(_subcommand_argv(subcommand_inputs, "loss",
+                                                tmp_path))
+    capsys.readouterr()
+    assert main([*argv, "--depth-min", "0"]) == 2
+    assert "error: depth_min must be positive" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_loss_and_eval_record_numeric_flags(tmp_path, scene_dir):
     rc = main(["loss",
                "--occ-logits", str(scene_dir / "heads" / "occ_logits_scale0.msoc"),
@@ -1083,18 +1229,24 @@ def test_truncated_input_names_stage_and_file(tmp_path, scene_dir, capsys,
     ("gt_depth.msoc", "loss"),
     ("heads/sem_logits_scale1.msoc", "loss"),
     ("preds/model_b_entry3_sem.msoc", "postprocess"),
-], ids=["gt_sem", "mask", "gt_depth", "sem_logits", "pred_entry"])
+    ("features/frame00_stride4.msoc", "cost_volume"),
+    ("features/frame02_stride16.msoc", "lift_stack"),
+    ("depth_logits/frame02_stride16.msoc", "lift_stack"),
+], ids=["gt_sem", "mask", "gt_depth", "sem_logits", "pred_entry",
+        "cost_features", "lift_features", "lift_depth_logits"])
 def test_truncated_tensor_names_its_own_file(tmp_path, scene_dir, capsys,
                                              name, stage):
+    # every input tensor's header is checked before the first write
     inp = tmp_path / "inp"
     shutil.copytree(scene_dir, inp)
     path = inp / name
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
     capsys.readouterr()
-    assert main(["run", "--input", str(inp), "--output",
-                 str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 4
     assert f"stage {stage!r} failed on {path}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _drop_rig_cameras(rig):
@@ -1228,18 +1380,23 @@ def test_damaged_prediction_file_fails_before_any_write(tmp_path, scene_dir,
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
-@pytest.mark.parametrize("flag, value", [("--weight-a", "0"),
-                                         ("--weight-b", "-1")],
-                         ids=["a_zero", "b_negative"])
+@pytest.mark.parametrize("flag, value, weights", [
+    ("--weight-a", "0", "[0.0, 0.55]"), ("--weight-b", "-1", "[0.45, -1.0]")],
+    ids=["a_zero", "b_negative"])
 def test_ensemble_weights_must_be_positive(tmp_path, scene_dir, capsys, flag,
-                                           value):
+                                           value, weights):
+    # the flags make a PipelineConfig, whose check blames them, not the
+    # predictions: no stage is named
     out_occ = tmp_path / "occ.msoc"
     capsys.readouterr()
     assert main(["ensemble", "--preds", str(scene_dir / "preds"), flag, value,
                  "--out-occ", str(out_occ),
                  "--out-sem", str(tmp_path / "sem.msoc")]) == 2
-    assert "two positive finite ensemble weights" in capsys.readouterr().err
-    assert not out_occ.exists()
+    err = capsys.readouterr().err
+    assert (f"error: ensemble_weights must be positive and finite, got "
+            f"{weights}") in err
+    assert "stage" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def _drop_model_b(tags):
@@ -1803,15 +1960,14 @@ def test_stride_zero_is_validation_error(tmp_path, scene_dir, capsys, command):
     argv = [command, *argv, "--rig", str(scene_dir / "rig.json"),
             "--stride", "0", "--out", str(tmp_path / "out.msoc")]
     capsys.readouterr()
-    if command == "cost-volume":  # always at COST_STRIDE: no --stride flag
-        with pytest.raises(SystemExit) as exit_:
-            main(argv)
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --stride 0" in capsys.readouterr().err
-    else:
-        assert main(argv) == 2
-        assert (f"stage 'lift_stack' failed on {scene_dir / 'rig.json'}: "
-                "stride must be at least 1, got 0") in capsys.readouterr().err
+    # cost-volume is always at COST_STRIDE, and lift at one of STRIDES,
+    # so either way argparse rejects the flag and no file is read
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert {"cost-volume": "unrecognized arguments: --stride 0",
+            "lift": "argument --stride: invalid choice: 0 (choose from 8, 16, "
+                    "32)"}[command] in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["pose.json"]
 
 
@@ -2088,3 +2244,29 @@ def test_cli_imports_no_unnamed_read_or_check():
                 for a in node.names}
     assert not imported & {"read_tensor", "check_finite", "check_gt",
                            "build_pyramid"}
+
+
+def test_subcommands_make_their_config_first():
+    # a subcommand with config flags makes its PipelineConfig, whose checks
+    # reject a bad flag, in its first statement, before any file is read,
+    # and hands the flags on only through it
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    configured = sorted(
+        p.get_default("func").__name__ for p in sub.choices.values()
+        if {"--depth-min", "--weight-a"} & set(p._option_string_actions))
+    assert configured == ["cmd_cost_volume", "cmd_ensemble", "cmd_lift",
+                          "cmd_loss", "cmd_synth"]
+    bodies = {node.name: node.body
+              for node in ast.parse(Path(cli.__file__).read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    for name in configured:
+        first, *rest = bodies[name]
+        assert isinstance(first, ast.Assign), name
+        assert isinstance(first.value, ast.Call), name
+        assert first.value.func.id in ("_depth_config", "PipelineConfig"), name
+        assert not [n.attr for stmt in rest for n in ast.walk(stmt)
+                    if isinstance(n, ast.Attribute) and n.attr in (
+                        "depth_min", "depth_max", "weight_a", "weight_b")
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "args"], name

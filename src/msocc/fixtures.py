@@ -86,6 +86,12 @@ def textured_plane_features(d_star: float, k: Intrinsics, channels: int = 32,
     return cur, prev, RigidTransform.from_translation([baseline, 0.0, 0.0])
 
 
+# Rays are marched this many at a time, so a step's work and the working
+# memory are those of one chunk's live rays, whatever the ray count (the
+# size is chosen in CHANGES.md, from time and peak memory).
+RAY_CHUNK = 1 << 12
+
+
 def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
              dirs: np.ndarray) -> np.ndarray:
     """First-hit parameter t along rays p = origin + t * dir through an
@@ -93,14 +99,39 @@ def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
     inf where a ray hits nothing within t = 100.
 
     dirs need not be unit length; t is in units of |dir|.
+
+    The rays are marched RAY_CHUNK at a time, and each step touches only
+    the chunk's live rays: a ray is dropped once it hits or leaves the
+    grid, and only rays that enter the grid get a start cell. Each ray
+    still gets the float operations, in the same order, of a walk that
+    steps every ray (the crossed axis is the first whose next boundary is
+    nearest, argmin's tie rule), so t is the same to the byte.
     """
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     o, d = np.broadcast_arrays(o, d)
-    n_rays = o.shape[0]
-    n = np.array(grid.shape)
-    vs = grid.voxel_size
-    org = grid.origin
+    # occupancy padded by a cell on each side: 0 free, 1 occupied,
+    # 2 outside, so one lookup tells a step's hit from its exit
+    code = np.full(np.array(grid.shape) + 2, 2, dtype=np.uint8)
+    code[1:-1, 1:-1, 1:-1] = np.asarray(occ).astype(bool).reshape(grid.shape)
+    code = code.reshape(-1)
+    t_hit = np.full(len(o), np.inf)
+    for s in range(0, len(o), RAY_CHUNK):
+        chunk = slice(s, s + RAY_CHUNK)
+        _march(code, grid, np.ascontiguousarray(o[chunk].T),
+               np.ascontiguousarray(d[chunk].T), t_hit[chunk])
+    return t_hit
+
+
+def _march(code: np.ndarray, grid: VoxelGridSpec, o: np.ndarray,
+           d: np.ndarray, t_hit: np.ndarray) -> None:
+    """raymarch on one chunk: (3, m) origins and directions, one row per
+    axis, so each per-ray sum, min or max over the axes is a row-wise
+    ufunc. Writes the first hits into t_hit."""
+    nx, ny, nz = grid.shape
+    n = np.array([[nx], [ny], [nz]])
+    vs = grid.voxel_size[:, None]
+    org = grid.origin[:, None]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = (org - o) / d
@@ -112,13 +143,13 @@ def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
     inside_slab = (o >= org) & (o < org + n * vs)
     t1 = np.where(zero, np.where(inside_slab, -np.inf, np.inf), t1)
     t2 = np.where(zero, np.where(inside_slab, np.inf, -np.inf), t2)
-    t_enter = np.maximum(t1.max(axis=1), 0.0)
-    t_exit = np.minimum(t2.min(axis=1), 100.0)
+    t_enter = np.maximum(t1.max(axis=0), 0.0)
+    t_exit = np.minimum(t2.min(axis=0), 100.0)
 
-    active = t_enter < t_exit
+    ray = np.flatnonzero(t_enter < t_exit)
+    o, d, entry_t = o[:, ray], d[:, ray], t_enter[ray]
     eps = 1e-9
-    t = t_enter + eps
-    cell = np.floor((o + t[:, None] * d - org) / vs).astype(np.int64)
+    cell = np.floor((o + (entry_t + eps) * d - org) / vs).astype(np.int64)
     cell = np.clip(cell, 0, n - 1)
     step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -126,34 +157,40 @@ def raymarch(occ: np.ndarray, grid: VoxelGridSpec, origins: np.ndarray,
         next_bound = org + (cell + (step > 0)) * vs
         t_next = np.where(d != 0, (next_bound - o) / d, np.inf)
 
-    t_hit = np.full(n_rays, np.inf)
-    entry_t = t_enter.copy()
-    occ_flat = np.asarray(occ).astype(bool).reshape(-1)
-    strides = np.array([grid.ny * grid.nz, grid.nz, 1])
+    # live-ray state, one row per quantity and axis: t_next xyz, delta xyz
+    # and t_exit in f; the flat index into code, its step xyz and the ray
+    # in i. A step crosses axis a of live ray r at column r of row a, so
+    # its reads and writes are gathers and scatters at a * m + r
+    strides = np.array([[(ny + 2) * (nz + 2)], [nz + 2], [1]])
+    f = np.empty((7, len(ray)))
+    f[0:3], f[3:6], f[6] = t_next, delta, t_exit[ray]
+    i = np.empty((5, len(ray)), dtype=np.int64)
+    i[0], i[1:4], i[4] = ((cell + 1) * strides).sum(axis=0), step * strides, ray
+    state = code[i[0]]
+    cols = np.arange(len(ray))
 
-    max_steps = int(n.sum()) + 4
+    max_steps = nx + ny + nz + 4
     for _ in range(max_steps):
-        if not active.any():
+        past = entry_t > f[6]
+        hit = (state == 1) & ~past
+        t_hit[i[4, hit]] = entry_t[hit]
+        live = np.flatnonzero((state == 0) & ~past)
+        m = len(live)
+        if not m:
             break
-        flat = (cell[active] * strides).sum(axis=1)
-        hit = occ_flat[flat]
-        idx = np.nonzero(active)[0]
-        hit_idx = idx[hit]
-        t_hit[hit_idx] = entry_t[hit_idx]
-        active[hit_idx] = False
-
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
-            break
-        axis = np.argmin(t_next[idx], axis=1)
-        t_cross = t_next[idx, axis]
-        entry_t[idx] = t_cross
-        cell[idx, axis] += step[idx, axis]
-        t_next[idx, axis] += delta[idx, axis]
-        out = ((cell[idx, axis] < 0) | (cell[idx, axis] >= n[axis])
-               | (t_cross > t_exit[idx]))
-        active[idx[out]] = False
-    return t_hit
+        if m < f.shape[1]:
+            f, i = f.take(live, axis=1), i.take(live, axis=1)
+        # cross the first axis whose t_next is the nearest
+        tx, ty, tz = f[0:3]
+        nearest = np.minimum(np.minimum(tx, ty), tz)
+        not_x = tx != nearest
+        k = cols[:m] + m * not_x
+        k += m * (not_x & (ty != nearest))
+        f_flat = f.reshape(-1)
+        entry_t = f_flat[k]
+        f_flat[k] = entry_t + f_flat[k + 3 * m]
+        i[0] += i.reshape(-1)[k + m]
+        state = code[i[0]]
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,13 @@ class PipelineConfig:
     threshold_table: str | None = None  # path; None = built-in defaults
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _has_type_of(v, f.default):
+                raise ValueError(f"config key {f.name!r} has a value of the "
+                                 f"wrong type: {v!r}")
+            if isinstance(v, list):  # as JSON holds it; a tuple hashes
+                object.__setattr__(self, f.name, tuple(v))
         if len(self.ensemble_weights) != 2:
             raise ValueError(f"ensemble_weights needs 2 weights, got "
                              f"{len(self.ensemble_weights)}")
@@ -80,15 +87,11 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         if not isinstance(d, dict):
             raise ValueError(f"config is not a JSON object: {d!r}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        for k, v in d.items():
-            if k not in defaults:
+        names = {f.name for f in fields(cls)}
+        for k in d:
+            if k not in names:
                 raise ValueError(f"unknown config key {k!r}")
-            if not _has_type_of(v, defaults[k]):
-                raise ValueError(f"config key {k!r} has a value of the wrong "
-                                 f"type: {v!r}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in d.items()})
+        return cls(**d)
 
 
 def _has_type_of(v, default) -> bool:

@@ -950,6 +950,24 @@ def test_config_is_checked_whenever_made():
         pipeline.PipelineConfig(ensemble_weights=(0.5, 0.5))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("threshold_table", 5), ("ensemble_weights", (True, 1.0)),
+    ("ensemble_weights", 0.5), ("depth_min", "1"), ("depth_max", None),
+], ids=["table_number", "weight_bool", "weights_number", "depth_min_string",
+        "depth_max_null"])
+def test_config_types_are_checked_whenever_made(key, value):
+    # as config.json's are, before any value check can trip on the type
+    with pytest.raises(ValueError, match=f"config key '{key}' has a value of "
+                                         f"the wrong type"):
+        pipeline.PipelineConfig(**{key: value})
+
+
+def test_config_made_with_a_list_is_a_hashable_tuple():
+    cfg = pipeline.PipelineConfig(ensemble_weights=[0.5, 0.5])
+    assert cfg.ensemble_weights == (0.5, 0.5)
+    assert hash(cfg) == hash(pipeline.PipelineConfig(ensemble_weights=(0.5, 0.5)))
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"x"'], ids=["list", "string"])
 def test_config_that_is_no_json_object_fails_in_inputs(tmp_path, scene_dir,
                                                        capsys, text):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from msocc import geometry as geo
 from msocc.geometry import VoxelGridSpec, voxel_indices
 from msocc.gt_multiscale import FREE
 
-from _reference import four_term_sample
+from _reference import four_term_sample, per_step_raymarch
 
 
 class TestValueNoise:
@@ -72,6 +75,95 @@ class TestRaymarch:
                 assert np.isinf(t[i])
             else:
                 assert abs(t[i] - want) < 0.01
+
+    def dyadic_grid(self):
+        # voxel sizes and origin exact in binary, so boundary times tie
+        return VoxelGridSpec(12, 10, 6, origin=np.array([-3.0, -2.5, -0.5]),
+                             voxel_size=np.array([0.5, 0.5, 0.25]))
+
+    def test_ray_off_a_still_axis_misses_without_warning(self):
+        # outside the x slab with no x motion: no start cell to compute
+        g = self.grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = fixtures.raymarch(np.zeros(g.shape, bool), g,
+                                  [-1.0, 5.0, 5.0], [0.0, 1.0, 0.0])
+        assert np.isinf(t[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bytes_as_the_per_step_walk(self, seed):
+        # a seeded grid of non-cubic voxels away from the origin; more rays
+        # than one chunk and no multiple of it; origins inside occupied
+        # cells, outside the grid and on its faces; still axes; slow rays
+        # that reach t = 100 inside the grid; odd seeds share one origin
+        rng = np.random.default_rng(seed)
+        g = VoxelGridSpec(*(int(x) for x in rng.integers(1, 13, 3)),
+                          origin=rng.uniform(-3, 3, 3),
+                          voxel_size=rng.uniform(0.2, 1.5, 3))
+        occ = rng.random(g.shape) < rng.uniform(0.05, 0.3)
+        m = 2 * fixtures.RAY_CHUNK + 37
+        hi = g.origin + np.array(g.shape) * g.voxel_size
+        o = rng.uniform(g.origin - 3, hi + 3, (m, 3))
+        face = rng.random((m, 3)) < 0.05
+        o = np.where(face, np.where(rng.random((m, 3)) < 0.5, g.origin, hi), o)
+        d = rng.standard_normal((m, 3))
+        d[rng.random((m, 3)) < 0.2] = 0.0
+        d[rng.random(m) < 0.1] *= 1e-3
+        if seed % 2:
+            o = o[:1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = per_step_raymarch(occ, g, o, d)
+        got = fixtures.raymarch(occ, g, o, d)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(want).any() and np.isinf(want).any()
+
+    def test_same_bytes_where_boundaries_tie(self):
+        # origins at cell centers and a whole voxel per unit t along each
+        # moving axis: all moving axes reach their next boundary at the
+        # same t, so the tie rule picks every step's cell
+        g = self.dyadic_grid()
+        occ = np.random.default_rng(0).random(g.shape) < 0.1
+        cells = np.indices(g.shape).reshape(3, -1).T
+        s = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+        o = np.repeat(g.origin + (cells + 0.5) * g.voxel_size, len(s), axis=0)
+        d = np.tile(s * g.voxel_size, (len(cells), 1))
+        with np.errstate(invalid="ignore"):
+            want = per_step_raymarch(occ, g, o, d)
+        assert fixtures.raymarch(occ, g, o, d).tobytes() == want.tobytes()
+
+    def test_longest_walk_is_not_cut_short(self):
+        # center to center across an empty grid's diagonal crosses
+        # nx + ny + nz - 3 boundaries before it hits the far corner cell
+        g = self.dyadic_grid()
+        occ = np.zeros(g.shape, bool)
+        occ[-1, -1, -1] = True
+        near = g.origin + 0.5 * g.voxel_size
+        far = g.origin + (np.array(g.shape) - 0.5) * g.voxel_size
+        t = fixtures.raymarch(occ, g, near, far - near)
+        assert t.tobytes() == per_step_raymarch(occ, g, near, far - near).tobytes()
+        assert 0.9 < t[0] < 1.0
+
+    def test_working_memory_does_not_grow_with_ray_count(self):
+        # bound set before measuring: on 8 chunks of rays, the peak traced
+        # allocation less the (n,) output stays within 10 % + 64 KiB of
+        # that on one chunk (the inputs are made before tracing starts)
+        bound = lambda one: 1.10 * one + 64 * 1024
+        g = VoxelGridSpec(24, 24, 8, origin=np.array([-4.8, -4.8, -1.6]))
+        occ = np.random.default_rng(0).random(g.shape) < 0.02
+        d = np.random.default_rng(1).standard_normal((fixtures.RAY_CHUNK, 3))
+
+        def working_memory(dirs):
+            tracemalloc.start()
+            try:
+                fixtures.raymarch(occ, g, np.zeros(3), dirs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - dirs.shape[0] * 8
+
+        one = working_memory(d)
+        eight = working_memory(np.tile(d, (8, 1)))
+        assert eight <= bound(one), (one, eight)
 
 
 class TestTexturedPlane:
@@ -152,6 +244,16 @@ class TestMakeScene:
         t = fixtures.raymarch(occ, grid, c2e.translation, [1.0, 0.0, 0.0])
         near_face = grid.origin[0] + 30 * grid.voxel_size[0]
         assert abs(t[0] - near_face) <= grid.voxel_size[0]
+
+    def test_marches_through_the_module_global(self, monkeypatch):
+        # perfbench's set-up trace hooks msocc.fixtures.raymarch by name:
+        # without this call it has no fixtures.raymarch span (a KeyError)
+        calls = []
+        march = fixtures.raymarch
+        monkeypatch.setattr(fixtures, "raymarch",
+                            lambda *a: calls.append(1) or march(*a))
+        fixtures.make_scene(num_cameras=2, num_frames=1, seed=1)
+        assert len(calls) == 2
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(ValueError):

@@ -80,7 +80,8 @@ def cmd_lift(args):
     grid = read_input(args.grid, VoxelGridSpec.from_json)
     with pipeline._stage("lift_stack", args.rig):
         idx = pipeline.pooling_index(cfg, args.stride, rig, grid)
-    out = pipeline.lift_frame(args.features, args.depth_logits, idx)
+    out = pipeline.lift_frame(*(pipeline._InputFile("lift_stack", path) for path
+                                in (args.features, args.depth_logits)), idx)
     write_tensor(args.out, out)
     _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
@@ -119,8 +120,8 @@ def cmd_loss(args):
     occ = gt.occ[0]
     # the semantic head is read one class row at a time, as in `run`
     logits = (read_in("loss", args.occ_logits, occ.shape),
-              pipeline._PredictionFile("loss", args.sem_logits,
-                                       (len(CLASS_NAMES), *occ.shape)))
+              pipeline._InputFile("loss", args.sem_logits,
+                                  (len(CLASS_NAMES), *occ.shape)))
     with pipeline._stage("loss", args.depth_logits or args.occ_logits):
         lo, ls, ld = pipeline.scale_losses(cfg, *logits, occ,
                                            gt.sem[0], gt.mask[0], *depth)

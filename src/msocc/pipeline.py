@@ -2,9 +2,9 @@
 stack, and the post-process / evaluation route over a directory of tensors.
 
 Each stage is one function that `run_pipeline` and the CLI subcommands
-both call; it writes no file. A tensor is read by `read_in` in the stage
-that a failure names with its file; a prediction entry is read in slabs,
-and a semantic head one class row at a time, each by `_PredictionFile`.
+both call; it writes no file. Each tensor input is an `_InputFile`, its
+header checked when made, before `run_pipeline`'s first write, and its
+payload read in the stage that a failure names with its file.
 
 Input directory layout (as emitted by `msocc synth`):
 
@@ -20,9 +20,10 @@ Input directory layout (as emitted by `msocc synth`):
 
 N is the rig's camera count, H x W their shared image size, K =
 len(CLASS_NAMES) and s each of COST_STRIDE and STRIDES; scale i of the
-heads and the pyramid goes with STRIDES[i]. The depth bins are 1 m wide,
-from config.json's depth_min to its depth_max. Frames are oldest to
-newest; the last is the current one. `run_pipeline` writes
+heads and the pyramid goes with STRIDES[i]. The D depth bins are 1 m wide,
+from config.json's depth_min to its depth_max. C is one channel count per
+stride, shared by every frame `run_pipeline` reads at it. Frames are
+oldest to newest; the last is the current one. `run_pipeline` writes
 cost_volumes/frame{t:02d}_stride{s}.msoc for t >= 1: frame t swept
 against frame t - 1, one f32 (N, D, H // s, W // s) stack of every
 camera, so at each of STRIDES it has the shape of that frame's depth
@@ -119,27 +120,48 @@ def read_text(path) -> str:
         return fh.read()
 
 
-def read_header_in(stage: str, path, shape: tuple | None = None):
-    """The dims of tensor file `path`, payload unread; a failure, or dims
-    other than `shape`, is one of `stage` on `path`."""
-    with _stage(stage, path), open(path, "rb", buffering=0) as fh:
-        _, dims = read_header(fh, path)
-        if shape is not None and dims != tuple(shape):
-            raise ValueError(f"shape {dims}, expected {tuple(shape)}")
-        return dims
+class _InputFile:
+    """Tensor file `path`, its header checked against `shape` when made (an
+    axis given as None may have any size). Its payload is read on use: all
+    of it by .read(check), then `check(array)` raises to reject it; or one
+    part de-augmented by `tag`, the x-slab [a:b] of an occupancy or of class
+    row k by [k, a:b] (all of row k by [k]). A tag that flips x maps the
+    slab to its mirror in the file, so every read is one contiguous run.
+    The header check and each read are ones of stage `stage` on the file."""
+
+    def __init__(self, stage, path, shape=None,
+                 tag=postprocess.AugmentationTag(False, False, False)):
+        self.stage, self.path, self.tag = stage, path, tag
+        with _stage(stage, path), open(path, "rb", buffering=0) as fh:
+            _, self.shape = read_header(fh, path)
+            if shape is not None and not (len(self.shape) == len(shape) and all(
+                    e is None or d == e for d, e in zip(self.shape, shape))):
+                raise ValueError(f"shape {self.shape}, expected {tuple(shape)}")
+
+    def read(self, check=None):
+        with _stage(self.stage, self.path):
+            arr = read_tensor(self.path)
+            if check is not None:
+                check(arr)
+        return arr
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        if len(self.shape) == 3:  # an occupancy has no class axis
+            key = (None, *key)
+        row, xs = (*key, slice(None))[:2]
+        nx = self.shape[-3]
+        a, b, _ = xs.indices(nx)
+        if self.tag.vox_flip_x:
+            a, b = nx - b, nx - a
+        with _stage(self.stage, self.path):
+            part = read_tensor(self.path, row, (a, b))
+        return postprocess.deaugment(self.tag, part)[0]
 
 
 def read_in(stage: str, path, shape: tuple | None = None, check=None):
-    """read_tensor(path) in stage `stage` on `path`: its header checked
-    against `shape` before the payload is read, then `check(array)`, which
-    raises to reject it; either is skipped when None."""
-    if shape is not None:
-        read_header_in(stage, path, shape)
-    with _stage(stage, path):
-        arr = read_tensor(path)
-        if check is not None:
-            check(arr)
-    return arr
+    """The whole tensor file `path`, read by `_InputFile`'s rules."""
+    return _InputFile(stage, path, shape).read(check)
 
 
 def finite(name: str):
@@ -216,7 +238,7 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
     return build_pooling_index(scaled, frustum(cfg), grid)
 
 
-def lift_frame(features_path, logits_path, idx):
+def lift_frame(features: _InputFile, logits: _InputFile, idx):
     """Read one frame's (N, C, H, W) features and (N, D, H, W) depth logits,
     each checked finite and the features on pooling index `idx`'s lattice,
     and lift them into the float32 (C, nx, ny, nz) grid that is written,
@@ -230,10 +252,10 @@ def lift_frame(features_path, logits_path, idx):
         if feats.shape[:1] + feats.shape[2:] != (n, h, w):
             raise ValueError(f"features {feats.shape} on a {h}x{w} rig")
 
-    feats = read_in("lift_stack", features_path, check=on_lattice)
-    logits = read_in("lift_stack", logits_path, check=finite("depth logits"))
-    with _stage("lift_stack", logits_path):
-        lifted = lift_and_pool(feats, normalize_depth_logits(logits), idx,
+    feats = features.read(on_lattice)
+    z = logits.read(finite("depth logits"))
+    with _stage("lift_stack", logits.path):
+        lifted = lift_and_pool(feats, normalize_depth_logits(z), idx,
                                dtype=np.float32)
         check_finite("lifted grid", lifted)
     return lifted
@@ -252,7 +274,7 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
     """Occupancy BCE, semantic focal loss (gamma 2) and depth cross-entropy
     of one scale, with inverse class-frequency weights over the K classes of
     CLASS_NAMES. `sem_logits` is the (K, *occ.shape) head, as an array or
-    as a `_PredictionFile` whose [k] reads class row k; the focal loss reads
+    as a `_InputFile` whose [k] reads class row k; the focal loss reads
     it one row at a time and keeps only the masked occupied voxels it
     scores, so no (K, ...) float64 array is built. `depth_logits` is a
     (..., D, h, w) stack of camera maps and `gt_depth` the (..., h, w) depth
@@ -286,40 +308,10 @@ def scale_losses(cfg: PipelineConfig, occ_logits, sem_logits, occ, sem, mask,
     return lo, ls, ld
 
 
-_NO_FLIP = postprocess.AugmentationTag(False, False, False)
-
-
-class _PredictionFile:
-    """A tensor file read in parts: an entry of `load_prediction_sets`, or
-    a semantic head of the loss. Its header is checked against `shape` up
-    front, and its payload read, de-augmented by `tag`, on use: the x-slab
-    [a:b] of an occupancy, or of class row k by [k, a:b] (all of it by
-    [k]). The check and each read are ones of stage `stage` on the file. A
-    tag that flips x maps the slab to its mirror in the file, so every read
-    is one contiguous run."""
-
-    def __init__(self, stage, path, shape=None, tag=_NO_FLIP):
-        self.stage, self.path, self.tag = stage, path, tag
-        self.shape = read_header_in(stage, path, shape)
-
-    def __getitem__(self, key):
-        key = key if isinstance(key, tuple) else (key,)
-        if len(self.shape) == 3:  # an occupancy has no class axis
-            key = (None, *key)
-        row, xs = (*key, slice(None))[:2]
-        nx = self.shape[-3]
-        a, b, _ = xs.indices(nx)
-        if self.tag.vox_flip_x:
-            a, b = nx - b, nx - a
-        with _stage(self.stage, self.path):
-            part = read_tensor(self.path, row, (a, b))
-        return postprocess.deaugment(self.tag, part)[0]
-
-
 def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
     """Read and check tags.json, with at least one entry per model, and
     every entry file's header, the occ entries against `shape` when given;
-    return each model's entries as (occ, sem) pairs of `_PredictionFile`s.
+    return each model's entries as (occ, sem) pairs of `_InputFile`s.
     A failure is one of stage `postprocess` on the file at fault."""
     path = os.path.join(preds_dir, "tags.json")
     names = {f.name for f in fields(postprocess.AugmentationTag)}
@@ -338,9 +330,9 @@ def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
     def entry(model, j, td):
         tag = postprocess.AugmentationTag(**td)
         path = os.path.join(preds_dir, f"model_{model}_entry{j}_{{}}.msoc")
-        occ = _PredictionFile("postprocess", path.format("occ"), shape, tag)
-        return occ, _PredictionFile("postprocess", path.format("sem"),
-                                    (len(CLASS_NAMES), *occ.shape), tag)
+        occ = _InputFile("postprocess", path.format("occ"), shape, tag)
+        return occ, _InputFile("postprocess", path.format("sem"),
+                               (len(CLASS_NAMES), *occ.shape), tag)
 
     return tuple([entry(m, j, td) for j, td in enumerate(tags[f"model_{m}"])]
                  for m in "ab")
@@ -395,26 +387,32 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                            os.path.join(inp, "gt_sem.msoc"),
                            os.path.join(inp, "mask.msoc"), grid.shape)
 
-    def frame_path(kind, t, stride):
-        return os.path.join(inp, kind, f"frame{t:02d}_stride{stride}.msoc")
+    # later stages' inputs get their handles, which check each header,
+    # before the first write. Frame t at stride s is (N, depth, H // s,
+    # W // s), any depth when None, and has the shape of the first in `got`
+    def frame(got, stage, kind, t, s, depth=None):
+        got.append(_InputFile(stage, os.path.join(
+            inp, kind, f"frame{t:02d}_stride{s}.msoc"), got[0].shape if got
+            else (len(rig), depth, k0.height // s, k0.width // s)))
 
-    # later stages' inputs are checked before the first write too, only
-    # their headers, so no payload is held before the stage that reads it
+    cv_feats = []
     for t in range(num_frames):
-        read_header_in("cost_volume", frame_path("features", t, COST_STRIDE))
-    for s in STRIDES:  # in the order the lift stage reads them
+        frame(cv_feats, "cost_volume", "features", t, COST_STRIDE)
+    lifts = [([], []) for _ in STRIDES]  # each lifted frame's features, logits
+    for (feats, logits), s in zip(lifts, STRIDES):
         for t in range(1, num_frames):
-            for kind in ("features", "depth_logits"):
-                read_header_in("lift_stack", frame_path(kind, t, s))
-    depth_path = os.path.join(inp, "gt_depth.msoc")
-    read_header_in("loss", depth_path, (len(rig), k0.height, k0.width))
-    head = os.path.join(inp, "heads", "{}_logits_scale{}.msoc")
-    sem_heads = []  # read by class row in the loss stage
+            frame(feats, "lift_stack", "features", t, s)
+            frame(logits, "lift_stack", "depth_logits", t, s,
+                  frustum(cfg).num_bins)
+    gt_depth = _InputFile("loss", os.path.join(inp, "gt_depth.msoc"),
+                          (len(rig), k0.height, k0.width))
+    heads = []  # per scale, the occupancy and semantic head
     for i in range(len(STRIDES)):
         level = _grid_level(grid, i).shape
-        read_header_in("loss", head.format("occ", i), level)
-        sem_heads.append(_PredictionFile("loss", head.format("sem", i),
-                                         (len(CLASS_NAMES), *level)))
+        head = os.path.join(inp, "heads", f"{{}}_logits_scale{i}.msoc")
+        heads.append((_InputFile("loss", head.format("occ"), level),
+                      _InputFile("loss", head.format("sem"),
+                                 (len(CLASS_NAMES), *level))))
     preds = os.path.join(inp, "preds")
     prediction_sets = load_prediction_sets(preds, grid.shape)
     with _stage("gt_pyramid", gt_occ):
@@ -422,14 +420,13 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: cost volumes at COST_STRIDE between adjacent frames ----
     cv_dir = os.path.join(out, "cost_volumes")
-    os.makedirs(cv_dir, exist_ok=True)
-    feats_prev = read_in("cost_volume", frame_path("features", 0, COST_STRIDE))
+    feats_prev = cv_feats[0].read()
     for t in range(1, num_frames):
-        path = frame_path("features", t, COST_STRIDE)
-        feats_cur = read_in("cost_volume", path)
-        with _stage("cost_volume", path):
+        feats_cur = cv_feats[t].read()
+        with _stage("cost_volume", cv_feats[t].path):
             cv = cost_volume(cfg, rig, feats_cur, feats_prev,
                              relative_ego_motion(poses[t - 1], poses[t]))
+            os.makedirs(cv_dir, exist_ok=True)
             name = os.path.join(cv_dir, f"frame{t:02d}_stride{{}}.msoc")
             write_tensor(name.format(COST_STRIDE), cv)
             for s in STRIDES:
@@ -439,16 +436,15 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
 
     # ---- stage: lift + temporal stack per scale (earliest frame dropped) ----
     vox_dir = os.path.join(out, "voxel")
-    os.makedirs(vox_dir, exist_ok=True)
-    for level, stride in enumerate(STRIDES):
+    for level, (stride, (feats, logits)) in enumerate(zip(STRIDES, lifts)):
         g = _grid_level(grid, level)
         with _stage("lift_stack", os.path.join(inp, "rig.json")):
             idx = pooling_index(cfg, stride, rig, g)
         aligned = []
-        for t in range(1, num_frames):
-            path = frame_path("depth_logits", t, stride)
-            block = lift_frame(frame_path("features", t, stride), path, idx)
-            with _stage("lift_stack", path):
+        for t, (features, depths) in enumerate(zip(feats, logits), start=1):
+            block = lift_frame(features, depths, idx)
+            with _stage("lift_stack", depths.path):
+                os.makedirs(vox_dir, exist_ok=True)
                 write_tensor(os.path.join(
                     vox_dir, f"frame{t:02d}_scale{level}.msoc"), block)
                 # past frames warp their written grid, as `msocc warp` does
@@ -457,22 +453,22 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                         block, relative_ego_motion(poses[t], poses[-1]), g)
                 aligned.append(block)
         del block  # so stack_temporal frees each grid once it is copied
-        stack = temporal.stack_temporal(aligned)
         # identity stands in for the out-of-scope 3D fusion network
-        write_tensor(os.path.join(vox_dir, f"stack_scale{level}.msoc"), stack)
+        path = os.path.join(vox_dir, f"stack_scale{level}.msoc")
+        with _stage("lift_stack", path):
+            write_tensor(path, temporal.stack_temporal(aligned))
 
     # ---- stage: loss report against the pyramid ----
     with _stage("loss", os.path.join(inp, "heads")):
-        gt_depth = read_in("loss", depth_path, check=check_depth)
+        depth = gt_depth.read(check_depth)
         terms = []
-        for i, stride in enumerate(STRIDES):
+        for i, (stride, (occ_head, sem_head)) in enumerate(zip(STRIDES, heads)):
             # depth supervision at this scale's stride, pixel-center subsampled
             c = stride // 2
             terms.append(scale_losses(
-                cfg, read_in("loss", head.format("occ", i)), sem_heads[i],
+                cfg, occ_head.read(), sem_head,
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
-                read_in("loss", frame_path("depth_logits", num_frames - 1, stride)),
-                gt_depth[:, c::stride, c::stride]))
+                lifts[i][1][-1].read(), depth[:, c::stride, c::stride]))
         report = losses.total_loss(*zip(*terms))
         write_json(os.path.join(out, "loss_report.json"), report)
 
@@ -487,8 +483,9 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         eval_report = evaluate(final, pyramid.sem[0], pyramid.mask[0])
         write_json(os.path.join(out, "eval_report.json"), eval_report)
 
-    write_json(os.path.join(out, "metadata.json"),
-               {"config": asdict(cfg), "num_frames": num_frames})
+    path = os.path.join(out, "metadata.json")
+    with _stage("metadata", path):
+        write_json(path, {"config": asdict(cfg), "num_frames": num_frames})
     return {"loss": report, "eval": eval_report}
 
 
@@ -560,10 +557,11 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     tag_dicts = [asdict(t) for t in tags]
     write_json(os.path.join(out_dir, "preds", "tags.json"),
                {"model_a": tag_dicts, "model_b": tag_dicts})
-    for model in ("a", "b"):
-        for j, tag in enumerate(tags):
-            # the flips are involutions, so deaugment also augments
-            for name, vol in zip(("occ", "sem"),
-                                 postprocess.deaugment(tag, occ_prob, sem_prob)):
+    for j, tag in enumerate(tags):
+        # the flips are involutions, so deaugment also augments
+        for name, vol in zip(("occ", "sem"),
+                             postprocess.deaugment(tag, occ_prob, sem_prob)):
+            vol = np.ascontiguousarray(vol)  # one copy for both models
+            for model in "ab":
                 write_tensor(os.path.join(
                     out_dir, "preds", f"model_{model}_entry{j}_{name}.msoc"), vol)

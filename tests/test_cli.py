@@ -430,11 +430,12 @@ def test_run_features_off_the_rig_lattice_name_their_file(tmp_path, scene_dir,
     path = inp / "features" / "frame01_stride8.msoc"
     shutil.copy(inp / "features" / "frame01_stride4.msoc", path)
     capsys.readouterr()
-    assert main(["run", "--input", str(inp), "--output",
-                 str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"stage 'lift_stack' failed on {path}: features" in err
-    assert "on a 12x16 rig" in err
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    # the header check, before the first write, sees the stride-4 lattice
+    assert (f"stage 'lift_stack' failed on {path}: shape (2, 8, 24, 32), "
+            f"expected (2, None, 12, 16)") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rig_of_mixed_image_sizes_fails_in_inputs(tmp_path, scene_dir, capsys):
@@ -702,7 +703,7 @@ def test_loss_reads_the_semantic_head_by_class_row(scene_dir):
     occ, sem, mask = gt.occ[0], gt.sem[0], gt.mask[0]
     occ_logits = read_tensor(scene_dir / "heads" / "occ_logits_scale0.msoc")
     path = scene_dir / "heads" / "sem_logits_scale0.msoc"
-    head = pipeline._PredictionFile("loss", path, (len(CLASS_NAMES), *occ.shape))
+    head = pipeline._InputFile("loss", path, (len(CLASS_NAMES), *occ.shape))
     cfg = pipeline.PipelineConfig()
     row = occ.size * 8  # one float64 row of the grid
     tracemalloc.start()
@@ -1265,6 +1266,79 @@ def test_truncated_tensor_names_its_own_file(tmp_path, scene_dir, capsys,
     assert main(["run", "--input", str(inp), "--output", str(out)]) == 4
     assert f"stage {stage!r} failed on {path}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _one_channel_fewer(arr):
+    return arr[:, :-1]
+
+
+def _one_column_fewer(arr):
+    return arr[..., :-1]
+
+
+@pytest.mark.parametrize("name, damage, stage, want", [
+    ("features/frame02_stride4.msoc", _one_channel_fewer, "cost_volume",
+     (2, 8, 24, 32)),
+    ("features/frame00_stride4.msoc", _one_column_fewer, "cost_volume",
+     (2, None, 24, 32)),
+    ("features/frame01_stride32.msoc", _one_column_fewer, "lift_stack",
+     (2, None, 3, 4)),
+    ("depth_logits/frame02_stride8.msoc", _one_channel_fewer, "lift_stack",
+     (2, 12, 12, 16)),
+    ("depth_logits/frame03_stride32.msoc", _one_column_fewer, "lift_stack",
+     (2, 12, 3, 4)),
+    ("features/frame03_stride16.msoc", _one_channel_fewer, "lift_stack",
+     (2, 8, 6, 8)),
+], ids=["cost_channels", "cost_lattice", "lift_lattice", "depth_bins",
+        "depth_lattice", "lift_channels"])
+def test_frame_tensor_of_another_shape_fails_before_any_write(
+        tmp_path, scene_dir, capsys, name, damage, stage, want):
+    # a frame tensor has (N, C, H // s, W // s) or (N, D, H // s, W // s),
+    # and every later frame at a stride the first one's shape, C included;
+    # the 2-camera 128x96 scene has 8 channels and 12 depth bins
+    inp = tmp_path / "inp"
+    shutil.copytree(scene_dir, inp)
+    path = inp / name
+    arr = damage(read_tensor(path))
+    write_tensor(path, arr)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 2
+    assert (f"stage {stage!r} failed on {path}: shape {arr.shape}, "
+            f"expected {want}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _output_stage(rel):
+    """The stage of `run` that writes output `rel`."""
+    stages = {"gt_pyramid": "gt_pyramid", "cost_volumes": "cost_volume",
+              "voxel": "lift_stack", "loss_report.json": "loss",
+              "metadata.json": "metadata"}
+    return stages.get(rel.split("/")[0], "postprocess")
+
+
+def test_every_write_of_run_names_its_stage(tmp_path, run_dir, scene_dir,
+                                            capsys):
+    # a directory on each output path, or a file on each output directory,
+    # fails that write with exit 4 in the stage that writes it
+    written = sorted(p.relative_to(run_dir).as_posix()
+                     for p in run_dir.rglob("*"))
+    assert {"voxel/stack_scale0.msoc", "metadata.json", "voxel",
+            "cost_volumes"} <= set(written)
+    for i, rel in enumerate(written):
+        out = tmp_path / f"out{i}"
+        if (run_dir / rel).is_dir():
+            (out / rel).parent.mkdir(parents=True)
+            (out / rel).write_bytes(b"")
+        else:
+            (out / rel).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["run", "--input", str(scene_dir),
+                     "--output", str(out)]) == 4, rel
+        err = capsys.readouterr().err
+        stage = _output_stage(rel)
+        assert err.startswith(f"error: stage {stage!r} failed on "), err
+        assert str(out / rel) in err, err
 
 
 def _drop_rig_cameras(rig):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from msocc import pipeline
 from msocc.cli import main
 
 from test_parts import cpus, recorded_parts  # noqa: F401 (a fixture)
@@ -51,6 +52,42 @@ def test_golden_digests_on_threads(tmp_path, cpus, monkeypatch):
     seen = recorded_parts(monkeypatch)
     assert_unmoved(synth_and_run(tmp_path))
     assert any(a > 0 for a, _ in seen) == (cpus > 1)
+
+
+def test_run_reads_exactly_its_inputs_headers_first(tmp_path, monkeypatch):
+    # every input tensor but frame 0's lift-stride files, each header
+    # checked once by its handle and all before the first write
+    inp = tmp_path / "inputs"
+    assert main(["synth", "--out", str(inp), *SCENE]) == 0
+    events = []  # (kind, path) of each header check, read and write
+
+    def recorded(kind, fn, at):  # `at`: the path's argument position
+        def wrapper(*args):
+            events.append((kind, Path(args[at])))
+            return fn(*args)
+        return wrapper
+
+    for kind, name, at in (("header", "read_header", 1),
+                           ("read", "read_tensor", 0),
+                           ("write", "write_tensor", 0)):
+        monkeypatch.setattr(pipeline, name,
+                            recorded(kind, getattr(pipeline, name), at))
+    assert main(["run", "--input", str(inp), "--output",
+                 str(tmp_path / "outputs")]) == 0
+    unread = {f"{kind}/frame00_stride{s}.msoc" for s in (8, 16, 32)
+              for kind in ("features", "depth_logits")}
+    want = sorted(p.relative_to(inp).as_posix() for p in inp.rglob("*.msoc")
+                  if p.relative_to(inp).as_posix() not in unread)
+
+    def inputs(kind):
+        return sorted(p.relative_to(inp).as_posix() for k, p in events
+                      if k == kind)
+
+    assert inputs("header") == want
+    assert sorted(set(inputs("read"))) == want
+    first_write = next(i for i, (kind, _) in enumerate(events)
+                       if kind == "write")
+    assert all(kind != "header" for kind, _ in events[first_write:])
 
 
 def assert_unmoved(got: dict) -> None:

@@ -17,7 +17,7 @@ from . import fixtures, pipeline, postprocess, temporal
 from .geometry import CameraRig, RigidTransform, VoxelGridSpec, relative_ego_motion
 from .gt_multiscale import CLASS_NAMES, check_labels
 from .pipeline import (NumericalError, PipelineConfig, PipelineStageError,
-                       read_in, read_input)
+                       frame_shape, read_in, read_input)
 from .tensorio import TensorIOError, atomic_open, write_tensor
 
 EXIT_OK = 0
@@ -62,15 +62,17 @@ def cmd_synth(args):
 
 def cmd_cost_volume(args):
     cfg = _depth_config(args)
-    cur = read_in("cost_volume", args.current)
-    prev = read_in("cost_volume", args.previous)
     rig = read_input(args.rig, CameraRig.from_json)
     rel = relative_ego_motion(read_input(args.pose_previous, _parse_transform),
                               read_input(args.pose_current, _parse_transform))
+    # the previous frame has the current one's shape, as in `run`
+    cur = pipeline._InputFile("cost_volume", args.current,
+                              frame_shape(rig, temporal.COST_STRIDE))
+    prev = pipeline._InputFile("cost_volume", args.previous, cur.shape)
     with pipeline._stage("cost_volume", args.current):
-        cv = pipeline.cost_volume(cfg, rig, cur, prev, rel)
-    write_tensor(args.out, cv)
-    _write_meta(args.out + ".meta.json", args)
+        cv = pipeline.cost_volume(cfg, rig, cur.read(), prev.read(), rel)
+        write_tensor(args.out, cv)
+        _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
@@ -78,12 +80,15 @@ def cmd_lift(args):
     cfg = _depth_config(args)
     rig = read_input(args.rig, CameraRig.from_json)
     grid = read_input(args.grid, VoxelGridSpec.from_json)
+    feats = pipeline._InputFile("lift_stack", args.features,
+                                frame_shape(rig, args.stride))
+    logits = pipeline._InputFile("lift_stack", args.depth_logits, frame_shape(
+        rig, args.stride, pipeline.frustum(cfg).num_bins))
     with pipeline._stage("lift_stack", args.rig):
         idx = pipeline.pooling_index(cfg, args.stride, rig, grid)
-    out = pipeline.lift_frame(*(pipeline._InputFile("lift_stack", path) for path
-                                in (args.features, args.depth_logits)), idx)
-    write_tensor(args.out, out)
-    _write_meta(args.out + ".meta.json", args)
+    with pipeline._stage("lift_stack", args.out):
+        write_tensor(args.out, pipeline.lift_frame(feats, logits, idx))
+        _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
@@ -94,15 +99,16 @@ def cmd_warp(args):
     motion = read_input(args.transform, _parse_transform)
     with pipeline._stage("warp", args.input):
         out = temporal.warp_voxel_grid(grid_arr, motion, grid, mode=args.mode)
-    write_tensor(args.out, out)
-    _write_meta(args.out + ".meta.json", args)
+        write_tensor(args.out, out)
+        _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
 def cmd_gt_downsample(args):
     pyr = pipeline.read_pyramid("gt_pyramid", args.occ, args.sem, args.mask)
-    pipeline.write_pyramid(args.out, pyr)
-    _write_meta(os.path.join(args.out, "metadata.json"), args)
+    with pipeline._stage("gt_pyramid", args.out):
+        pipeline.write_pyramid(args.out, pyr)
+        _write_meta(os.path.join(args.out, "metadata.json"), args)
     return EXIT_OK
 
 
@@ -125,9 +131,9 @@ def cmd_loss(args):
     with pipeline._stage("loss", args.depth_logits or args.occ_logits):
         lo, ls, ld = pipeline.scale_losses(cfg, *logits, occ,
                                            gt.sem[0], gt.mask[0], *depth)
-    report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
-    pipeline.write_json(args.out, report)
-    _write_meta(args.out + ".meta.json", args)
+        report = {"occ": lo, "sem": ls, "depth": ld, "total": lo + ls + ld}
+        pipeline.write_json(args.out, report)
+        _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 
@@ -145,10 +151,10 @@ def cmd_tta_enumerate(args):
 def cmd_deaug(args):
     tag = postprocess.AugmentationTag(args.img_hflip, args.vox_flip_x,
                                       args.vox_flip_y)
-    occ_d, sem_d = postprocess.deaugment(tag, read_in("deaug", args.occ),
-                                         read_in("deaug", args.sem))
-    write_tensor(args.out_occ, occ_d)
-    write_tensor(args.out_sem, sem_d)
+    for path, arr in zip((args.out_occ, args.out_sem), postprocess.deaugment(
+            tag, read_in("deaug", args.occ), read_in("deaug", args.sem))):
+        with pipeline._stage("deaug", path):
+            write_tensor(path, arr)
     return EXIT_OK
 
 
@@ -157,9 +163,9 @@ def cmd_ensemble(args):
     with pipeline._stage("postprocess", args.preds):  # as in `run`
         occ_prob, sem_label = postprocess.ensemble(
             *pipeline.load_prediction_sets(args.preds), cfg.ensemble_weights)
-    write_tensor(args.out_occ, occ_prob.astype(np.float32))
-    write_tensor(args.out_sem, sem_label)
-    _write_meta(args.out_occ + ".meta.json", args)
+        write_tensor(args.out_occ, occ_prob.astype(np.float32))
+        write_tensor(args.out_sem, sem_label)
+        _write_meta(args.out_occ + ".meta.json", args)
     return EXIT_OK
 
 
@@ -171,7 +177,7 @@ def cmd_threshold(args):
     sem = read_in("threshold", args.sem_labels, occ_prob.shape)
     with pipeline._stage("threshold", args.sem_labels):
         out = postprocess.apply_thresholds(occ_prob, sem, table)
-    write_tensor(args.out, out)
+        write_tensor(args.out, out)
     return EXIT_OK
 
 
@@ -181,8 +187,8 @@ def cmd_eval(args):
     mask = read_in("eval", args.mask, pred.shape).astype(bool)
     with pipeline._stage("eval", args.mask):
         report = pipeline.evaluate(pred, gt, mask, args.include_free)
-    pipeline.write_json(args.out, report)
-    _write_meta(args.out + ".meta.json", args)
+        pipeline.write_json(args.out, report)
+        _write_meta(args.out + ".meta.json", args)
     return EXIT_OK
 
 

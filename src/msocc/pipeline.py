@@ -115,11 +115,6 @@ def _stage(name: str, path: str):
         raise PipelineStageError(name, path, e)
 
 
-def read_text(path) -> str:
-    with open(path) as fh:
-        return fh.read()
-
-
 class _InputFile:
     """Tensor file `path`, its header checked against `shape` when made (an
     axis given as None may have any size). Its payload is read on use: all
@@ -191,9 +186,9 @@ def read_pyramid(stage: str, occ_path, sem_path, mask_path,
 def read_input(path, parse):
     """`parse` applied to the text of the JSON input file `path`; any
     failure is reported as one of stage `inputs` on `path`."""
-    with _stage("inputs", path):
+    with _stage("inputs", path), open(path) as fh:
         try:
-            return parse(read_text(path))
+            return parse(fh.read())
         except (KeyError, TypeError) as e:  # missing or mistyped field
             raise ValueError(f"bad field: {e!r}") from e
 
@@ -213,16 +208,22 @@ def frustum(cfg: PipelineConfig) -> FrustumSpec:
     return FrustumSpec(cfg.depth_min, cfg.depth_max)
 
 
+def frame_shape(rig: CameraRig, stride: int, depth: int | None = None):
+    """The (N, depth, H // stride, W // stride) shape of a frame tensor of
+    `rig`'s N cameras of H x W at image stride `stride`; a depth of None, as
+    for a feature stack's channels, takes any size in an `_InputFile`."""
+    k = rig.cameras[0][0]  # the rig's cameras share one image size
+    return (len(rig), depth, k.height // stride, k.width // stride)
+
+
 def cost_volume(cfg: PipelineConfig, rig: CameraRig, cur: np.ndarray,
                 prev: np.ndarray, rel: RigidTransform):
     """Plane-sweep cost volumes of every camera from the (N, C, H, W) feature
-    stacks at COST_STRIDE of the current and previous frame, as the float32
-    (N, D, H, W) stack that is written and pooled to coarser strides. Each
-    camera sweeps in float64; its check runs on its float32 volume, since a
-    finite float64 value can overflow float32."""
-    if not cur.shape[:1] == prev.shape[:1] == (len(rig),):
-        raise ValueError(f"features {cur.shape} and {prev.shape} from a "
-                         f"{len(rig)}-camera rig")
+    stacks of the current and previous frame, each of the
+    `frame_shape(rig, COST_STRIDE)` that the callers' handles check, as the
+    float32 (N, D, H, W) stack that is written and pooled to coarser
+    strides. Each camera sweeps in float64; its check runs on its float32
+    volume, since a finite float64 value can overflow float32."""
     cv = []
     for cam, (k, cam_to_ego) in enumerate(rig.cameras):
         cv.append(temporal.build_cost_volume(
@@ -240,19 +241,13 @@ def pooling_index(cfg: PipelineConfig, stride: int, rig: CameraRig,
 
 def lift_frame(features: _InputFile, logits: _InputFile, idx):
     """Read one frame's (N, C, H, W) features and (N, D, H, W) depth logits,
-    each checked finite and the features on pooling index `idx`'s lattice,
-    and lift them into the float32 (C, nx, ny, nz) grid that is written,
-    and for a past frame warped and stacked. Rows are summed in float64,
-    and the check of the float32 grid catches their overflow. Stage
-    `lift_stack` names the file read, or for the lift the logits file."""
-    n, _, h, w = idx.depth_shape
-
-    def on_lattice(feats):
-        check_finite("features", feats)
-        if feats.shape[:1] + feats.shape[2:] != (n, h, w):
-            raise ValueError(f"features {feats.shape} on a {h}x{w} rig")
-
-    feats = features.read(on_lattice)
+    each checked finite (the handles check their `frame_shape` at pooling
+    index `idx`'s stride), and lift them into the float32 (C, nx, ny, nz)
+    grid that is written, and for a past frame warped and stacked. Rows are
+    summed in float64, and the check of the float32 grid catches their
+    overflow. Stage `lift_stack` names the file read, or for the lift the
+    logits file."""
+    feats = features.read(finite("features"))
     z = logits.read(finite("depth logits"))
     with _stage("lift_stack", logits.path):
         lifted = lift_and_pool(feats, normalize_depth_logits(z), idx,
@@ -315,8 +310,8 @@ def load_prediction_sets(preds_dir: str, shape: tuple | None = None):
     A failure is one of stage `postprocess` on the file at fault."""
     path = os.path.join(preds_dir, "tags.json")
     names = {f.name for f in fields(postprocess.AugmentationTag)}
-    with _stage("postprocess", path):
-        tags = json.loads(read_text(path))
+    with _stage("postprocess", path), open(path) as fh:
+        tags = json.load(fh)
         for key in ("model_a", "model_b"):
             if not (isinstance(tags, dict) and isinstance(tags.get(key), list)
                     and tags[key]):
@@ -388,12 +383,12 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
                            os.path.join(inp, "mask.msoc"), grid.shape)
 
     # later stages' inputs get their handles, which check each header,
-    # before the first write. Frame t at stride s is (N, depth, H // s,
-    # W // s), any depth when None, and has the shape of the first in `got`
+    # before the first write. The first frame in `got` has
+    # `frame_shape(rig, s, depth)`, and each later one its shape
     def frame(got, stage, kind, t, s, depth=None):
         got.append(_InputFile(stage, os.path.join(
             inp, kind, f"frame{t:02d}_stride{s}.msoc"), got[0].shape if got
-            else (len(rig), depth, k0.height // s, k0.width // s)))
+            else frame_shape(rig, s, depth)))
 
     cv_feats = []
     for t in range(num_frames):
@@ -517,23 +512,21 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     write_tensor(os.path.join(out_dir, "gt_depth.msoc"),
                  scene.gt_depth.astype(np.float64))
 
-    n_cams = len(scene.rig)
-    k0 = scene.rig.cameras[0][0]
     num_frames = len(scene.poses)
     f = frustum(cfg)
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "depth_logits"), exist_ok=True)
     for t in range(num_frames):
         for s in (COST_STRIDE, *STRIDES):
-            h, w = k0.height // s, k0.width // s
-            feats = rng.standard_normal((n_cams, channels, h, w))
+            feats = rng.standard_normal(frame_shape(scene.rig, s, channels))
             write_tensor(os.path.join(out_dir, "features",
                                       f"frame{t:02d}_stride{s}.msoc"),
                          feats.astype(np.float32))
             if s == COST_STRIDE:
                 continue
             sub = scene.gt_depth[:, s // 2::s, s // 2::s]
-            logits = rng.standard_normal((n_cams, f.num_bins, h, w)) * 0.1
+            logits = rng.standard_normal(
+                frame_shape(scene.rig, s, f.num_bins)) * 0.1
             valid = f.in_range(sub)
             bins = f.bin_of(np.where(valid, sub, f.depth_min))
             cam_i, v_i, u_i = np.nonzero(valid)

@@ -385,9 +385,9 @@ def test_cost_volume_subcommand_matches_run(tmp_path, scene_dir, run_dir):
 
 @pytest.mark.parametrize("stride, cameras, message", [
     # the stride-8 features are 12x16; the rig at stride 4 is 24x32
-    (8, 2, "features 12x16 vs camera 24x32"),
+    (8, 2, "shape (2, 8, 12, 16), expected (2, None, 24, 32)"),
     # the current frame holds one camera of the 2-camera rig
-    (4, 1, "features (1, 8, 24, 32) and (2, 8, 24, 32) from a 2-camera rig"),
+    (4, 1, "shape (1, 8, 24, 32), expected (2, None, 24, 32)"),
 ], ids=["stride", "camera"])
 def test_cost_volume_features_must_fit_rig(tmp_path, scene_dir, capsys,
                                            stride, cameras, message):
@@ -418,8 +418,8 @@ def test_lift_stride_must_match_features(tmp_path, scene_dir, capsys):
                  "--stride", "16", "--out", str(tmp_path / "lifted.msoc")]) == 2
     # stride 16 puts the 128x96 rig on a 6x8 lattice; the features are 12x16
     path = scene_dir / "features" / "frame01_stride8.msoc"
-    assert (f"stage 'lift_stack' failed on {path}: features (2, 8, 12, 16) "
-            f"on a 6x8 rig") in capsys.readouterr().err
+    assert (f"stage 'lift_stack' failed on {path}: shape (2, 8, 12, 16), "
+            f"expected (2, None, 6, 8)") in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -2237,6 +2237,7 @@ def subcommand_inputs(scene_dir, run_dir, tmp_path_factory):
                        "--sem-labels": tmp / "labels.msoc"}, []),
         "eval": ({"--pred": run_dir / "final_labels.msoc", "--gt": gt["sem"],
                   "--mask": gt["mask"]}, []),
+        "ensemble": ({"--preds": preds}, []),
     }
 
 
@@ -2248,14 +2249,16 @@ def _subcommand_argv(inputs, command, out_dir, replaced=None):
     argv = [command, *rest]
     for flag, path in {**tensors, **(replaced or {})}.items():
         argv += [flag, str(path)]
-    outs = ["--out-occ", "--out-sem"] if command == "deaug" else ["--out"]
+    outs = (["--out-occ", "--out-sem"] if command in ("deaug", "ensemble")
+            else ["--out"])
     return argv + [a for o in outs for a in (o, str(out_dir / o[2:]))]
 
 
 SUBCOMMAND_STAGES = {"cost-volume": "cost_volume", "lift": "lift_stack",
                      "warp": "warp", "gt-downsample": "gt_pyramid",
                      "loss": "loss", "deaug": "deaug",
-                     "threshold": "threshold", "eval": "eval"}
+                     "threshold": "threshold", "eval": "eval",
+                     "ensemble": "postprocess"}
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_STAGES)
@@ -2324,6 +2327,79 @@ def test_stage_work_failure_names_stage_and_file(
     assert main(argv) == 2
     assert (f"stage {SUBCOMMAND_STAGES[command]!r} failed on {path}: {message}"
             in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["bad.msoc"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_STAGES)
+def test_every_subcommand_write_names_its_stage(tmp_path, subcommand_inputs,
+                                                capsys, command):
+    # a directory on each output path, or a file on each output directory,
+    # fails that write with exit 4 in the subcommand's stage, as in `run`
+    made = tmp_path / "made"
+    made.mkdir()
+    assert main(_subcommand_argv(subcommand_inputs, command, made)) == 0
+    written = sorted(p.relative_to(made).as_posix() for p in made.rglob("*"))
+    assert written
+    for i, rel in enumerate(written):
+        out = tmp_path / f"out{i}"
+        if (made / rel).is_dir():
+            (out / rel).parent.mkdir(parents=True)
+            (out / rel).write_bytes(b"")
+        else:
+            (out / rel).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(_subcommand_argv(subcommand_inputs, command, out)) == 4, rel
+        err = capsys.readouterr().err
+        stage = SUBCOMMAND_STAGES[command]
+        assert err.startswith(f"error: stage {stage!r} failed on "), err
+        assert str(out / rel) in err, err
+
+
+def _one_camera(arr):
+    return arr[:1]
+
+
+def _stride_doubled(arr):
+    return arr[..., ::2, ::2]
+
+
+@pytest.mark.parametrize("command, flag, damage, want", [
+    ("cost-volume", "--current", _one_camera, (2, None, 24, 32)),
+    ("cost-volume", "--current", _stride_doubled, (2, None, 24, 32)),
+    ("cost-volume", "--previous", _one_camera, (2, 8, 24, 32)),
+    ("cost-volume", "--previous", _stride_doubled, (2, 8, 24, 32)),
+    ("cost-volume", "--previous", _one_channel_fewer, (2, 8, 24, 32)),
+    ("lift", "--features", _one_camera, (2, None, 12, 16)),
+    ("lift", "--features", _stride_doubled, (2, None, 12, 16)),
+    ("lift", "--depth-logits", _stride_doubled, (2, 12, 12, 16)),
+    ("lift", "--depth-logits", _one_channel_fewer, (2, 12, 12, 16)),
+], ids=["current_cameras", "current_lattice", "previous_cameras",
+        "previous_lattice", "previous_channels", "features_cameras",
+        "features_lattice", "logits_lattice", "logits_bins"])
+def test_frame_fault_names_its_own_file_before_any_read(
+        tmp_path, subcommand_inputs, capsys, monkeypatch, command, flag,
+        damage, want):
+    # `--current` and `--features` have the rig's (N, None, H // s, W // s)
+    # frame shape at their stride, `--depth-logits` its D bins, and
+    # `--previous` the shape of `--current`, as `run` checks later frames;
+    # every header is checked before any payload is read. The 2-camera
+    # 128x96 scene has 8 channels and 12 depth bins; `lift` is at stride 8
+    bad = tmp_path / "bad.msoc"
+    arr = damage(read_tensor(subcommand_inputs[command][0][flag]))
+    write_tensor(bad, arr)
+    argv = _subcommand_argv(subcommand_inputs, command, tmp_path, {flag: bad})
+    read = []
+
+    def recorded(path, *rest):
+        read.append(path)
+        return read_tensor(path, *rest)
+
+    monkeypatch.setattr(pipeline, "read_tensor", recorded)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert (f"stage {SUBCOMMAND_STAGES[command]!r} failed on {bad}: shape "
+            f"{arr.shape}, expected {want}") in capsys.readouterr().err
+    assert read == []
     assert os.listdir(tmp_path) == ["bad.msoc"]
 
 

@@ -151,8 +151,10 @@ def cmd_tta_enumerate(args):
 def cmd_deaug(args):
     tag = postprocess.AugmentationTag(args.img_hflip, args.vox_flip_x,
                                       args.vox_flip_y)
-    for path, arr in zip((args.out_occ, args.out_sem), postprocess.deaugment(
-            tag, read_in("deaug", args.occ), read_in("deaug", args.sem))):
+    occ = read_in("deaug", args.occ)
+    sem = read_in("deaug", args.sem, (len(CLASS_NAMES), *occ.shape))
+    for path, arr in zip((args.out_occ, args.out_sem),
+                         postprocess.deaugment(tag, occ, sem)):
         with pipeline._stage("deaug", path):
             write_tensor(path, arr)
     return EXIT_OK

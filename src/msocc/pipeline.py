@@ -209,11 +209,17 @@ def frustum(cfg: PipelineConfig) -> FrustumSpec:
 
 
 def frame_shape(rig: CameraRig, stride: int, depth: int | None = None):
-    """The (N, depth, H // stride, W // stride) shape of a frame tensor of
-    `rig`'s N cameras of H x W at image stride `stride`; a depth of None, as
-    for a feature stack's channels, takes any size in an `_InputFile`."""
-    k = rig.cameras[0][0]  # the rig's cameras share one image size
-    return (len(rig), depth, k.height // stride, k.width // stride)
+    """The (N, depth, H // stride, W // stride) lattice of a frame tensor of
+    `rig`'s N cameras of H x W at stride `stride` (ValueError where empty);
+    a depth of None, for a feature stack's channels, takes any size."""
+    k = rig.cameras[0][0].scaled(stride)  # the cameras share one image size
+    return (len(rig), depth, k.height, k.width)
+
+
+def depth_at(depth: np.ndarray, stride: int) -> np.ndarray:
+    """An (..., H, W) depth map sampled at `frame_shape`'s pixel centers."""
+    h, w = (n // stride * stride for n in depth.shape[-2:])
+    return depth[..., stride // 2:h:stride, stride // 2:w:stride]
 
 
 def cost_volume(cfg: PipelineConfig, rig: CameraRig, cur: np.ndarray,
@@ -225,11 +231,11 @@ def cost_volume(cfg: PipelineConfig, rig: CameraRig, cur: np.ndarray,
     strides. Each camera sweeps in float64; its check runs on its float32
     volume, since a finite float64 value can overflow float32."""
     cv = []
-    for cam, (k, cam_to_ego) in enumerate(rig.cameras):
+    for (k, cam_to_ego), c, p in zip(rig.cameras, cur, prev, strict=True):
         cv.append(temporal.build_cost_volume(
-            cur[cam], prev[cam], rel, k.scaled(COST_STRIDE), frustum(cfg),
+            c, p, rel, k.scaled(COST_STRIDE), frustum(cfg),
             cam_to_ego=cam_to_ego).astype(np.float32))
-        check_finite(f"cost volume camera {cam}", cv[cam])
+        check_finite(f"cost volume camera {len(cv) - 1}", cv[-1])
     return np.stack(cv)
 
 
@@ -344,8 +350,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     """Execute every stage over an input directory, configured by its
     config.json (the defaults when absent); returns the combined report
     (also written as JSON into output_dir)."""
-    inp = input_dir
-    out = output_dir
+    inp, out = input_dir, output_dir
 
     if os.path.exists(os.path.join(inp, "config.json")):
         cfg = read_input(os.path.join(inp, "config.json"), lambda text:
@@ -365,15 +370,8 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
     table = cfg.threshold_table and os.path.join(inp, cfg.threshold_table)
     with _stage("inputs", table):
         thresholds = postprocess.load_threshold_table(table)
-    k0 = rig.cameras[0][0]  # the rig's cameras share one image size
     with _stage("inputs", os.path.join(inp, "rig.json")):
-        lattice = k0.scaled(COST_STRIDE)
-        for s in STRIDES:
-            factor = s // COST_STRIDE
-            if lattice.height % factor or lattice.width % factor:
-                raise ValueError(
-                    f"stride {s} pools the {lattice.height}x{lattice.width} "
-                    f"cost-volume lattice by {factor}, which does not divide it")
+        frame_shape(rig, max(STRIDES))  # every stride's lattice is non-empty
 
     # ---- stage: multi-scale ground truth (first: it needs no other stage,
     # so a bad label fails before any output is written) ----
@@ -400,7 +398,7 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
             frame(logits, "lift_stack", "depth_logits", t, s,
                   frustum(cfg).num_bins)
     gt_depth = _InputFile("loss", os.path.join(inp, "gt_depth.msoc"),
-                          (len(rig), k0.height, k0.width))
+                          (len(rig), *frame_shape(rig, 1)[2:]))
     heads = []  # per scale, the occupancy and semantic head
     for i in range(len(STRIDES)):
         level = _grid_level(grid, i).shape
@@ -459,11 +457,10 @@ def run_pipeline(input_dir: str, output_dir: str) -> dict:
         terms = []
         for i, (stride, (occ_head, sem_head)) in enumerate(zip(STRIDES, heads)):
             # depth supervision at this scale's stride, pixel-center subsampled
-            c = stride // 2
             terms.append(scale_losses(
                 cfg, occ_head.read(), sem_head,
                 pyramid.occ[i], pyramid.sem[i], pyramid.mask[i],
-                lifts[i][1][-1].read(), depth[:, c::stride, c::stride]))
+                lifts[i][1][-1].read(), depth_at(depth, stride)))
         report = losses.total_loss(*zip(*terms))
         write_json(os.path.join(out, "loss_report.json"), report)
 
@@ -495,6 +492,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
     from . import fixtures
 
     cfg = config or PipelineConfig()
+    frame_shape(scene.rig, max(STRIDES))  # an empty lattice fails unwritten
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
 
@@ -524,7 +522,7 @@ def emit_inputs(out_dir: str, scene, config: PipelineConfig | None = None,
                          feats.astype(np.float32))
             if s == COST_STRIDE:
                 continue
-            sub = scene.gt_depth[:, s // 2::s, s // 2::s]
+            sub = depth_at(scene.gt_depth, s)
             logits = rng.standard_normal(
                 frame_shape(scene.rig, s, f.num_bins)) * 0.1
             valid = f.in_range(sub)

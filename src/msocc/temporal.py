@@ -125,16 +125,16 @@ def build_cost_volume(cur: np.ndarray, prev: np.ndarray,
 
 
 def rescale_cost_volume(cv: np.ndarray, target_stride: int) -> np.ndarray:
-    """Average-pool the (H, W) maps at COST_STRIDE of a (D, H, W) volume or
-    an (N, D, H, W) camera stack down to target_stride, each map alone."""
+    """Average-pool each (h, w) map at COST_STRIDE of a (D, h, w) volume or
+    (N, D, h, w) camera stack by whole f x f blocks, f = target_stride /
+    COST_STRIDE, to (h // f, w // f): the last h % f rows and w % f columns
+    are left out, as the lattice of target_stride drops them."""
     if target_stride % COST_STRIDE != 0:
         raise ValueError(f"target stride must be a multiple of {COST_STRIDE}")
-    factor = target_stride // COST_STRIDE
+    f = target_stride // COST_STRIDE
     *lead, h, w = cv.shape
-    if h % factor or w % factor:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by {factor}")
-    return cv.reshape(*lead, h // factor, factor, w // factor,
-                      factor).mean(axis=(-3, -1))
+    return cv[..., :h // f * f, :w // f * f].reshape(
+        *lead, h // f, f, w // f, f).mean(axis=(-3, -1))
 
 
 def warp_voxel_grid(prev: np.ndarray, rel: RigidTransform, grid,

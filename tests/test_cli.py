@@ -19,8 +19,8 @@ import pytest
 from msocc import cli, fixtures, losses, pipeline, postprocess, temporal
 from msocc.checks import NumericalError
 from msocc.cli import build_parser, main
-from msocc.geometry import (CameraRig, RigidTransform, VoxelGridSpec,
-                            relative_ego_motion)
+from msocc.geometry import (CameraRig, Intrinsics, RigidTransform,
+                            VoxelGridSpec, relative_ego_motion)
 from msocc.gt_multiscale import CLASS_NAMES, FREE
 from msocc.tensorio import read_tensor, write_tensor
 
@@ -203,7 +203,7 @@ def test_threshold_bad_table_names_its_file(tmp_path, capsys, text, message):
 
 def test_deaug_subcommand(tmp_path):
     occ = np.zeros((4, 4, 2)); occ[1, 0, 0] = 1.0
-    sem = np.zeros((3, 4, 4, 2)); sem[0, 1, 0, 0] = 1.0
+    sem = np.zeros((len(CLASS_NAMES), 4, 4, 2)); sem[0, 1, 0, 0] = 1.0
     write_tensor(tmp_path / "occ.msoc", occ)
     write_tensor(tmp_path / "sem.msoc", sem)
     rc = main(["deaug", "--occ", str(tmp_path / "occ.msoc"),
@@ -212,6 +212,24 @@ def test_deaug_subcommand(tmp_path):
                "--out-sem", str(tmp_path / "s.msoc")])
     assert rc == 0
     assert read_tensor(tmp_path / "o.msoc")[2, 0, 0] == 1.0
+
+
+def test_deaug_sem_is_class_rows_of_occ(tmp_path, capsys):
+    # --sem is K class rows of --occ, as `run` reads a prediction entry, so
+    # a label grid given as --sem exits 2 naming it and writes nothing
+    occ = np.zeros((4, 4, 2))
+    write_tensor(tmp_path / "occ.msoc", occ)
+    write_tensor(tmp_path / "sem.msoc", occ.astype(np.uint8))
+    capsys.readouterr()
+    rc = main(["deaug", "--occ", str(tmp_path / "occ.msoc"),
+               "--sem", str(tmp_path / "sem.msoc"), "--vox-flip-x",
+               "--out-occ", str(tmp_path / "o.msoc"),
+               "--out-sem", str(tmp_path / "s.msoc")])
+    assert rc == 2
+    assert (f"stage 'deaug' failed on {tmp_path / 'sem.msoc'}: shape "
+            f"(4, 4, 2), expected ({len(CLASS_NAMES)}, 4, 4, 2)"
+            in capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["occ.msoc", "sem.msoc"]
 
 
 def test_tta_enumerate_subcommand(tmp_path, capsys):
@@ -879,17 +897,16 @@ def test_occupancy_outside_0_1_is_validation_error(tmp_path, scene_dir,
     ("ensemble_weights", [0.0, 1.0], "ensemble_weights must be positive "
                                      "and finite, got [0.0, 1.0]"),
     ("ensemble_weights", [0.45, float("nan")], "got [0.45, nan]"),
-    # a rig of image height 100 has a 25x32 stride-4 cost volume, which
-    # stride 8 pools by 2; the rig's image size is the only input at fault
-    ("height", 100, "stride 8 pools the 25x32 cost-volume lattice by 2, "
-                    "which does not divide it"),
+    # a rig of image height 16 has no row at stride 32, so that stride's
+    # lattice is empty; the rig's image size is the only input at fault
+    ("height", 16, "image size must be positive"),
 ], ids=["one_weight", "three_weights", "table_number", "depth_min_string",
         "num_classes_unknown", "cost_stride_unknown", "gamma_unknown",
         "alphas_unknown", "weight_mode_unknown", "stride_float",
         "strides_null", "depth_step_bool", "depth_step_zero",
         "depth_min_zero", "no_depth_bin", "stride_not_multiple",
         "stride_negative", "weight_zero", "weight_nan",
-        "stride_not_dividing_lattice"])
+        "empty_lattice"])
 def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
                                                 key, value, message):
     inp = tmp_path / "inp"
@@ -914,6 +931,66 @@ def test_config_shapes_checked_before_any_stage(tmp_path, scene_dir, capsys,
 def test_strides_are_multiples_of_the_cost_stride():
     # each scale's cost volume pools the stride-4 volume by an integer
     assert all(s % temporal.COST_STRIDE == 0 for s in pipeline.STRIDES)
+
+
+@pytest.mark.parametrize("height", [900, 102, 100, 97])
+def test_image_size_off_every_stride_runs_end_to_end(tmp_path, height):
+    # frame_shape's H // s x W // s is the one stride-s lattice: synth emits
+    # on it, and run pools the cost volumes and samples the depth on it, so
+    # an image height that no stride, or only some, divides runs. Height
+    # 900 is that of the nuScenes cameras
+    inp, out = tmp_path / "inp", tmp_path / "out"
+    assert main(["synth", "--out", str(inp), "--seed", "3", "--cameras", "2",
+                 "--boxes", "4", "--frames", "2", "--image-width", "64",
+                 "--image-height", str(height)]) == 0
+    assert main(["run", "--input", str(inp), "--output", str(out)]) == 0
+    assert json.loads((out / "eval_report.json").read_text())["miou"] == 1.0
+    for s in pipeline.STRIDES:
+        cv = read_tensor(out / "cost_volumes" / f"frame01_stride{s}.msoc")
+        logits = read_tensor(inp / "depth_logits" / f"frame01_stride{s}.msoc")
+        assert cv.shape == logits.shape == (2, 12, height // s, 64 // s)
+
+
+def test_synth_of_an_empty_lattice_writes_nothing(tmp_path, capsys):
+    # a 16-pixel-high rig has no row at stride 32, as `run` rejects it
+    capsys.readouterr()
+    assert main(["synth", "--out", str(tmp_path / "inp"), "--cameras", "2",
+                 "--frames", "2", "--image-height", "16"]) == 2
+    assert "image size must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "inp").exists()
+
+
+def test_depth_at_samples_the_frame_shape_lattice():
+    # for every image height and width, on each stride's lattice or off it,
+    # the depth samples have frame_shape's rows and columns, one at each
+    # pixel center. Each size pairs with another, so no rig is square
+    strides = (temporal.COST_STRIDE, *pipeline.STRIDES)
+    for h, w in zip(range(32, 200), range(199, 31, -1)):
+        rig = CameraRig(((Intrinsics(1.0, 1.0, 0.0, 0.0, w, h),
+                          RigidTransform.identity()),))
+        depth = np.arange(h * 1000.0).reshape(1, h, 1000)[..., :w]
+        for s in strides:
+            got = pipeline.depth_at(depth, s)
+            n, _, rows, cols = pipeline.frame_shape(rig, s)
+            assert got.shape == (n, rows, cols), (h, w, s)
+            v = np.arange(rows) * s + s // 2
+            u = np.arange(cols) * s + s // 2
+            assert (got[0] == 1000 * v[:, None] + u).all(), (h, w, s)
+
+
+@pytest.mark.parametrize("cameras", [1, 3], ids=["fewer", "more"])
+@pytest.mark.parametrize("stack", ["current", "previous"])
+def test_cost_volume_pairs_cameras_strictly(scene_dir, cameras, stack):
+    # a feature stack with one camera fewer or more than the 2-camera rig
+    # raises ValueError, which the CLI maps to exit 2; no camera is dropped
+    # silently and no IndexError escapes
+    rig = CameraRig.from_json((scene_dir / "rig.json").read_text())
+    feats = {t: read_tensor(scene_dir / "features" / f"frame{i:02d}_stride4.msoc")
+             for i, t in enumerate(["previous", "current"])}
+    feats[stack] = np.concatenate([feats[stack]] * 2)[:cameras]
+    with pytest.raises(ValueError, match="zip"):
+        pipeline.cost_volume(pipeline.PipelineConfig(), rig, feats["current"],
+                             feats["previous"], RigidTransform.identity())
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -398,9 +398,20 @@ class TestRescaleCostVolume:
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
-            temporal.rescale_cost_volume(np.zeros((2, 3, 4)), 8)
-        with pytest.raises(ValueError):
             temporal.rescale_cost_volume(np.zeros((2, 4, 4)), 6)
+
+    def test_rows_and_columns_off_the_lattice_left_out(self):
+        # pooling by f keeps whole f x f blocks, as the stride's lattice of
+        # the image keeps H // stride rows and W // stride columns
+        cv = np.random.default_rng(5).standard_normal((2, 7, 9))
+        cv = cv.astype(np.float32)
+        for s, h, w in ((8, 3, 4), (8, 7, 9), (16, 7, 9), (32, 7, 9)):
+            f = s // temporal.COST_STRIDE
+            out = temporal.rescale_cost_volume(cv[:, :h, :w], s)
+            want = temporal.rescale_cost_volume(
+                cv[:, :h // f * f, :w // f * f], s)
+            assert out.shape == (2, h // f, w // f)
+            assert out.tobytes() == want.tobytes()
 
 
 def trilinear_oracle(prev, grid, rel):
